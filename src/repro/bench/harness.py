@@ -3,8 +3,8 @@
 The JSON document (``BENCH_*.json``) has a stable shape::
 
     {
-      "schema": 2,
-      "bench_id": "BENCH_5",
+      "schema": 3,
+      "bench_id": "BENCH_6",
       "profile": "small",
       "seed": 0,
       "scenarios": {
@@ -25,8 +25,8 @@ Schema 3 (ISSUE 9) adds ``events_per_sec`` and ``peak_rss_kb`` to the
 end-to-end scenarios' metrics (both wall-clock/machine-local, excluded
 from fingerprints) and introduces the ``huge_churn`` scenario plus the
 ``huge``/``huge_smoke`` profiles: thousands of nodes, burst injection,
-discrete latency classes, with same-edge coalescing and token recycling
-enabled — the configuration the calendar-queue event core is for.
+discrete latency classes — the configuration the calendar-queue event
+core is for.
 
 ``compare_to_baseline`` gates each scenario's ``ops_per_sec`` against a
 committed baseline document: a scenario regressing by more than the
@@ -76,8 +76,8 @@ PROFILES: Dict[str, Dict[str, Dict]] = {
         },
         "converge": {"width": 32, "nodes": 12},
         # Tiny wheel-heavy entry so the schedule-perturbation sanitizer
-        # (which runs the smoke profile) covers the coalescing/recycling
-        # fast paths for RSC610/611.
+        # (which runs the smoke profile) covers burst injection over
+        # discrete latency classes for RSC610/611.
         "huge_churn": {
             "width": 16,
             "nodes": 24,
@@ -139,8 +139,7 @@ PROFILES: Dict[str, Dict[str, Dict]] = {
     },
     # The ISSUE 9 scale target: >= 2k nodes, >= 1M tokens, Poisson
     # churn. One scenario only — this is the configuration the calendar
-    # queue, pooling and coalescing exist for, and the committed
-    # BENCH_6.json records its metrics.
+    # queue and the envelope/handle pools exist for.
     "huge": {
         "huge_churn": {
             "width": 64,
@@ -154,8 +153,8 @@ PROFILES: Dict[str, Dict[str, Dict]] = {
         },
     },
     # CI-sized slice of the same shape (the ``huge-smoke`` job): small
-    # enough for a wall-clock cap, big enough that the wheel, the pools
-    # and coalescing all carry real traffic.
+    # enough for a wall-clock cap, big enough that the wheel and the
+    # pools carry real traffic.
     "huge_smoke": {
         "huge_churn": {
             "width": 64,

@@ -308,10 +308,8 @@ def bench_huge_churn(params: Dict, seed: int) -> ScenarioResult:
     were built for: thousands of nodes, a token stream injected in
     same-instant bursts, and :class:`DiscreteLatency` (a few distinct
     path classes) so messages pile into shared timestamp buckets instead
-    of degenerating to one bucket per event. Same-edge coalescing and
-    token recycling are ON — this scenario deliberately exercises the
-    opt-in fast paths the fingerprinted scenarios leave off — and a
-    seeded Poisson membership trace churns the ring underneath.
+    of degenerating to one bucket per event. A seeded Poisson membership
+    trace churns the ring underneath.
 
     Zero tokens may drop: recovery is enabled, so a drop means the
     token plane lost work, and the scenario aborts rather than report a
@@ -343,8 +341,6 @@ def bench_huge_churn(params: Dict, seed: int) -> ScenarioResult:
         seed=seed,
         initial_nodes=nodes,
         latency=DiscreteLatency(list(latency_values), random.Random(seed + 2)),
-        coalesce=True,
-        recycle_tokens=True,
     )
     system.converge()
     events_before = system.sim.events_run.get()
@@ -405,8 +401,6 @@ def bench_huge_churn(params: Dict, seed: int) -> ScenarioResult:
         "sim_time": system.sim.now,
         "envelopes_created": pools["envelopes"]["created"],
         "envelopes_reused": pools["envelopes"]["reused"],
-        "tokens_created": pools["tokens"]["created"],
-        "tokens_reused": pools["tokens"]["reused"],
         "handles_created": pools["handles"]["created"],
         "handles_reused": pools["handles"]["reused"],
         "events_per_sec": events / elapsed,

@@ -741,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         metavar="PATH",
         default=None,
-        help="also write the JSON document to PATH (e.g. BENCH_3.json)",
+        help="also write the JSON document to PATH (e.g. bench-ci.json)",
     )
     bench.add_argument(
         "--baseline",

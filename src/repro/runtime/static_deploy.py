@@ -19,7 +19,7 @@ from repro.core.atomics import AtomicCounter, PerWireCounters, TokenLedger
 from repro.core.diffracting import CountingTree
 from repro.core.network import BalancingNetwork
 from repro.errors import ProtocolError
-from repro.runtime.tokens import Token, TokenPool, TokenStats
+from repro.runtime.tokens import Token, TokenStats
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.node import MessageBus, SimulatedProcess
@@ -43,9 +43,6 @@ class _Deployment:
         self.rng = random.Random(seed + 1)
         self.token_stats = TokenStats()
         self._token_counter = AtomicCounter()  # repro: owned-by: shared
-        # Acquire-only here (baselines never recycle), so the pool is
-        # just the sanctioned Token constructor (RSC307).
-        self._token_pool = TokenPool()
         self._processes: Dict[int, "_ObjectHost"] = {}
         for _ in range(num_nodes):
             node = self.ring.join()
@@ -57,9 +54,7 @@ class _Deployment:
         return self.ring.successor(name_to_point(name, self.ring.space)).node_id
 
     def new_token(self, entry_wire: int) -> Token:
-        token = self._token_pool.acquire(
-            self._token_counter.fetch_increment(), entry_wire, self.sim.now
-        )
+        token = Token(self._token_counter.fetch_increment(), entry_wire, self.sim.now)
         self.token_stats.issued.increment()
         return token
 

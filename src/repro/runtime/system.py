@@ -45,7 +45,7 @@ from repro.runtime.reconfig import Reconfigurator
 from repro.runtime.rules import RulesEngine
 from repro.runtime.audit import StateAuditor
 from repro.runtime.stabilization import Stabilizer
-from repro.runtime.tokens import Token, TokenMsg, TokenPool, TokenStats
+from repro.runtime.tokens import Token, TokenMsg, TokenStats
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.node import MessageBus
@@ -91,8 +91,6 @@ class AdaptiveCountingSystem:
         convention: MergerConvention = MergerConvention.AHS94,
         auto_stabilize: bool = True,
         combining: Optional[CombiningConfig] = None,
-        coalesce: bool = False,
-        recycle_tokens: bool = False,
         tree=None,
         wiring=None,
     ):
@@ -104,17 +102,7 @@ class AdaptiveCountingSystem:
         self.ring = ChordRing(seed=seed)
         self.rng = random.Random(seed + 1)
         self.sim = Simulator()
-        self.bus = MessageBus(
-            self.sim, latency or ConstantLatency(1.0), service_time, coalesce=coalesce
-        )
-        #: Token freelist. With ``recycle_tokens`` off (the default) the
-        #: pool only ever constructs, so behaviour is unchanged; with it
-        #: on, a token is released back the moment retirement completes,
-        #: making sustained injection allocation-free — but the Token a
-        #: caller holds may then be recycled into a *later* token after
-        #: it retires (check ``token.generation`` if retaining).
-        self.token_pool = TokenPool()
-        self.recycle_tokens = recycle_tokens
+        self.bus = MessageBus(self.sim, latency or ConstantLatency(1.0), service_time)
         self.control_latency = 1.0
         self.step_multiplier = step_multiplier
         self.auto_stabilize = auto_stabilize
@@ -258,9 +246,7 @@ class AdaptiveCountingSystem:
             self._next_wire = (self._next_wire + 1) % self.width
         if from_node is None and self._live_nodes:
             from_node = self.rng.choice(self._live_nodes)
-        token = self.token_pool.acquire(
-            self._token_counter.fetch_increment(), wire, self.sim.now
-        )
+        token = Token(self._token_counter.fetch_increment(), wire, self.sim.now)
         self.token_stats.issued.increment()
         self.injected_per_wire.increment(wire)
         obs = _obs.ACTIVE
@@ -502,10 +488,6 @@ class AdaptiveCountingSystem:
         self.token_stats.record_retired(token)
         for callback in self._retire_callbacks:
             callback(token)
-        if self.recycle_tokens:
-            # After the retire callbacks: they are the last sanctioned
-            # readers of this token's fields.
-            self.token_pool.release(token)
 
     def on_retire(self, callback: Callable[[Token], None]) -> None:
         """Register a callback invoked whenever a token retires."""
@@ -549,7 +531,7 @@ class AdaptiveCountingSystem:
             host.clear_edge_cache()
 
     def publish_pool_stats(self) -> Dict[str, Dict[str, int]]:
-        """Snapshot every freelist (envelopes, tokens, event handles)
+        """Snapshot both freelists (envelopes, event handles)
         into the active recorder's gauges and return the snapshot.
 
         Called at section boundaries (bench scenarios, experiment
@@ -558,7 +540,6 @@ class AdaptiveCountingSystem:
         """
         snapshot = {
             "envelopes": self.bus.pool_stats(),
-            "tokens": self.token_pool.stats(),
             "handles": self.sim.pool_stats(),
         }
         obs = _obs.ACTIVE

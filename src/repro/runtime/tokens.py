@@ -5,22 +5,12 @@ system — one of each per injection, and a ``TokenMsg`` per hop — so
 both are hand-rolled ``__slots__`` classes rather than dataclasses:
 no per-instance ``__dict__``, cheaper attribute access, and (for
 ``Token``) cheaper mutation of the hop/reroute counters en route.
-
-:class:`TokenPool` is the freelist the system draws tokens from when
-``recycle_tokens`` is enabled: a retired token is released back to the
-pool after its retire-side bookkeeping completes and the next injection
-reuses the record. Recycling is opt-in because anything that retains a
-``Token`` reference past retirement (per-token experiment traces) would
-observe the record mutate; the ``generation`` stamp makes such stale
-retention detectable, exactly like envelope recycling on the bus.
-Token construction outside this module is flagged by the RSC307 lint —
-go through the pool (or the system's injection API) instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.atomics import AtomicCounter
 from repro.obs import recorder as _obs
@@ -39,7 +29,6 @@ class Token:
         "exit_wire",
         "value",
         "owed",
-        "generation",
     )
 
     def __init__(
@@ -66,9 +55,6 @@ class Token:
         #: Crash recovery subtracts owed tokens when reconstructing a
         #: lost component's arrival counts.
         self.owed = None
-        #: Recycle count (see :class:`TokenPool`): bumped on release, so
-        #: a stale reference held past retirement is detectable.
-        self.generation = 0
 
     @property
     def latency(self) -> Optional[float]:
@@ -82,54 +68,6 @@ class Token:
             self.entry_wire,
             self.value,
         )
-
-
-class TokenPool:
-    """Freelist of :class:`Token` records for recycle-enabled runs.
-
-    ``acquire`` either pops a retired record and resets *every* mutable
-    field (a recycled token is indistinguishable from a fresh one except
-    for its ``generation`` stamp) or constructs a new one. ``release``
-    bumps the generation and returns the record to the freelist; callers
-    must not touch the token afterwards. All traffic happens inside the
-    simulation loop (injection and retirement are both events), so plain
-    counters suffice.
-    """
-
-    def __init__(self) -> None:
-        self._free: List[Token] = []  # repro: owned-by: single-writer
-        self._acquired_fresh = 0  # repro: owned-by: single-writer
-        self._acquired_recycled = 0  # repro: owned-by: single-writer
-
-    def acquire(self, token_id: int, entry_wire: int, issued_at: float) -> Token:
-        free = self._free
-        if free:
-            token = free.pop()
-            token.token_id = token_id
-            token.entry_wire = entry_wire
-            token.issued_at = issued_at
-            token.hops = 0
-            token.reroutes = 0
-            token.retired_at = None
-            token.exit_wire = None
-            token.value = None
-            token.owed = None
-            self._acquired_recycled += 1
-            return token
-        self._acquired_fresh += 1
-        return Token(token_id, entry_wire, issued_at)
-
-    def release(self, token: Token) -> None:
-        token.generation += 1
-        self._free.append(token)
-
-    def stats(self) -> dict:
-        """Pool traffic: constructed, recycled, and idle record counts."""
-        return {
-            "created": self._acquired_fresh,
-            "reused": self._acquired_recycled,
-            "free": len(self._free),
-        }
 
 
 class TokenMsg:

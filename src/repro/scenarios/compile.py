@@ -152,8 +152,6 @@ def build_system(
         convention=_CONVENTIONS[spec.convention],
         step_multiplier=spec.step_multiplier,
         hysteresis=spec.hysteresis,
-        coalesce=spec.coalesce,
-        recycle_tokens=spec.recycle_tokens,
     )
     system.converge()
     return system

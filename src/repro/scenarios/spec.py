@@ -31,8 +31,6 @@ brackets)::
     min_nodes       = 2                 # churn floor [2]
     step_multiplier = 4                 # rules threshold [4]
     hysteresis      = 0                 # [0]
-    coalesce        = false             # same-edge coalescing [false]
-    recycle_tokens  = false             # token freelist [false]
 
     [latency]
     kind = "constant"                   # constant|uniform|discrete|exponential
@@ -206,8 +204,6 @@ class ScenarioSpec:
     min_nodes: int
     step_multiplier: int
     hysteresis: int
-    coalesce: bool
-    recycle_tokens: bool
     latency: LatencySpec
     arrivals: ArrivalSpec
     churn: ChurnSpec
@@ -313,18 +309,6 @@ class _Checker:
         if maximum is not None and value > maximum:
             self.problem(
                 "%s.%s" % (where, key), "must be <= %r, got %r" % (maximum, value)
-            )
-            return default
-        return value
-
-    def boolean(
-        self, where: str, data: Mapping[str, Any], key: str, default: bool
-    ) -> bool:
-        value = data.get(key, default)
-        if not isinstance(value, bool):
-            self.problem(
-                "%s.%s" % (where, key),
-                "must be true or false, got %s" % _kind(value),
             )
             return default
         return value
@@ -563,8 +547,7 @@ def validate_spec_data(
     system = checker.table(data, "system")
     checker.unknown_keys(
         "system", system,
-        ("seed", "initial_nodes", "min_nodes", "step_multiplier",
-         "hysteresis", "coalesce", "recycle_tokens"),
+        ("seed", "initial_nodes", "min_nodes", "step_multiplier", "hysteresis"),
     )
     seed = checker.integer("system", system, "seed", 0, minimum=0)
     initial_nodes = checker.integer(
@@ -581,8 +564,6 @@ def validate_spec_data(
         "system", system, "step_multiplier", 4, minimum=1
     )
     hysteresis = checker.integer("system", system, "hysteresis", 0, minimum=0)
-    coalesce = checker.boolean("system", system, "coalesce", False)
-    recycle_tokens = checker.boolean("system", system, "recycle_tokens", False)
 
     latency = _check_latency(checker, checker.table(data, "latency"))
     arrivals = _check_arrivals(checker, checker.table(data, "arrivals"), width)
@@ -623,8 +604,6 @@ def validate_spec_data(
             min_nodes=min_nodes,
             step_multiplier=step_multiplier,
             hysteresis=hysteresis,
-            coalesce=coalesce,
-            recycle_tokens=recycle_tokens,
             latency=latency,
             arrivals=arrivals,
             churn=churn,

@@ -47,13 +47,13 @@ reports the freelist's traffic for the ``repro.obs`` gauges.
 maintained alongside the buckets), so quiescence checks built on it do
 not see cancelled timers.
 
-The run loops (:meth:`Simulator.run_until_idle` / :meth:`run_until`)
-inline :meth:`step` with hoisted attribute lookups, and they keep the
-``max_events`` bound *exact* through a shared budget that the message
-bus's same-timestamp inline fast path also charges
-(:meth:`claim_inline_slot`): every executed event — popped or inline —
-consumes exactly one slot, and the bound raises before the event that
-would exceed it.
+The run methods (:meth:`Simulator.run_until_idle` / :meth:`run_until`)
+share one dispatch loop that inlines :meth:`step` with hoisted attribute
+lookups and keeps the ``max_events`` bound *exact* through a shared
+budget that the message bus's same-timestamp inline fast path also
+charges (:meth:`claim_inline_slot`): every executed event — popped or
+inline — consumes exactly one slot, and the bound raises before the
+event that would exceed it.
 
 Schedule tie-break policies
 ---------------------------
@@ -80,7 +80,7 @@ import itertools
 from collections import deque
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from math import isfinite
+from math import inf, isfinite
 from random import Random
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
@@ -459,6 +459,20 @@ class Simulator:
         extra event), and events the bus delivers inline count against
         it like any other.
         """
+        return self._run(inf, max_events)
+
+    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
+        """Run all events scheduled strictly before ``time``; advances
+        the clock to ``time``. ``max_events`` bounds execution exactly,
+        as in :meth:`run_until_idle`."""
+        executed = self._run(time, max_events)
+        if time > self.now:
+            self.now = time
+        return executed
+
+    def _run(self, limit: float, max_events: Optional[int]) -> int:
+        """The dispatch loop behind both run methods: execute every
+        event strictly before ``limit`` (``inf`` drains the queue)."""
         times = self._times
         buckets = self._buckets
         fifo = self._fifo
@@ -473,7 +487,7 @@ class Simulator:
         # inline deliveries directly, between the flushes).
         popped = 0
         try:
-            while times:
+            while times and times[0] < limit:
                 time = times[0]
                 bucket = buckets[time]
                 if not bucket:
@@ -494,6 +508,8 @@ class Simulator:
                     if budget <= 0:
                         raise SimulationError(
                             "simulation did not quiesce within %d events" % max_events
+                            if limit == inf
+                            else "too many events before time %r" % limit
                         )
                     self._budget = budget - 1
                 if fifo:
@@ -516,62 +532,4 @@ class Simulator:
             if popped:
                 events_run.increment(popped)
             self._budget = outer_budget
-        return events_run.get() - started
-
-    def run_until(self, time: float, max_events: Optional[int] = None) -> int:
-        """Run all events scheduled strictly before ``time``; advances
-        the clock to ``time``. ``max_events`` bounds execution exactly,
-        as in :meth:`run_until_idle`."""
-        times = self._times
-        buckets = self._buckets
-        fifo = self._fifo
-        handle_pool = self._handle_pool
-        events_run = self.events_run
-        drop_cancelled = self._cancelled.decrement
-        started = events_run.get()
-        outer_budget = self._budget
-        self._budget = max_events
-        popped = 0  # folded into events_run once per batch, as above
-        try:
-            while times and times[0] < time:
-                head = times[0]
-                bucket = buckets[head]
-                if not bucket:
-                    self._retire_bucket(head, bucket)
-                    continue
-                handle = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
-                if handle.cancelled:
-                    if fifo:
-                        bucket.popleft()  # type: ignore[attr-defined]
-                    else:
-                        heappop(bucket)  # type: ignore[arg-type]
-                    drop_cancelled()
-                    continue
-                budget = self._budget
-                if budget is not None:
-                    if budget <= 0:
-                        raise SimulationError("too many events before time %r" % time)
-                    self._budget = budget - 1
-                if fifo:
-                    bucket.popleft()  # type: ignore[attr-defined]
-                else:
-                    heappop(bucket)  # type: ignore[arg-type]
-                callback = handle.callback
-                handle.callback = None
-                if handle.pooled:
-                    handle_pool.append(handle)
-                self.now = head
-                popped += 1
-                obs = _obs.ACTIVE
-                if obs.enabled:
-                    events_run.increment(popped)
-                    popped = 0
-                    obs.event_executed(head)
-                callback()  # type: ignore[misc]
-        finally:
-            if popped:
-                events_run.increment(popped)
-            self._budget = outer_budget
-        if time > self.now:
-            self.now = time
         return events_run.get() - started

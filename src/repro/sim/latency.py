@@ -53,8 +53,8 @@ class DiscreteLatency(LatencyModel):
     small value set is what makes the simulator's calendar queue earn
     its keep at scale: messages sent at the same instant with the same
     path class arrive at the same timestamp, so events share buckets
-    (and, with coalescing on, share trampolines) instead of degenerating
-    into one bucket per event the way continuous latency does.
+    instead of degenerating into one bucket per event the way continuous
+    latency does.
 
     ``weights`` (optional) biases the draw; by default all values are
     equally likely.

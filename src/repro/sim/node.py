@@ -27,39 +27,20 @@ paths extract every field they need into locals *before* releasing, so
 an envelope re-acquired by a re-entrant send inside the message handler
 cannot corrupt the delivery in progress. Each release bumps the
 envelope's ``generation`` stamp; anything that holds an envelope
-reference across events (the coalescing map below) captures the stamp
-at hold time and treats a mismatch as "this is a different message now"
-— the same epoch-style ABA discipline the bus already applies to
-re-registered addresses.
-
-Same-edge coalescing
---------------------
-With ``coalesce=True`` the bus merges same-destination messages that
-would arrive at the same instant into one trampoline event: the first
-send schedules its envelope's ``arrive`` normally and parks it in
-``_parked_primaries`` keyed by ``(destination, arrival time)``; later
-sends matching the key chain their envelopes onto the parked one
-instead of scheduling anything, and the single ``arrive`` drains the
-chain in send order. Per-message accounting (service queueing, in-flight
-ledger, obs hooks) is unchanged — only the number of *events* shrinks —
-but because event counts and interleaving with other same-timestamp
-events do change, coalescing is opt-in and off everywhere the committed
-golden fingerprints apply (the ``huge`` bench profile turns it on).
+reference across events must capture the stamp at hold time and treat a
+mismatch as "this is a different message now" — the same epoch-style
+ABA discipline the bus already applies to re-registered addresses.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.core.atomics import AtomicCounter, GuardedMap, TokenLedger
 from repro.errors import SimulationError
 from repro.obs import recorder as _obs
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel
-
-#: The coalescing park: (destination, arrival time) -> (primary
-#: envelope, its generation stamp at parking time).
-ParkedMap = Dict[Tuple[Hashable, float], Tuple["Envelope", int]]
 
 
 class SimulatedProcess:
@@ -91,7 +72,6 @@ class Envelope:
         "on_undeliverable",
         "sent_epoch",
         "generation",
-        "chained",
     )
 
     def __init__(
@@ -110,9 +90,6 @@ class Envelope:
         self.on_undeliverable = on_undeliverable
         self.sent_epoch = sent_epoch
         self.generation = 0
-        #: Same-edge envelopes coalesced behind this one (send order),
-        #: or None. Only ever non-None on a parked primary envelope.
-        self.chained: Optional[List["Envelope"]] = None
 
     def addressee(self) -> Optional[SimulatedProcess]:
         """The live destination process, or None (gone or re-registered)."""
@@ -125,26 +102,7 @@ class Envelope:
         return process
 
     def arrive(self) -> None:
-        """Network transit ended: enter the destination's service queue.
-
-        When coalescing is on, this is also where a parked primary
-        unparks itself and drains its chained same-edge envelopes —
-        one event, N message deliveries, identical per-message
-        accounting.
-        """
-        bus = self.bus
-        if bus.coalesce:
-            bus._parked_primaries.pop((self.to_address, bus.simulator.now), None)
-            chained = self.chained
-            if chained is not None:
-                self.chained = None
-                self._arrive_one()
-                for envelope in chained:
-                    envelope._arrive_one()
-                return
-        self._arrive_one()
-
-    def _arrive_one(self) -> None:
+        """Network transit ended: enter the destination's service queue."""
         bus = self.bus
         current = self.addressee()
         if current is None:
@@ -215,9 +173,7 @@ class MessageBus:
     ``service_time`` is the per-message processing cost at the receiver
     (a single-server FIFO queue per process); ``latency`` is the network
     transit model. Both default to values that make unit tests
-    deterministic. ``coalesce`` turns on same-edge arrival coalescing
-    (see the module docstring) — it changes event counts, so leave it
-    off wherever bit-identical event order is pinned.
+    deterministic.
     """
 
     def __init__(
@@ -225,14 +181,12 @@ class MessageBus:
         simulator: Simulator,
         latency: Optional[LatencyModel] = None,
         service_time: float = 0.0,
-        coalesce: bool = False,
     ):
         if service_time < 0:
             raise SimulationError("service time cannot be negative")
         self.simulator = simulator
         self.latency = latency or ConstantLatency(1.0)
         self.service_time = service_time
-        self.coalesce = coalesce
         self._processes: Dict[Hashable, SimulatedProcess] = {}
         self._busy_until: GuardedMap[Hashable, float] = GuardedMap()  # repro: owned-by: shared
         #: Monotonic per-address registration count. A message captures
@@ -258,12 +212,6 @@ class MessageBus:
         self._envelope_pool: List[Envelope] = []  # repro: owned-by: single-writer
         self._envelopes_created = 0  # repro: owned-by: single-writer
         self._envelopes_reused = 0  # repro: owned-by: single-writer
-        #: Parked primaries for same-edge coalescing:
-        #: (destination, arrival time) -> (envelope, generation stamp).
-        #: The stamp guards against a recycled envelope masquerading as
-        #: the parked one. Only ``send`` writes; the primary's
-        #: ``arrive`` unparks (pops) its own entry.
-        self._parked_primaries: ParkedMap = {}  # repro: owned-by: single-writer
 
     # ------------------------------------------------------------------
     # envelope pool
@@ -291,11 +239,10 @@ class MessageBus:
 
     def _release_envelope(self, envelope: Envelope) -> None:
         # The generation bump invalidates any stamp captured while the
-        # envelope was live (see ``_parked_primaries``).
+        # envelope was live.
         envelope.generation += 1
         envelope.message = None
         envelope.on_undeliverable = None
-        envelope.chained = None
         self._envelope_pool.append(envelope)
 
     def pool_stats(self) -> Dict[str, int]:
@@ -364,24 +311,6 @@ class MessageBus:
         policy = simulator.policy
         if policy is not None:
             transit += policy.delivery_jitter()
-        if self.coalesce:
-            arrive_at = simulator.now + transit
-            key = (to_address, arrive_at)
-            entry = self._parked_primaries.get(key)
-            if entry is not None:
-                primary, stamp = entry
-                # Generation check: a stale entry whose envelope was
-                # recycled since parking must not absorb new mail.
-                if primary.generation == stamp:
-                    chained = primary.chained
-                    if chained is None:
-                        primary.chained = [envelope]
-                    else:
-                        chained.append(envelope)
-                    return
-            self._parked_primaries[key] = (envelope, envelope.generation)
-            simulator.schedule_at_pooled(arrive_at, envelope.arrive)
-            return
         simulator.schedule_pooled(transit, envelope.arrive)
 
     def _finish(self, kind: str) -> None:

@@ -69,7 +69,7 @@ KNOWN_CODES: Dict[str, str] = {
     "RSC304": "mutable default argument",
     "RSC305": "timeout timer scheduled without keeping its cancellation handle",
     "RSC306": "eager string formatting at an observability record call",
-    "RSC307": "pooled record (Token/Envelope) constructed outside its home module",
+    "RSC307": "pooled record (Envelope) constructed outside its home module",
     "RSC308": "committed scenario spec file fails schema validation",
     # Pass 4 — protocol message flow.
     "RSC400": "flow analysis limitation (unreadable file, dynamic RPC name)",

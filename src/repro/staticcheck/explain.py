@@ -156,13 +156,13 @@ EXPLANATIONS: Dict[str, Explanation] = {
         "obs.note('tok %s' % token)  # formats even when disabled",
     ),
     "RSC307": Explanation(
-        "Token and Envelope are freelist-pooled hot-path records: the "
-        "home module resets every mutable field on reuse and bumps a "
+        "Envelope is a freelist-pooled hot-path record: its home "
+        "module resets every mutable field on reuse and bumps a "
         "generation stamp so stale references are detectable. Direct "
         "construction elsewhere bypasses the pool — the record never "
         "recycles, pool accounting lies, and a field added later is "
         "initialised in one place but not the other.",
-        "token = Token(tid, wire, now)  # use TokenPool.acquire(...)",
+        "envelope = Envelope(bus, to, msg, kind, None, None)  # use bus.send(...)",
     ),
     "RSC308": Explanation(
         "The scenario library is committed data: the smoke matrix and "

@@ -51,16 +51,14 @@ linter needed, so the gate runs anywhere the package imports:
 
 ``RSC307`` — pooled hot-path records are constructed only in their
     home module.
-    :class:`~repro.runtime.tokens.Token` and the bus's ``Envelope``
-    are freelist-pooled: their home modules reset every mutable field
-    on reuse and stamp a ``generation`` so stale references are
-    detectable. A direct ``Token(...)`` / ``Envelope(...)`` call
-    anywhere else in ``repro.*`` bypasses the pool — the record never
-    recycles, the pool's created/reused accounting lies, and a future
-    field added to the class gets initialised in one place but not the
-    other. Acquire from :class:`~repro.runtime.tokens.TokenPool` (or
-    the system's injection API) and let the bus build envelopes. Tests
-    and fixtures are exempt — the rule is scoped to ``repro.*``.
+    The bus's ``Envelope`` is freelist-pooled: its home module resets
+    every mutable field on reuse and stamps a ``generation`` so stale
+    references are detectable. A direct ``Envelope(...)`` call anywhere
+    else in ``repro.*`` bypasses the pool — the record never recycles,
+    the pool's created/reused accounting lies, and a future field
+    added to the class gets initialised in one place but not the
+    other. Let the bus build envelopes. Tests and fixtures are exempt
+    — the rule is scoped to ``repro.*``.
 
 ``RSC308`` — committed scenario specs must validate.
     The declarative scenario library (``repro.scenarios``) is data the
@@ -138,7 +136,6 @@ _OBS_RECEIVER_FRAGMENTS = ("obs", "recorder", "metrics", "trace")
 #: each (RSC307). Exact class names — subclasses or lookalikes in tests
 #: are out of scope, as is any module outside ``repro.``.
 _POOLED_TYPES: Dict[str, str] = {
-    "Token": "repro.runtime.tokens",
     "Envelope": "repro.sim.node",
 }
 
@@ -394,10 +391,10 @@ class _LintVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_pooled_construction(self, node: ast.Call, name: str) -> None:
-        """RSC307: ``Token(...)`` / ``Envelope(...)`` outside the home
-        module bypasses the freelist pool (and its field-reset and
-        generation-stamp discipline). Scoped to ``repro.*`` so tests
-        and fixtures may build records directly."""
+        """RSC307: ``Envelope(...)`` outside the home module bypasses
+        the freelist pool (and its field-reset and generation-stamp
+        discipline). Scoped to ``repro.*`` so tests and fixtures may
+        build records directly."""
         home = _POOLED_TYPES.get(name)
         if home is None or not self.module.startswith("repro."):
             return

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, StructureError
 from repro.runtime.system import MAX_REROUTES, AdaptiveCountingSystem
 from repro.runtime.tokens import Token, TokenStats
 
@@ -33,6 +33,27 @@ class TestRerouteEdgeCases:
             system.add_node()
         system.run_until_quiescent()
         assert system.token_stats.retired == 10
+        system.verify()
+
+    @pytest.mark.xfail(strict=True, raises=StructureError)
+    def test_converge_with_tokens_in_flight_after_a_crash(self):
+        """Known limit (perf/README.md): adapting while tokens are in
+        flight toward a crash hole makes ``reroute_token`` raise "input
+        resolution fell through a leaf" from ``Wiring.descend_input``.
+        The fix flips this test; the recipe is the README's."""
+        system = AdaptiveCountingSystem(width=64, seed=0, initial_nodes=300)
+        system.converge()
+        for iteration in range(120):  # raises at iteration 84 today
+            system.advance(1.0)
+            for _ in range(64):
+                system.inject_token()
+            if iteration % 3 == 0:
+                system.crash_node()
+            if iteration % 5 == 0:
+                system.add_node()
+            if iteration % 7 == 0:
+                system.converge()
+        system.run_until_quiescent()
         system.verify()
 
     def test_token_dropped_after_max_reroutes(self):

@@ -111,7 +111,7 @@ class TestRunScenario:
         assert set(full["latency"]) == {"p50", "p90", "p99"}
         assert "messages_sent" in full
         assert "splits" in full["adaptation"]
-        assert set(full["pools"]) == {"envelopes", "tokens", "handles"}
+        assert set(full["pools"]) == {"envelopes", "handles"}
 
     def test_counter_app_yields_gap_free_values(self):
         run = run_scenario(

@@ -38,6 +38,7 @@ class TestValidation:
     def test_all_problems_reported_at_once(self):
         data = {
             "network": {"width": 48},
+            "system": {"coalesce": True, "recycle_tokens": True},
             "arrivals": {"kind": "bursty", "tokens": 0},
             "churn": {"kind": "poisson"},
             "nonsense": True,
@@ -50,6 +51,10 @@ class TestValidation:
         assert "arrivals.tokens" in text
         assert "churn" in text
         assert "nonsense" in text
+        # Unknown keys are rejected by dotted path, naming the valid set.
+        valid = "hysteresis, initial_nodes, min_nodes, seed, step_multiplier"
+        for key in ("system.coalesce", "system.recycle_tokens"):
+            assert "%s: unknown field (valid: %s)" % (key, valid) in text
         # More than one problem per pass — the checker accumulates.
         assert len(problems) >= 4
 
@@ -114,14 +119,6 @@ class TestValidation:
                 "x",
             )
             assert any("network.width" in p for p in problems), width
-
-    def test_boolean_fields_reject_non_bools(self):
-        data = {
-            "system": {"coalesce": 1},
-            "arrivals": dict(MINIMAL["arrivals"]),
-        }
-        _, problems = validate_spec_data(data, "x")
-        assert any("system.coalesce" in p for p in problems)
 
     def test_min_nodes_cannot_exceed_initial_nodes(self):
         data = {

@@ -247,7 +247,7 @@ class TestObsEagerFormat:
 
 
 class TestPooledConstruction:
-    """RSC307 — pooled Token/Envelope built only in their home module."""
+    """RSC307 — the pooled Envelope is built only in its home module."""
 
     POOLED_FIXTURE = os.path.join(HERE, "fixtures", "pooled_ctor_bad.py")
 
@@ -255,7 +255,7 @@ class TestPooledConstruction:
         with open(self.POOLED_FIXTURE) as handle:
             return handle.read()
 
-    def test_fixture_trips_both_pooled_types(self):
+    def test_fixture_trips_on_envelope_only(self):
         # The rule is module-scoped: the fixture lives under tests/, so
         # lint it as if it were a repro.* module.
         report = lint_source(
@@ -263,37 +263,36 @@ class TestPooledConstruction:
             self.POOLED_FIXTURE,
             module="repro.runtime.fake_injector",
         )
-        assert report.codes() == ["RSC307", "RSC307"]
+        assert report.codes() == ["RSC307"]
         rendered = report.format()
-        assert "Token" in rendered and "repro.runtime.tokens" in rendered
         assert "Envelope" in rendered and "repro.sim.node" in rendered
+        assert "Token" not in rendered
 
     def test_fixture_exempt_under_its_real_tests_module(self):
         # Same source, real (non-repro) module path: out of scope.
         assert lint_paths([self.POOLED_FIXTURE]).ok
 
     def test_home_modules_exempt(self):
-        source = "def build(tid, wire, now):\n    return Token(tid, wire, now)\n"
-        assert lint_source(source, "tokens.py", module="repro.runtime.tokens").ok
         source = "def build(sender):\n    return Envelope(sender, 0, 'm', 'k', None, None)\n"
         assert lint_source(source, "node.py", module="repro.sim.node").ok
 
     def test_attribute_construction_flagged(self):
         source = (
-            "from repro.runtime import tokens\n"
-            "def build(tid, wire, now):\n"
-            "    return tokens.Token(tid, wire, now)\n"
+            "from repro.sim import node\n"
+            "def build(sender):\n"
+            "    return node.Envelope(sender, 0, 'm', 'k', None, None)\n"
         )
         report = lint_source(source, "x.py", module="repro.runtime.injector")
         assert report.codes() == ["RSC307"]
         assert report.diagnostics[0].line == 3
 
     def test_exact_name_only(self):
-        # TokenPool / TokenMsg / lookalikes never trip the exact-name rule.
+        # Only the registered name trips: Token, TokenMsg and lookalikes
+        # are plain records any module may build.
         source = (
-            "def build(pool_cls, path, port, token):\n"
-            "    pool = pool_cls()\n"
-            "    return TokenMsg(path, port, token), TokenPool()\n"
+            "def build(path, port, tid, wire, now):\n"
+            "    token = Token(tid, wire, now)\n"
+            "    return TokenMsg(path, port, token), EnvelopeLike(token)\n"
         )
         assert lint_source(source, "x.py", module="repro.runtime.injector").ok
 
