@@ -20,13 +20,6 @@ Commands
     shared-state/atomicity rules (``--concurrency``) and the
     schedule-perturbation sanitizer (``--sanitize[=N]``), or print the
     long-form explanation of any diagnostic code (``--explain``).
-``bench``
-    Seeded performance scenarios (``repro.bench``): token routing
-    (table fast path vs linear scan), batch counts, inject-to-retire
-    under churn, and convergence; emits ``BENCH_*.json`` and gates
-    against a committed baseline (``--baseline``). ``--trace`` /
-    ``--metrics-out`` install a ``repro.obs`` recorder for the run and
-    export a Chrome trace / metrics JSONL.
 ``trace``
     Record one fully traced inject-under-churn run (``repro.obs``) and
     export it as Chrome ``trace_event`` JSON (Perfetto-loadable) plus
@@ -170,6 +163,7 @@ def _load_mc_module(spec: str):
 
 def cmd_check(args) -> int:
     from repro.core.wiring import MergerConvention
+    from repro.scenarios.spec import ScenarioSpecError
     from repro.staticcheck.runner import run_check
 
     if args.explain is not None:
@@ -244,11 +238,10 @@ def cmd_check(args) -> int:
             ownership_paths=args.ownership_paths,
             thread_ready=args.thread_ready,
             sanitize_seeds=sanitize_seeds,
-            sanitize_profile=args.sanitize_profile,
             sanitize_jitter=args.sanitize_jitter,
             sanitize_scenarios=args.sanitize_scenarios,
         )
-    except StructureError as exc:
+    except (StructureError, ScenarioSpecError) as exc:
         print("repro check: error: %s" % exc, file=sys.stderr)
         return 2
     if args.json:
@@ -260,190 +253,6 @@ def cmd_check(args) -> int:
             print(run.report.format())
         print(run.summary())
     return run.exit_code
-
-
-def cmd_bench(args) -> int:
-    import json
-    from contextlib import nullcontext
-
-    from repro.bench import (
-        compare_to_baseline,
-        format_results,
-        run_bench,
-        to_json_payload,
-    )
-    from repro.errors import BenchmarkError
-
-    if args.backend == "threads":
-        return _bench_threads(args)
-    if args.scenario:
-        # Validate the selection up front against everything this
-        # backend can actually run — the hand-coded bench scenarios
-        # plus the declarative library — so a typo exits immediately
-        # with the full valid set instead of failing mid-run.
-        from repro.bench.scenarios import SCENARIOS
-        from repro.scenarios.registry import library_names
-
-        dsl_names = library_names()
-        unknown = sorted(set(args.scenario) - set(SCENARIOS) - set(dsl_names))
-        if unknown:
-            print(
-                "repro bench: error: unknown scenario(s) %s\n"
-                "  bench scenarios: %s\n"
-                "  library scenarios: %s"
-                % (
-                    ", ".join(unknown),
-                    ", ".join(sorted(SCENARIOS)),
-                    ", ".join(dsl_names),
-                ),
-                file=sys.stderr,
-            )
-            return 2
-    recorder = None
-    if args.trace or args.metrics_out:
-        from repro.obs import Recorder
-        from repro.obs.recorder import recording
-
-        try:
-            recorder = Recorder(
-                trace=bool(args.trace), sample_every=args.trace_sample
-            )
-        except ValueError as exc:
-            print("repro bench: error: %s" % exc, file=sys.stderr)
-            return 2
-    scope = recording(recorder) if recorder is not None else nullcontext()
-    try:
-        with scope:
-            results = run_bench(
-                profile=args.profile, seed=args.seed, only=args.scenario
-            )
-    except BenchmarkError as exc:
-        print("repro bench: error: %s" % exc, file=sys.stderr)
-        return 2
-    if recorder is not None:
-        from repro.obs import write_chrome_trace, write_metrics_jsonl
-
-        if args.trace:
-            write_chrome_trace(recorder.trace, args.trace, metrics=recorder.metrics)
-            print("trace written to %s" % args.trace, file=sys.stderr)
-        if args.metrics_out:
-            write_metrics_jsonl(recorder.metrics, args.metrics_out)
-            print("metrics written to %s" % args.metrics_out, file=sys.stderr)
-    payload = to_json_payload(results, args.profile, args.seed)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_results(results))
-    exit_code = 0
-    if args.baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-            ok, lines, missing = compare_to_baseline(
-                results, baseline, max_regression=args.max_regression
-            )
-        except (OSError, ValueError, BenchmarkError) as exc:
-            print("repro bench: error: %s" % exc, file=sys.stderr)
-            return 2
-        report = "baseline %s:\n%s" % (args.baseline, "\n".join(lines))
-        # With --json, stdout stays machine-readable; the comparison
-        # report goes to stderr instead.
-        print(report, file=sys.stderr if args.json else sys.stdout)
-        # A full (unfiltered) run must cover every baseline scenario: a
-        # scenario silently vanishing from the run would otherwise slip
-        # past the regression gate unmeasured. Explicit --scenario
-        # selection is exempt — the caller asked for a subset.
-        if missing and not args.scenario:
-            print(
-                "repro bench: error: baseline scenario(s) missing from "
-                "this run: %s" % ", ".join(missing),
-                file=sys.stderr,
-            )
-            return 2
-        if not ok:
-            exit_code = 1
-    return exit_code
-
-
-def _bench_threads(args) -> int:
-    """``repro bench --backend threads``: the contended fetch-and-inc
-    sweep. Every cell is verified (zero lost tokens, step property at
-    quiescence) before its numbers are reported; a violated invariant
-    is exit 2, not a payload. ``--baseline`` gates against a committed
-    ``BENCH_THREADS_*.json`` the same way the simulator backend does —
-    wall-clock numbers are machine-dependent, so the CI gate pairs it
-    with a generous ``--max-regression``."""
-    import json
-
-    from repro.bench import compare_to_baseline
-    from repro.errors import BenchmarkError
-    from repro.threads.bench import (
-        format_threads_results,
-        run_threads_bench,
-        to_threads_json_payload,
-    )
-
-    unsupported = [
-        (flag, value)
-        for flag, value in (
-            ("--scenario", args.scenario),
-            ("--trace", args.trace),
-            ("--metrics-out", args.metrics_out),
-        )
-        if value
-    ]
-    if unsupported:
-        print(
-            "repro bench: error: %s not supported with --backend threads "
-            "(the sweep is wall-clock and unrecorded)"
-            % ", ".join(flag for flag, _ in unsupported),
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        results = run_threads_bench(profile=args.profile, seed=args.seed)
-    except BenchmarkError as exc:
-        print("repro bench: error: %s" % exc, file=sys.stderr)
-        return 2
-    payload = to_threads_json_payload(results, args.profile, args.seed)
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_threads_results(results))
-    exit_code = 0
-    if args.baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-            ok, lines, missing = compare_to_baseline(
-                results, baseline, max_regression=args.max_regression
-            )
-        except (OSError, ValueError, BenchmarkError) as exc:
-            print("repro bench: error: %s" % exc, file=sys.stderr)
-            return 2
-        report = "baseline %s:\n%s" % (args.baseline, "\n".join(lines))
-        print(report, file=sys.stderr if args.json else sys.stdout)
-        # The sweep always runs every cell of its profile, so a baseline
-        # scenario missing from this run means the profiles diverged —
-        # fail loudly rather than gate on a partial grid.
-        if missing:
-            print(
-                "repro bench: error: baseline scenario(s) missing from "
-                "this run: %s" % ", ".join(missing),
-                file=sys.stderr,
-            )
-            return 2
-        if not ok:
-            exit_code = 1
-    return exit_code
 
 
 def cmd_smoke(args) -> int:
@@ -666,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run the schedule-perturbation sanitizer over the bench "
-        "scenarios with N perturbation seeds (default 1)",
+        help="run the schedule-perturbation sanitizer over the scenario "
+        "library with N perturbation seeds (default 1)",
     )
     check.add_argument(
         "--sanitize-seeds",
@@ -678,18 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit perturbation seeds (overrides --sanitize's count)",
     )
     check.add_argument(
-        "--sanitize-profile",
-        choices=["smoke", "small", "large", "huge_smoke"],
-        default="smoke",
-        help="bench profile the sanitizer re-executes (default smoke)",
-    )
-    check.add_argument(
         "--sanitize-scenarios",
         nargs="+",
         metavar="NAME",
         default=None,
-        help="restrict the sanitizer to these bench scenarios (default: "
-        "every scenario of the profile)",
+        help="restrict the sanitizer to these library scenarios (default: "
+        "the whole library)",
     )
     check.add_argument(
         "--sanitize-jitter",
@@ -708,76 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--json", action="store_true", help="machine-readable output")
     check.set_defaults(func=cmd_check)
-
-    bench = sub.add_parser("bench", help="seeded performance scenarios (repro.bench)")
-    bench.add_argument(
-        "--profile",
-        default="small",
-        # No argparse choices= here: each backend owns its own profile
-        # registry (repro.bench.PROFILES vs repro.threads THREADS_PROFILES),
-        # so validation happens up front in the runner, which exits 2
-        # listing the valid set for the selected backend.
-        help="workload size (smoke is the CI gate, small the committed "
-        "baseline, huge/huge_smoke the scale profiles; valid names depend "
-        "on --backend)",
-    )
-    bench.add_argument(
-        "--backend",
-        choices=["sim", "threads"],
-        default="sim",
-        help="execution backend: the discrete-event simulator (default) or "
-        "real OS threads through the shared-memory counting network "
-        "(contended fetch-and-inc sweep, repro.threads)",
-    )
-    bench.add_argument("--seed", type=int, default=0, help="workload random seed")
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        metavar="NAME",
-        default=None,
-        help="run only this scenario (repeatable)",
-    )
-    bench.add_argument(
-        "--output",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON document to PATH (e.g. bench-ci.json)",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="compare against a committed BENCH_*.json; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="fractional ops/sec regression tolerated per scenario (default 0.30)",
-    )
-    bench.add_argument("--json", action="store_true", help="print the JSON document")
-    bench.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a token trace during the run and export Chrome "
-        "trace_event JSON (Perfetto-loadable) to PATH",
-    )
-    bench.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="record metrics during the run and write them as JSONL to PATH",
-    )
-    bench.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help="trace every N-th token by id (default 1 = all; metrics "
-        "always cover every token)",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     smoke = sub.add_parser(
         "smoke",

@@ -81,13 +81,3 @@ class InvalidTransitionError(InvalidCutError, ProtocolError):
 
 class SimulationError(ReproError):
     """The discrete-event simulator was driven incorrectly."""
-
-
-class BenchmarkError(ReproError):
-    """The benchmark harness was misconfigured or failed a self-check.
-
-    Raised by :mod:`repro.bench` for unknown profiles/scenarios, for
-    malformed baseline documents, and when a scenario's correctness
-    cross-check (e.g. fast-path vs reference routing) fails — a
-    benchmark must never report a speed for wrong answers.
-    """

@@ -16,10 +16,10 @@ the simulated deployment, stdlib-only and deterministic:
   (:mod:`repro.obs.export`).
 
 Instrumentation is off by default: every hook site in the simulator,
-runtime, Chord protocol and bench harness reads the module-level
+runtime and Chord protocol reads the module-level
 :data:`~repro.obs.recorder.ACTIVE` recorder, which is a
 :class:`~repro.obs.recorder.NullRecorder` until :func:`install`-ed —
-the null-object fast path the bench gate keeps under 3% overhead.
+the null-object fast path.
 
 All timestamps are simulated time; the package reads no clock and no
 randomness, so traces and metric snapshots are byte-identical across

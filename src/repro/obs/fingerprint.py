@@ -10,10 +10,9 @@ their bytes is a free regression pin: any behavioural drift in the
 token plane shows up as a fingerprint mismatch, with the full metrics
 payload available for diffing.
 
-Only pure functions of the seed may flow into a fingerprint. Wall-clock
-rates (ops/sec, events/sec, RSS) belong in
-:data:`repro.bench.result.WALL_CLOCK_METRIC_KEYS` and must be excluded
-by the caller before digesting.
+Only pure functions of the seed may flow into a fingerprint:
+``ScenarioRun.summary`` carries no wall-clock rate (ops/sec,
+events/sec, RSS), and nothing that does may be added to a digest.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The recorder: every instrumentation hook in the system, one object.
 
 Hook sites across the stack (`sim.events`, `sim.node`, `runtime.tokens`,
-`runtime.system`, `chord.protocol`, `bench`) all call methods on the
+`runtime.system`, `chord.protocol`) all call methods on the
 *module-level* :data:`ACTIVE` recorder:
 
     from repro.obs import recorder as _obs
@@ -16,8 +16,6 @@ Two implementations share the interface:
     The default. ``enabled`` is False and every method is a no-op, so
     the cost of an uninstrumented run is one module-attribute load and
     one truthiness test per hook site — the *null-object fast path*.
-    The bench CI gate holds this overhead under 3% on
-    ``inject_to_retire``.
 
 :class:`Recorder`
     The real thing: updates a :class:`~repro.obs.metrics.MetricsRegistry`
@@ -103,7 +101,7 @@ class NullRecorder:
 
     # -- run structure --------------------------------------------------
     def begin_section(self, name: str) -> None:
-        """Start a named section (one bench scenario, one workload)."""
+        """Start a named section (one workload)."""
 
     # -- simulator ------------------------------------------------------
     def event_executed(self, ts: float) -> None:

@@ -3,8 +3,10 @@
 A scenario is data, not code: a TOML/JSON spec naming a topology, a
 latency model, an arrival process, a churn trace, an application and
 the statistics to record (:mod:`repro.scenarios.spec`). The compiler
-(:mod:`repro.scenarios.compile`) lowers a validated spec onto the same
-runtime/sim setup path the hand-coded benches use; the committed
+(:mod:`repro.scenarios.compile`) lowers a validated spec onto the
+runtime/sim setup path and is the one runner of a simulated workload
+in ``src/`` (smoke matrix, sanitizer and pins all go through it); the
+committed
 library (``src/repro/scenarios/library/``, discovered by
 :mod:`repro.scenarios.registry`) covers flash crowds, diurnal ramps,
 hot-key skew, correlated crashes, partitions, adversarial oscillation
@@ -21,7 +23,6 @@ runner import the runtime only when a scenario actually runs.
 
 from repro.scenarios.registry import (
     LIBRARY_DIR,
-    bench_callable,
     get_scenario,
     library_names,
     library_paths,
@@ -50,7 +51,6 @@ __all__ = [
     "LIBRARY_DIR",
     "ScenarioSpec",
     "ScenarioSpecError",
-    "bench_callable",
     "get_scenario",
     "library_names",
     "library_paths",

@@ -1,7 +1,7 @@
 """Lowering a validated spec onto the runtime/sim setup path.
 
 The compiler turns a :class:`~repro.scenarios.spec.ScenarioSpec` into
-the same objects the hand-coded bench scenarios build by hand — an
+runtime objects — an
 :class:`~repro.runtime.system.AdaptiveCountingSystem` (two for the
 producer-consumer app), a latency model, an arrival schedule, a wire
 schedule and a churn trace — then executes the merged timeline and
@@ -12,9 +12,8 @@ Determinism contract
 Everything in :attr:`ScenarioRun.summary` is a pure function of the
 spec (including its seed): simulated time only, no wall clock, and
 every random draw comes from a seeded stream. Independent streams are
-derived from the spec seed with fixed offsets (the ``seed + 1`` idiom
-the benches use) so e.g. editing the arrival process never perturbs
-node placement:
+derived from the spec seed with fixed offsets so e.g. editing the
+arrival process never perturbs node placement:
 
 ========  =======================
 offset    stream
@@ -28,7 +27,9 @@ offset    stream
 ========  =======================
 
 The smoke matrix (:mod:`repro.scenarios.smoke`) digests the summary
-plus the run's recorded metrics into the committed fingerprint.
+plus the run's recorded metrics into the committed fingerprint; the
+sanitizer (:mod:`repro.staticcheck.concurrency.sanitize`) compares the
+summaries of two runs under one perturbed schedule.
 """
 
 from __future__ import annotations

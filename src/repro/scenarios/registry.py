@@ -1,29 +1,24 @@
-"""The committed scenario library, and the bench bridge.
+"""The committed scenario library.
 
 The library lives in ``src/repro/scenarios/library/`` as one spec file
 per scenario (JSON — the committed set must validate on every supported
 interpreter, and TOML parsing needs Python 3.11+). Discovery is by
 file stem, sorted, so the registry order is stable across machines.
 
-Two consumers:
+Two consumers, one runner (:func:`repro.scenarios.compile.run_scenario`):
 
 * the smoke matrix (:mod:`repro.scenarios.smoke`) runs every library
   scenario and pins its fingerprint;
-* ``repro bench --scenario <name>`` accepts DSL scenarios alongside the
-  hand-coded bench ones via :func:`bench_callable`, which wraps a spec
-  as the ``(params, seed) -> ScenarioResult`` callable the harness
-  expects. DSL scenarios are self-sizing (the spec carries its own
-  budget), so profile parameters are ignored and the bench ``--seed``
-  overrides the spec's seed.
+* the schedule-perturbation sanitizer
+  (:mod:`repro.staticcheck.concurrency.sanitize`) re-runs every library
+  scenario under reordered same-timestamp events.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.bench.result import ScenarioResult
 from repro.scenarios.spec import (
     SPEC_SUFFIXES,
     ScenarioSpec,
@@ -38,7 +33,6 @@ __all__ = [
     "library_names",
     "load_library",
     "get_scenario",
-    "bench_callable",
 ]
 
 #: The committed scenario library shipped inside the package.
@@ -95,49 +89,3 @@ def get_scenario(name: str, directory: Optional[str] = None) -> ScenarioSpec:
                 % ", ".join(sorted(library))
             ],
         ) from None
-
-
-def bench_callable(
-    spec: ScenarioSpec,
-) -> Callable[[Dict, int], ScenarioResult]:
-    """Wrap a spec as a bench-harness scenario callable.
-
-    The returned callable ignores profile parameters (the spec is
-    self-sizing) and runs under the harness seed. ``ops_per_sec`` is
-    retired tokens per wall-clock second; every metric except
-    ``events_per_sec`` is a pure function of the seed, matching the
-    hand-coded scenarios' contract.
-    """
-
-    def run(params: Dict, seed: int) -> ScenarioResult:
-        # Imported here, not at module top: the registry must stay
-        # cheap to import for lint/CLI listing paths that never run.
-        from repro.scenarios.compile import run_scenario
-
-        start = time.perf_counter()
-        outcome = run_scenario(spec.with_seed(seed))
-        elapsed = max(time.perf_counter() - start, 1e-9)
-
-        stats = outcome.system.token_stats
-        retired = stats.retired.get()
-        events = sum(
-            entry["events_run"] for entry in outcome.summary["systems"]
-        )
-        metrics: Dict[str, float] = {
-            "width": spec.width,
-            "injected": outcome.summary["injected"],
-            "issued": stats.issued.get(),
-            "retired": retired,
-            "dropped": stats.dropped.get(),
-            "nodes": outcome.system.num_nodes,
-            "sim_time": outcome.system.sim.now,
-            "events_per_sec": events / elapsed,
-        }
-        return ScenarioResult(
-            name=spec.name,
-            ops_per_sec=retired / elapsed,
-            events=events,
-            metrics=metrics,
-        )
-
-    return run

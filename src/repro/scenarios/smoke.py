@@ -267,8 +267,8 @@ def run_smoke(
     """Run the matrix; compare (or regenerate) the committed pins.
 
     Raises :class:`ReproError` on usage errors (unknown scenario name,
-    refusing to pin a failing run); every per-scenario failure is an
-    outcome, not an exception.
+    ``jobs < 1``, refusing to pin a failing run); every per-scenario
+    failure is an outcome, not an exception.
     """
     paths = {
         spec_name_for_path(path): path
@@ -290,6 +290,8 @@ def run_smoke(
         selected = sorted(paths)
     if jobs is None:
         jobs = max(1, min(len(selected), (os.cpu_count() or 2) - 1))
+    elif jobs < 1:
+        raise ReproError("--jobs must be at least 1 (got %d)" % jobs)
 
     pinned = {} if update else load_fingerprints(fingerprints_path)
 

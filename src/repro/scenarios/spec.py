@@ -4,9 +4,8 @@ A *scenario spec* is a TOML or JSON document describing one workload
 over the adaptive counting network — no Python required. The spec
 names a topology, a latency model, an arrival process, a churn trace,
 an application, and the statistics to record; the compiler
-(:mod:`repro.scenarios.compile`) lowers a validated spec onto the same
-``repro.runtime`` / ``repro.sim`` setup path the hand-coded bench
-scenarios use.
+(:mod:`repro.scenarios.compile`) lowers a validated spec onto the
+``repro.runtime`` / ``repro.sim`` setup path.
 
 This module is deliberately import-light (stdlib + ``repro.errors``
 only): the RSC308 lint validates every committed spec file without
@@ -118,7 +117,7 @@ RECORD_GROUPS = ("tokens", "latency", "messages", "adaptation", "pools", "app")
 
 #: Hard cap on one scenario's injection budget: the smoke matrix runs
 #: the whole library per CI job, so a single spec cannot ask for a
-#: bench-scale run.
+#: benchmark-scale run.
 MAX_TOKENS = 200_000
 
 

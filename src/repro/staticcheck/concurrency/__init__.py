@@ -7,8 +7,8 @@ designated swap points (RSC603), escaping mutable aliases (RSC604), and
 epoch-guard coverage gaps (RSC605) — the debt the single-threaded event
 loop currently hides, due before the threads backend (ROADMAP).
 
-Dynamic half (:mod:`.sanitize`): re-runs the seeded bench scenarios
-under adversarial same-timestamp reordering and reports invariant
+Dynamic half (:mod:`.sanitize`): re-runs the scenario library
+(:mod:`repro.scenarios`) under adversarial same-timestamp reordering and reports invariant
 breaks (RSC610) and schedule-given nondeterminism (RSC611).
 
 The two halves meet in the triage contract (:mod:`.contract`):
@@ -38,7 +38,6 @@ from repro.staticcheck.concurrency.sanitize import (
     DEFAULT_SANITIZE_SEEDS,
     SanitizerConfig,
     SanitizerOutcome,
-    fingerprint,
     run_sanitizer,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "default_baseline_path",
     "default_concurrency_paths",
     "finding_key",
-    "fingerprint",
     "format_baseline",
     "load_baseline",
     "promote_baseline_suppressed",

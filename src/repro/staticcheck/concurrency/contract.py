@@ -38,7 +38,7 @@ from repro.staticcheck.diagnostics import Report, Severity
 THREAD_SAFE_MARKER = "# repro: thread-safe"
 
 #: Default baseline file name, resolved against the working directory
-#: (the repo root in CI), like the bench baselines.
+#: (the repo root in CI).
 DEFAULT_BASELINE_NAME = "CONCURRENCY_BASELINE.txt"
 
 #: Message tag carried by baseline-demoted findings.

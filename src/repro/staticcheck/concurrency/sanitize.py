@@ -2,34 +2,36 @@
 
 The static rules (:mod:`.rules`) predict which state goes wrong when
 event-loop atomicity disappears. This module *demonstrates* schedule
-sensitivity today, without threads: it re-executes the seeded bench
-scenarios with a :class:`~repro.sim.events.PerturbedPolicy` installed,
-so same-timestamp events run in a seeded-random order instead of FIFO
-— every perturbed order is still a *legal* schedule (time order is
-preserved; only ties break differently), so anything that breaks was
-relying on incidental FIFO tie-breaking.
+sensitivity today, without threads: it re-executes the scenario library
+(:mod:`repro.scenarios`) through ``run_scenario`` with a
+:class:`~repro.sim.events.PerturbedPolicy` installed, so same-timestamp
+events run in a seeded-random order instead of FIFO — every perturbed
+order is still a *legal* schedule (time order is preserved; only ties
+break differently), so anything that breaks was relying on incidental
+FIFO tie-breaking.
 
 Two failure modes, two codes:
 
 ``RSC610`` — a perturbed schedule broke the run: an invariant check
-    failed (token conservation / step property / ``verify()`` — the
-    end-to-end scenarios verify internally and raise) or the scenario
+    failed (token conservation / step property / ``verify()`` —
+    ``run_scenario`` verifies every system and raises) or the scenario
     crashed outright.
 
-``RSC611`` — the same perturbation seed produced two different result
-    fingerprints, i.e. the run is not even deterministic *given* the
+``RSC611`` — the same perturbation seed did not reproduce itself: the
+    second run produced a different summary, or crashed where the first
+    did not, i.e. the run is not even deterministic *given* the
     schedule. That is a deeper defect than schedule sensitivity (it
     usually means iteration over an unordered container or leaked
     global state) and is reported at error severity too.
 
-The *fingerprint* of a run is the scenario's seed-stable output: its
-``events`` count and every metric that is a pure function of simulated
-time, excluding the wall-clock rates. Two different sanitizer seeds
-legitimately produce different fingerprints (different tie-breaks lead
-to different hop counts); one seed must reproduce its own exactly.
+The *fingerprint* of a run is its ``ScenarioRun.summary``, which is a
+pure function of the spec and the schedule (simulated time only). Two
+different sanitizer seeds legitimately produce different summaries
+(different tie-breaks lead to different hop counts); one seed must
+reproduce its own exactly.
 
-On divergence the sanitizer writes a JSON artifact per failure (both
-fingerprints, diffed keys) for CI upload.
+On failure the sanitizer writes a JSON artifact (the error, or both
+summaries and the diffed keys) for CI upload.
 """
 
 from __future__ import annotations
@@ -39,18 +41,13 @@ import os
 import random
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import PROFILES, run_bench
-from repro.bench.result import WALL_CLOCK_METRIC_KEYS, ScenarioResult
+from repro.scenarios.compile import run_scenario
+from repro.scenarios.registry import get_scenario, library_names
+from repro.scenarios.spec import ScenarioSpec
 from repro.sim.events import PerturbedPolicy, schedule_policy
 from repro.staticcheck.diagnostics import Report
-
-#: Metric keys measured in wall-clock time — excluded from fingerprints
-#: because they legitimately vary run to run on the same machine. The
-#: authoritative set lives next to ``ScenarioResult`` so scenarios and
-#: the sanitizer cannot drift apart.
-WALL_CLOCK_METRICS = WALL_CLOCK_METRIC_KEYS
 
 #: Default perturbation seeds for ``--sanitize`` with no explicit list.
 DEFAULT_SANITIZE_SEEDS: Tuple[int, ...] = (1, 2, 3)
@@ -58,21 +55,20 @@ DEFAULT_SANITIZE_SEEDS: Tuple[int, ...] = (1, 2, 3)
 #: Where divergence artifacts land unless overridden (CI uploads this).
 DEFAULT_ARTIFACT_DIR = "sanitizer-artifacts"
 
+_MISSING = object()
+
 
 @dataclass
 class SanitizerConfig:
     """One sanitizer invocation's knobs."""
 
-    profile: str = "smoke"
     seeds: Sequence[int] = DEFAULT_SANITIZE_SEEDS
-    #: Workload seed handed to the scenarios themselves (the bench
-    #: default), independent of the perturbation seeds.
-    bench_seed: int = 0
     #: Upper bound on extra per-message delivery delay. 0.0 keeps the
     #: perturbation to pure same-timestamp tie-breaking, which every
     #: correct implementation must tolerate; positive values also
     #: stretch transit times (still deterministic per seed).
     max_jitter: float = 0.0
+    #: Library scenario names; ``None`` sweeps the whole library.
     scenarios: Optional[Sequence[str]] = None
     artifact_dir: str = DEFAULT_ARTIFACT_DIR
 
@@ -87,41 +83,38 @@ class SanitizerOutcome:
     artifacts: List[str] = field(default_factory=list)
 
 
-def fingerprint(result: ScenarioResult) -> Dict[str, object]:
-    """The seed-stable identity of one scenario run."""
-    return {
-        "name": result.name,
-        "events": result.events,
-        "metrics": {
-            key: value
-            for key, value in sorted(result.metrics.items())
-            if key not in WALL_CLOCK_METRICS
-        },
-    }
-
-
-def _diff_keys(first: Dict[str, object], second: Dict[str, object]) -> List[str]:
-    first_metrics = dict(first.get("metrics", {}))  # type: ignore[arg-type]
-    second_metrics = dict(second.get("metrics", {}))  # type: ignore[arg-type]
-    diffs = []
-    if first.get("events") != second.get("events"):
-        diffs.append("events")
-    for key in sorted(set(first_metrics) | set(second_metrics)):
-        if first_metrics.get(key) != second_metrics.get(key):
-            diffs.append("metrics.%s" % key)
+def _diff_keys(first: Any, second: Any, prefix: str = "") -> List[str]:
+    """Dotted paths at which two run summaries differ."""
+    if isinstance(first, dict) and isinstance(second, dict):
+        pairs = [
+            (key, first.get(key, _MISSING), second.get(key, _MISSING))
+            for key in sorted(set(first) | set(second))
+        ]
+    elif (
+        isinstance(first, list)
+        and isinstance(second, list)
+        and len(first) == len(second)
+    ):
+        pairs = [
+            (str(index), a, b) for index, (a, b) in enumerate(zip(first, second))
+        ]
+    else:
+        return [] if first == second else [prefix]
+    diffs: List[str] = []
+    for key, a, b in pairs:
+        diffs.extend(_diff_keys(a, b, "%s.%s" % (prefix, key) if prefix else key))
     return diffs
 
 
 def _run_one(
-    config: SanitizerConfig, scenario: str, perturbation_seed: int
-) -> ScenarioResult:
+    config: SanitizerConfig, spec: ScenarioSpec, perturbation_seed: int
+) -> Dict[str, Any]:
     """One scenario execution under a fresh perturbed policy."""
     policy_rng = random.Random(perturbation_seed)
     with schedule_policy(
         lambda: PerturbedPolicy(policy_rng, max_jitter=config.max_jitter)
     ):
-        results = run_bench(config.profile, config.bench_seed, only=[scenario])
-    return results[0]
+        return run_scenario(spec).summary
 
 
 def _write_artifact(config: SanitizerConfig, name: str, payload: Dict) -> Optional[str]:
@@ -144,81 +137,83 @@ def run_sanitizer(
 
     Each (scenario, seed) pair runs **twice**: once to observe behaviour
     under the perturbed schedule (RSC610 on crash/invariant failure),
-    once more to check the perturbed run reproduces its own fingerprint
-    (RSC611 on mismatch). Findings are appended to ``report``.
+    once more to check the perturbed run reproduces its own summary
+    (RSC611 on mismatch or on a crash the first run did not have).
+    Findings are appended to ``report``. An unknown scenario name is a
+    usage error (:class:`~repro.scenarios.spec.ScenarioSpecError`).
     """
     if config is None:
         config = SanitizerConfig()
     if report is None:
         report = Report()
     outcome = SanitizerOutcome()
-    scenarios = (
-        list(config.scenarios)
-        if config.scenarios is not None
-        else list(PROFILES[config.profile])
-    )
-    source = "sanitizer:%s" % config.profile
-    for scenario in scenarios:
+    names = config.scenarios if config.scenarios is not None else library_names()
+    specs = [get_scenario(name) for name in names]
+
+    def fail(code: str, scenario: str, seed: int, message: str, payload: Dict) -> None:
+        outcome.failures += 1
+        payload.update(scenario=scenario, perturbation_seed=seed)
+        artifact = _write_artifact(
+            config,
+            "divergence_%s_seed%d%s.json"
+            % (scenario, seed, "_crash" if code == "RSC610" else ""),
+            payload,
+        )
+        if artifact:
+            outcome.artifacts.append(artifact)
+        report.add(
+            code,
+            message,
+            "sanitizer",
+            component="%s %s:seed%d" % (code, scenario, seed),
+        )
+
+    for spec in specs:
+        scenario = spec.name
         for seed in config.seeds:
             outcome.runs += 1
-            component = "RSC610 %s:%s:seed%d" % (config.profile, scenario, seed)
             try:
-                first = _run_one(config, scenario, seed)
+                first = _run_one(config, spec, seed)
             except Exception as exc:
-                outcome.failures += 1
-                artifact = _write_artifact(
-                    config,
-                    "divergence_%s_seed%d_crash.json" % (scenario, seed),
-                    {
-                        "scenario": scenario,
-                        "profile": config.profile,
-                        "perturbation_seed": seed,
-                        "bench_seed": config.bench_seed,
-                        "error": repr(exc),
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-                if artifact:
-                    outcome.artifacts.append(artifact)
-                report.add(
+                fail(
                     "RSC610",
+                    scenario,
+                    seed,
                     "scenario %r failed under perturbation seed %d: %s — a "
                     "legal reordering of same-timestamp events broke an "
                     "invariant, so the code depends on FIFO tie-breaking"
                     % (scenario, seed, exc),
-                    source,
-                    component=component,
+                    {"error": repr(exc), "traceback": traceback.format_exc()},
                 )
                 continue
-            second = _run_one(config, scenario, seed)
-            first_print = fingerprint(first)
-            second_print = fingerprint(second)
-            if first_print != second_print:
-                outcome.failures += 1
-                diffs = _diff_keys(first_print, second_print)
-                artifact = _write_artifact(
-                    config,
-                    "divergence_%s_seed%d.json" % (scenario, seed),
+            try:
+                second = _run_one(config, spec, seed)
+            except Exception as exc:
+                fail(
+                    "RSC611",
+                    scenario,
+                    seed,
+                    "scenario %r is nondeterministic under perturbation seed "
+                    "%d: second run under the same seed failed: %s"
+                    % (scenario, seed, exc),
                     {
-                        "scenario": scenario,
-                        "profile": config.profile,
-                        "perturbation_seed": seed,
-                        "bench_seed": config.bench_seed,
-                        "first": first_print,
-                        "second": second_print,
-                        "diverged_keys": diffs,
+                        "first": first,
+                        "error": repr(exc),
+                        "traceback": traceback.format_exc(),
                     },
                 )
-                if artifact:
-                    outcome.artifacts.append(artifact)
-                report.add(
+                continue
+            if first != second:
+                diffs = _diff_keys(first, second)
+                fail(
                     "RSC611",
+                    scenario,
+                    seed,
                     "scenario %r is nondeterministic under perturbation seed "
                     "%d: two identical runs diverged on %s — same-schedule "
                     "divergence usually means unordered-container iteration "
                     "or leaked global state"
                     % (scenario, seed, ", ".join(diffs) or "unknown keys"),
-                    source,
-                    component="RSC611 %s:%s:seed%d" % (config.profile, scenario, seed),
+                    {"first": first, "second": second, "diverged_keys": diffs},
                 )
     return report, outcome

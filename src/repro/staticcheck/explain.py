@@ -166,7 +166,7 @@ EXPLANATIONS: Dict[str, Explanation] = {
     ),
     "RSC308": Explanation(
         "The scenario library is committed data: the smoke matrix and "
-        "the bench bridge load every spec under scenarios/library/ at "
+        "the sanitizer load every spec under scenarios/library/ at "
         "run time, so a schema-invalid spec would otherwise surface "
         "only as a matrix failure. The lint walk validates each spec "
         "through the same validator repro smoke uses and reports each "
@@ -315,8 +315,8 @@ EXPLANATIONS: Dict[str, Explanation] = {
         "# _retry never compares a captured epoch",
     ),
     "RSC610": Explanation(
-        "The sanitizer re-ran a seeded bench scenario with same-"
-        "timestamp events reordered by a seeded RNG — a schedule every "
+        "The sanitizer re-ran a library scenario (repro.scenarios) with "
+        "same-timestamp events reordered by a seeded RNG — a schedule every "
         "correct implementation must tolerate, since FIFO tie-breaking "
         "is an implementation detail, not a spec. An invariant failure "
         "(token conservation, step property, verify()) or crash under "
@@ -328,9 +328,10 @@ EXPLANATIONS: Dict[str, Explanation] = {
     ),
     "RSC611": Explanation(
         "One perturbation seed fully determines the schedule, so "
-        "running it twice must reproduce the result fingerprint "
-        "byte-for-byte. Divergence means nondeterminism *beyond* the "
-        "schedule — typically iteration over an unordered container "
+        "running it twice must reproduce the run summary exactly. "
+        "Divergence (or a crash only the second run hits) means "
+        "nondeterminism *beyond* the schedule — typically iteration over "
+        "an unordered container "
         "or leaked cross-run global state — which would make any "
         "threads-backend bug unreproducible. Fix this before anything "
         "else.",

@@ -62,7 +62,7 @@ linter needed, so the gate runs anywhere the package imports:
 
 ``RSC308`` — committed scenario specs must validate.
     The declarative scenario library (``repro.scenarios``) is data the
-    smoke matrix and the bench bridge both load at run time; a spec
+    smoke matrix and the sanitizer both load at run time; a spec
     file under a ``scenarios/library/`` directory that fails schema
     validation would otherwise only surface when the matrix runs. The
     lint walk validates every ``.json``/``.toml`` spec it finds there

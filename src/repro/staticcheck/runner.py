@@ -2,7 +2,7 @@
 
 A *target* is one checkable subject (a balancer-level network, a cut of
 a decomposition tree, a counting tree, a linted path, the concurrency
-surface, or one sanitizer profile). The runner builds the standard
+surface, or the sanitizer sweep). The runner builds the standard
 target matrix for the requested widths — bitonic and periodic balancer
 networks, the singleton/level-1/full cuts of ``T_w``, the block-level
 cut of the adaptive periodic tree, and the diffracting-tree baseline —
@@ -187,7 +187,6 @@ def _run_concurrency_half(
     allow_baseline_growth: bool,
     strict_baseline: bool,
     sanitize_seeds: Optional[Sequence[int]],
-    sanitize_profile: str,
     sanitize_jitter: float,
     sanitize_scenarios: Optional[Sequence[str]],
     sanitize_artifact_dir: Optional[str],
@@ -284,7 +283,6 @@ def _run_concurrency_half(
     sanitizer_failed = False
     if sanitize_seeds is not None:
         config = SanitizerConfig(
-            profile=sanitize_profile,
             seeds=tuple(sanitize_seeds),
             max_jitter=sanitize_jitter,
             scenarios=(
@@ -302,8 +300,8 @@ def _run_concurrency_half(
         artifacts = outcome.artifacts
         ledger.add_target(
             "sanitizer",
-            "sanitizer %s x%d seed(s) (%d run(s))"
-            % (sanitize_profile, len(config.seeds), outcome.runs),
+            "sanitizer x%d seed(s) (%d run(s))"
+            % (len(config.seeds), outcome.runs),
             sanitizer_report,
             seconds,
         )
@@ -338,7 +336,6 @@ def run_check(
     ownership_paths: Optional[Sequence[str]] = None,
     thread_ready: bool = False,
     sanitize_seeds: Optional[Sequence[int]] = None,
-    sanitize_profile: str = "smoke",
     sanitize_jitter: float = 0.0,
     sanitize_scenarios: Optional[Sequence[str]] = None,
     sanitize_artifact_dir: Optional[str] = None,
@@ -354,8 +351,8 @@ def run_check(
     (default: the runtime packages) filtered through the triage baseline
     at ``concurrency_baseline`` (default: ``CONCURRENCY_BASELINE.txt``
     in the working directory, when present), and/or the schedule-
-    perturbation sanitizer over ``sanitize_profile``'s bench scenarios,
-    one run per perturbation seed. With ``ownership`` set, Pass 7 runs
+    perturbation sanitizer over the scenario library (or the
+    ``sanitize_scenarios`` named), each run twice per perturbation seed. With ``ownership`` set, Pass 7 runs
     the RSC70x ownership/lock-discipline rules over ``ownership_paths``
     (default: the same runtime packages). ``thread_ready`` is the
     composite gate: Pass 6 in strict mode (no baseline demotion, a
@@ -412,7 +409,6 @@ def run_check(
             allow_baseline_growth,
             thread_ready,
             sanitize_seeds,
-            sanitize_profile,
             sanitize_jitter,
             sanitize_scenarios,
             sanitize_artifact_dir,

@@ -7,16 +7,11 @@ tables of :mod:`repro.core.network` through genuinely atomic balancer
 toggles (:class:`repro.core.atomics.ThreadSafeToggle`) and retires on a
 per-output locked counter. This is the paper's raison d'être made
 measurable — a counting network exists to beat a centralized counter
-under contention, and :mod:`repro.threads.bench` measures exactly that
-against :class:`LockedCounterBaseline`.
+under contention, and the ``threads_contended`` / ``threads_single``
+workloads of ``perf/`` measure exactly that against
+:class:`LockedCounterBaseline`.
 """
 
-from repro.threads.bench import (
-    THREADS_BENCH_ID,
-    THREADS_PROFILES,
-    format_threads_results,
-    run_threads_bench,
-)
 from repro.threads.network import (
     LockedCounterBaseline,
     ThreadedCountingNetwork,
@@ -26,11 +21,7 @@ from repro.threads.network import (
 
 __all__ = [
     "LockedCounterBaseline",
-    "THREADS_BENCH_ID",
-    "THREADS_PROFILES",
     "ThreadedCountingNetwork",
     "VerifyReport",
-    "format_threads_results",
-    "run_threads_bench",
     "values_form_range",
 ]

@@ -139,7 +139,7 @@ class LockedCounterBaseline:
     """The centralized counter the network exists to beat.
 
     Same ``fetch_and_inc`` surface as the network (the ``wire``
-    argument is accepted and ignored) so the bench drives both through
+    argument is accepted and ignored) so a benchmark drives both through
     one code path; every thread funnels through the one lock.
     """
 

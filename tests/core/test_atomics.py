@@ -2,11 +2,11 @@
 
 Two certification claims back the thread-readiness story:
 
-1. The single-thread flavor is a zero-cost veneer — benchmark runs
-   through the refactored counters produce **bit-identical** event
-   counts and metrics to the plain-attribute implementation they
-   replaced.  The golden fingerprints below were recorded from the
-   pre-refactor tree (``small`` profile) and must never drift.
+1. The single-thread flavor is a zero-cost veneer — runs through the
+   facade counters are **bit-identical** to plain-attribute arithmetic.
+   The committed scenario pins (``SCENARIO_FINGERPRINTS.json``,
+   reproduced in ``tests/scenarios/test_library.py`` and, under the
+   locked flavor, in ``test_atomics_parity.py``) hold that claim.
 2. The locked flavor really is safe under preemptive threads — a
    hammer test drives every locked helper from many threads and
    asserts exact totals.
@@ -16,7 +16,6 @@ import threading
 
 import pytest
 
-from repro.bench.harness import run_bench
 from repro.core.atomics import (
     FLAVORS,
     LOCKED,
@@ -33,74 +32,6 @@ from repro.core.atomics import (
     ToggleBit,
     flavor,
 )
-from repro.staticcheck.concurrency.sanitize import fingerprint
-
-# Recorded from the pre-atomics tree at the "small" profile: the
-# single-thread facade must reproduce these exactly, bit for bit.
-GOLDEN_FINGERPRINTS = {
-    ("inject_to_retire", 1): {
-        "events": 3968,
-        "metrics": {
-            "crashes": 4,
-            "dropped": 0,
-            "latency_p50": 4.096,
-            "latency_p99": 5.0,
-            "mean_hops": 3.3066666666666666,
-            "mean_sim_latency": 3.6133333333333333,
-            "messages_sent": 1984,
-            "nodes": 17,
-            "retired": 600,
-            "width": 16,
-        },
-    },
-    ("inject_to_retire", 2): {
-        "events": 3600,
-        "metrics": {
-            "crashes": 4,
-            "dropped": 0,
-            "latency_p50": 3.0,
-            "latency_p99": 3.0,
-            "mean_hops": 3.0,
-            "mean_sim_latency": 3.0,
-            "messages_sent": 1800,
-            "nodes": 17,
-            "retired": 600,
-            "width": 16,
-        },
-    },
-    ("inject_to_retire", 3): {
-        "events": 4623,
-        "metrics": {
-            "crashes": 4,
-            "dropped": 0,
-            "latency_p50": 5.0,
-            "latency_p99": 5.0,
-            "mean_hops": 3.6016666666666666,
-            "mean_sim_latency": 4.203333333333333,
-            "messages_sent": 2161,
-            "nodes": 17,
-            "retired": 600,
-            "width": 16,
-        },
-    },
-    ("large_churn", 1): {
-        "events": 152241,
-        "metrics": {
-            "crashes": 29,
-            "dropped": 0,
-            "joins": 34,
-            "latency_p50": 14.0,
-            "latency_p99": 14.0,
-            "mean_hops": 9.511125,
-            "mean_sim_latency": 9.52225,
-            "messages_sent": 76089,
-            "nodes": 105,
-            "retired": 8000,
-            "sim_time": 932.000000000129,
-            "width": 32,
-        },
-    },
-}
 
 THREADS = 8
 OPS = 2000
@@ -112,18 +43,6 @@ def _hammer(worker):
         thread.start()
     for thread in threads:
         thread.join()
-
-
-class TestSingleThreadFlavorIsBitIdentical:
-    @pytest.mark.parametrize(
-        "scenario,seed", sorted(GOLDEN_FINGERPRINTS), ids=lambda v: str(v)
-    )
-    def test_golden_fingerprint(self, scenario, seed):
-        result = run_bench("small", seed, only=[scenario])[0]
-        observed = fingerprint(result)
-        golden = GOLDEN_FINGERPRINTS[(scenario, seed)]
-        assert observed["events"] == golden["events"]
-        assert observed["metrics"] == golden["metrics"]
 
 
 class TestLockedFlavorUnderThreads:

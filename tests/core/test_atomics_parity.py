@@ -1,11 +1,13 @@
 """Cross-flavor parity: the locked facades are arithmetic-identical.
 
-The golden fingerprints in ``test_atomics.py`` pin the single-thread
-flavor against the pre-refactor tree. This suite closes the other half
-of the thread-readiness claim: swapping every facade for its ``locked``
+The committed scenario pins (``SCENARIO_FINGERPRINTS.json``) hold the
+single-thread flavor. This suite closes the other half of the
+thread-readiness claim: swapping every facade for its ``locked``
 equivalent (``atomics.flavor("locked")``) changes *synchronization
-only* — the same bench scenarios produce bit-identical event counts
-and metrics, because a lock around an add is still the same add.
+only* — the library scenarios reproduce the same pins, because a lock
+around an add is still the same add. The two scale specs are left to the
+single-thread pin test: they push more tokens through the same facade
+arithmetic the other thirteen already cover, at 7 s under locks.
 
 The simulator imports the single-thread classes by name
 (``from repro.core.atomics import AtomicCounter``), so the swap
@@ -21,12 +23,17 @@ import pytest
 
 # Import the full simulator stack up front so the module scan below
 # sees every consumer of the atomics names.
-import repro.bench.harness  # noqa: F401
-from repro.bench.harness import run_bench
+import repro.scenarios.compile  # noqa: F401
 from repro.core import atomics
 from repro.core.atomics import LOCKED, SINGLE_THREAD, flavor
-from repro.staticcheck.concurrency.sanitize import fingerprint
-from tests.core.test_atomics import GOLDEN_FINGERPRINTS
+from repro.scenarios.registry import library_paths
+from repro.scenarios.smoke import execute_scenario, load_fingerprints
+from repro.scenarios.spec import spec_name_for_path
+from tests.scenarios.test_library import FINGERPRINTS, SCALE_SPECS
+
+PATHS = [
+    path for path in library_paths() if spec_name_for_path(path) not in SCALE_SPECS
+]
 
 #: single-thread class -> its locked replacement, via the flavor
 #: registry (so a facade added to the flavors is automatically swept
@@ -66,14 +73,9 @@ class TestLockedFlavorIsBitIdentical:
         for single, locked in _SWAPS.items():
             assert issubclass(locked, single)
 
-    @pytest.mark.parametrize(
-        "scenario,seed", sorted(GOLDEN_FINGERPRINTS), ids=lambda v: str(v)
-    )
-    def test_golden_fingerprint_under_locked_flavor(
-        self, locked_everywhere, scenario, seed
-    ):
-        result = run_bench("small", seed, only=[scenario])[0]
-        observed = fingerprint(result)
-        golden = GOLDEN_FINGERPRINTS[(scenario, seed)]
-        assert observed["events"] == golden["events"]
-        assert observed["metrics"] == golden["metrics"]
+    @pytest.mark.parametrize("path", PATHS, ids=spec_name_for_path)
+    def test_golden_fingerprint_under_locked_flavor(self, locked_everywhere, path):
+        result = execute_scenario(path)
+        assert result["status"] == "ok", result.get("detail")
+        pins = load_fingerprints(FINGERPRINTS)
+        assert result["fingerprint"] == pins[spec_name_for_path(path)]

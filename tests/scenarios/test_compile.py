@@ -2,14 +2,12 @@
 
 import random
 
-from repro.bench.result import WALL_CLOCK_METRIC_KEYS
 from repro.scenarios.compile import (
     build_arrivals,
     build_churn,
     build_latency,
     run_scenario,
 )
-from repro.scenarios.registry import bench_callable
 from repro.scenarios.spec import parse_spec
 from repro.sim.latency import (
     ConstantLatency,
@@ -176,30 +174,3 @@ class TestRunScenario:
         run = run_scenario(spec)
         assert run.summary["systems"][0]["nodes"] >= 3
         assert run.summary["churn"]["skipped"] >= 0
-
-
-class TestBenchCallable:
-    def test_wraps_spec_as_scenario_result(self):
-        spec = make_spec("wrapped")
-        result = bench_callable(spec)({}, 0)
-        assert result.name == "wrapped"
-        assert result.ops_per_sec > 0
-        assert result.metrics["retired"] == 60
-        assert result.metrics["dropped"] == 0
-
-    def test_harness_seed_overrides_spec_seed(self):
-        spec = make_spec(latency={"kind": "uniform"})
-        runner = bench_callable(spec)
-
-        def stable(result):
-            return (
-                result.events,
-                {
-                    k: v
-                    for k, v in result.metrics.items()
-                    if k not in WALL_CLOCK_METRIC_KEYS
-                },
-            )
-
-        assert stable(runner({}, 3)) == stable(runner({}, 3))
-        assert stable(runner({}, 3)) != stable(runner({}, 4))

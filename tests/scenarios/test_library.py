@@ -5,8 +5,6 @@ import os
 
 import pytest
 
-from repro.bench import run_bench
-from repro.errors import BenchmarkError
 from repro.scenarios.registry import (
     LIBRARY_DIR,
     get_scenario,
@@ -14,7 +12,12 @@ from repro.scenarios.registry import (
     library_paths,
     load_library,
 )
-from repro.scenarios.spec import ScenarioSpecError, spec_file_problems
+from repro.scenarios.smoke import execute_scenario, load_fingerprints
+from repro.scenarios.spec import (
+    ScenarioSpecError,
+    spec_file_problems,
+    spec_name_for_path,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 FINGERPRINTS = os.path.join(REPO_ROOT, "SCENARIO_FINGERPRINTS.json")
@@ -33,7 +36,13 @@ REQUIRED = {
     "churn_while_splitting",
     "churn_while_merging",
     "steady_baseline",
+    "large_churn",
+    "huge_churn",
 }
+
+#: The two scale shapes. They run with recovery on: a dropped token means
+#: the token plane lost work, so a re-pin may never accept a non-zero count.
+SCALE_SPECS = {"large_churn", "huge_churn"}
 
 
 class TestLibrary:
@@ -86,22 +95,12 @@ class TestFingerprintPins:
             assert digest.startswith("sha256:"), name
             assert len(digest) == len("sha256:") + 64, name
 
-
-class TestBenchBridge:
-    def test_run_bench_accepts_library_scenarios(self):
-        results = run_bench(profile="smoke", seed=0, only=["steady_baseline"])
-        assert len(results) == 1
-        assert results[0].name == "steady_baseline"
-        assert results[0].metrics["dropped"] == 0
-
-    def test_run_bench_unknown_name_lists_both_registries(self):
-        with pytest.raises(BenchmarkError) as excinfo:
-            run_bench(profile="smoke", seed=0, only=["warp_drive"])
-        message = str(excinfo.value)
-        assert "token_routing" in message
-        assert "steady_baseline" in message
-
-    def test_default_run_is_unchanged_by_the_bridge(self):
-        names = [r.name for r in run_bench(profile="smoke", seed=0,
-                                           only=["token_routing"])]
-        assert names == ["token_routing"]
+    @pytest.mark.parametrize("path", library_paths(), ids=spec_name_for_path)
+    def test_every_library_spec_reproduces_its_pin(self, path):
+        name = spec_name_for_path(path)
+        result = execute_scenario(path)
+        assert result["status"] == "ok", result.get("detail")
+        assert result["fingerprint"] == load_fingerprints(FINGERPRINTS)[name]
+        if name in SCALE_SPECS:
+            for system in result["summary"]["systems"]:
+                assert system["tokens"]["dropped"] == 0

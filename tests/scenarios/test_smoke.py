@@ -209,10 +209,15 @@ class TestSmokeCli:
         assert "DRIFT" in capsys.readouterr().out
 
     def test_unknown_scenario_exits_2(self, tmp_path, library, capsys):
-        code = main([
-            "smoke", "--library", library,
-            "--fingerprints", str(tmp_path / "p.json"),
-            "--scenario", "gamma",
-        ])
-        assert code == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        # Usage errors exit 2 before any worker starts; --jobs 0 used to
+        # hang forever (no worker is ever admitted).
+        for flags, message in (
+            (["--scenario", "gamma"], "unknown scenario"),
+            (["--jobs", "0"], "--jobs must be at least 1"),
+        ):
+            code = main([
+                "smoke", "--library", library,
+                "--fingerprints", str(tmp_path / "p.json"),
+            ] + flags)
+            assert code == 2
+            assert message in capsys.readouterr().err

@@ -6,8 +6,9 @@ The three properties the sanitizer's soundness rests on:
    event order — the policy hook costs nothing when unused.
 2. ``PerturbedPolicy`` with different seeds produces *different*
    same-timestamp orders, yet every perturbed schedule is legal: the
-   end-to-end ``inject_to_retire`` scenario stays verify-green under
-   any seed.
+   end-to-end ``burst_drain`` scenario (the whole token budget lands at
+   one instant, so ties are everywhere) stays verify-green under any
+   seed.
 3. One seed reproduces its own run exactly (the RSC611 contract).
 """
 
@@ -15,15 +16,17 @@ import random
 
 import pytest
 
-from repro.bench.harness import run_bench
 from repro.obs import recorder as obs_recorder
+from repro.scenarios.compile import run_scenario
+from repro.scenarios.registry import get_scenario
 from repro.sim.events import (
     FifoPolicy,
     PerturbedPolicy,
     Simulator,
     schedule_policy,
 )
-from repro.staticcheck.concurrency import fingerprint
+
+SPEC = get_scenario("burst_drain")
 
 
 def _tie_order(policy):
@@ -47,12 +50,12 @@ class TestFifoEquivalence:
 
     def test_fifo_bench_fingerprint_is_byte_identical(self):
         # The strongest equivalence we can assert from outside: an
-        # entire end-to-end scenario produces the identical seed-stable
-        # fingerprint with FifoPolicy installed and with none.
-        bare = run_bench("smoke", 0, only=["inject_to_retire"])[0]
+        # entire end-to-end scenario produces the identical run summary
+        # with FifoPolicy installed and with none.
+        bare = run_scenario(SPEC).summary
         with schedule_policy(FifoPolicy):
-            fifo = run_bench("smoke", 0, only=["inject_to_retire"])[0]
-        assert fingerprint(fifo) == fingerprint(bare)
+            fifo = run_scenario(SPEC).summary
+        assert fifo == bare
 
 
 class TestPerturbation:
@@ -79,13 +82,13 @@ class TestPerturbation:
         assert log == ["early", "late"]
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_inject_to_retire_verify_green_under_any_seed(self, seed):
-        # The scenario verifies internally and raises on any invariant
+    def test_scenario_verify_green_under_any_seed(self, seed):
+        # run_scenario verifies every system and raises on any invariant
         # violation — completing at all IS the green result.
         rng = random.Random(seed)
         with schedule_policy(lambda: PerturbedPolicy(rng)):
-            result = run_bench("smoke", 0, only=["inject_to_retire"])[0]
-        assert result.events > 0
+            summary = run_scenario(SPEC).summary
+        assert summary["systems"][0]["events_run"] > 0
 
     def test_two_seeds_produce_different_event_interleavings(self):
         # Different perturbation seeds must actually explore different
@@ -106,7 +109,7 @@ class TestPerturbation:
             rng = random.Random(seed)
             with schedule_policy(lambda: PerturbedPolicy(rng)):
                 with obs_recorder.recording(HopTap()):
-                    run_bench("smoke", 0, only=["inject_to_retire"])
+                    run_scenario(SPEC)
             hop_orders.append(hops)
         assert hop_orders[0] != hop_orders[1]
 

@@ -266,8 +266,8 @@ class TestRunnerWiring:
             failed.add(
                 "RSC610",
                 "invariant broken under adversarial reordering",
-                "sanitizer:smoke",
-                component="RSC610 smoke:inject_to_retire:seed1",
+                "sanitizer",
+                component="RSC610 large_churn:seed1",
             )
             return failed, SanitizerOutcome(runs=2, failures=1, artifacts=[])
 
@@ -323,7 +323,7 @@ class TestSanitizeScenarioWiring:
         assert run.report.ok
         assert captured["config"].scenarios == ["large_churn"]
 
-    def test_run_check_defaults_to_the_whole_profile(self, monkeypatch):
+    def test_run_check_defaults_to_the_whole_library(self, monkeypatch):
         captured = self._capture_config(monkeypatch)
         run_check(sanitize_seeds=(1,))
         assert captured["config"].scenarios is None
@@ -336,18 +336,15 @@ class TestSanitizeScenarioWiring:
                     "check",
                     "--sanitize",
                     "1",
-                    "--sanitize-profile",
-                    "small",
                     "--sanitize-scenarios",
                     "large_churn",
-                    "inject_to_retire",
+                    "huge_churn",
                 ]
             )
             == 0
         )
         config = captured["config"]
-        assert config.profile == "small"
-        assert config.scenarios == ["large_churn", "inject_to_retire"]
+        assert config.scenarios == ["large_churn", "huge_churn"]
 
 
 class TestExplainCli:

@@ -1,132 +1,107 @@
-"""The schedule-perturbation sanitizer: fingerprints, both failure
+"""The schedule-perturbation sanitizer: summary diffs, both failure
 codes, artifacts, and a real perturbed scenario run.
 
 The real tree is expected to *pass* the sanitizer (that is the point of
 PR-5's invariants), so the RSC610/RSC611 paths are exercised by
-substituting a crashing / nondeterministic ``run_bench`` — the
+substituting a crashing / nondeterministic ``run_scenario`` — the
 substitution happens at the module seam the sanitizer actually calls
 through.
 """
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.result import ScenarioResult
-from repro.staticcheck.concurrency import (
-    SanitizerConfig,
-    fingerprint,
-    run_sanitizer,
-)
+from repro.scenarios.registry import library_names
+from repro.scenarios.spec import ScenarioSpecError
+from repro.staticcheck.concurrency import SanitizerConfig, run_sanitizer
 from repro.staticcheck.concurrency import sanitize as sanitize_module
-from repro.staticcheck.concurrency.sanitize import WALL_CLOCK_METRICS, _diff_keys
+from repro.staticcheck.concurrency.sanitize import _diff_keys
 from repro.staticcheck.diagnostics import Severity
 
 
-def _result(events=100, extra_metrics=None):
-    metrics = {"hops_per_token": 3.5, "scan_ops_per_sec": 123456.0}
-    metrics.update(extra_metrics or {})
-    return ScenarioResult(
-        name="synthetic",
-        ops_per_sec=999.0,
-        events=events,
-        metrics=metrics,
+def _run(events=100, mean_hops=3.5):
+    """What ``run_scenario`` returns, as far as the sanitizer looks."""
+    return SimpleNamespace(
+        summary={
+            "scenario": "synthetic",
+            "systems": [{"events_run": events, "mean_hops": mean_hops}],
+        }
     )
 
 
 class TestFingerprint:
-    def test_excludes_wall_clock_metrics(self):
-        print_ = fingerprint(_result())
-        assert print_["name"] == "synthetic"
-        assert print_["events"] == 100
-        assert "scan_ops_per_sec" not in print_["metrics"]
-        assert print_["metrics"]["hops_per_token"] == 3.5
-
-    def test_wall_clock_variation_does_not_diverge(self):
-        first = fingerprint(_result(extra_metrics={"scan_ops_per_sec": 1.0}))
-        second = fingerprint(_result(extra_metrics={"scan_ops_per_sec": 2.0}))
-        assert first == second
-
     def test_diff_keys_names_what_moved(self):
-        first = fingerprint(_result(events=100))
-        second = fingerprint(
-            _result(events=101, extra_metrics={"hops_per_token": 4.0})
-        )
-        assert _diff_keys(first, second) == ["events", "metrics.hops_per_token"]
+        first = _run(events=100).summary
+        second = _run(events=101, mean_hops=4.0).summary
+        assert _diff_keys(first, second) == [
+            "systems.0.events_run",
+            "systems.0.mean_hops",
+        ]
 
-    def test_every_wall_clock_key_is_a_known_bench_metric_name(self):
-        # Guard against typos silently re-including a wall-clock metric.
-        assert WALL_CLOCK_METRICS == {
-            "scan_ops_per_sec",
-            "speedup_vs_scan",
-            "batches_per_sec",
-            "events_per_sec",
-            "peak_rss_kb",
-        }
+    def test_missing_keys_and_reshaped_lists_are_named(self):
+        assert _diff_keys({"a": 1}, {"a": 1, "b": None}) == ["b"]
+        assert _diff_keys({"systems": [1]}, {"systems": [1, 2]}) == ["systems"]
 
 
 class TestScenarioSelection:
-    def test_smoke_profile_keeps_large_churn_in_the_default_sweep(self):
+    def test_default_sweep_keeps_large_churn(self):
         # The churn path (joins, crashes, handoff) is where schedule
-        # perturbation bites hardest; the default smoke sweep — what CI
-        # runs — must never silently drop it.
-        from repro.bench.harness import PROFILES
-
-        assert "large_churn" in PROFILES["smoke"]
-        config = SanitizerConfig()
-        selected = (
-            list(config.scenarios)
-            if config.scenarios is not None
-            else list(PROFILES[config.profile])
-        )
-        assert "large_churn" in selected
+        # perturbation bites hardest; the default sweep — what CI runs —
+        # must never silently drop it.
+        assert SanitizerConfig().scenarios is None
+        assert "large_churn" in library_names()
 
     def test_explicit_scenarios_restrict_the_sweep(self, monkeypatch):
         ran = []
 
-        def recording_bench(profile, seed, only=None):
-            ran.append(tuple(only))
-            return [_result()]
+        def recording_run(spec):
+            ran.append(spec.name)
+            return _run()
 
-        monkeypatch.setattr(sanitize_module, "run_bench", recording_bench)
+        monkeypatch.setattr(sanitize_module, "run_scenario", recording_run)
         config = SanitizerConfig(seeds=(1,), scenarios=["large_churn"])
         report, outcome = run_sanitizer(config)
         assert report.ok
         assert outcome.runs == 1
-        assert set(ran) == {("large_churn",)}
+        assert set(ran) == {"large_churn"}
 
-    def test_default_sweep_covers_every_profile_scenario(self, monkeypatch):
-        from repro.bench.harness import PROFILES
-
+    def test_default_sweep_covers_every_library_scenario(self, monkeypatch):
         ran = []
 
-        def recording_bench(profile, seed, only=None):
-            ran.append(only[0])
-            return [_result()]
+        def recording_run(spec):
+            ran.append(spec.name)
+            return _run()
 
-        monkeypatch.setattr(sanitize_module, "run_bench", recording_bench)
+        monkeypatch.setattr(sanitize_module, "run_scenario", recording_run)
         report, outcome = run_sanitizer(SanitizerConfig(seeds=(1,)))
         assert report.ok
-        assert set(ran) == set(PROFILES["smoke"])
+        assert sorted(set(ran)) == library_names()
+
+    def test_unknown_scenario_is_a_usage_error_listing_the_library(self):
+        with pytest.raises(ScenarioSpecError) as excinfo:
+            run_sanitizer(SanitizerConfig(seeds=(1,), scenarios=["warp_drive"]))
+        assert "large_churn" in str(excinfo.value)
 
 
 class TestFailurePaths:
     def test_crash_yields_rsc610_and_artifact(self, tmp_path, monkeypatch):
-        def exploding_bench(profile, seed, only=None):
+        def exploding_run(spec):
             raise RuntimeError("conservation violated: 3 tokens lost")
 
-        monkeypatch.setattr(sanitize_module, "run_bench", exploding_bench)
+        monkeypatch.setattr(sanitize_module, "run_scenario", exploding_run)
         config = SanitizerConfig(
             seeds=(7,),
-            scenarios=["inject_to_retire"],
+            scenarios=["steady_baseline"],
             artifact_dir=str(tmp_path / "artifacts"),
         )
         report, outcome = run_sanitizer(config)
         assert [d.code for d in report.diagnostics] == ["RSC610"]
         diagnostic = report.diagnostics[0]
         assert diagnostic.severity is Severity.ERROR
-        assert diagnostic.component == "RSC610 smoke:inject_to_retire:seed7"
+        assert diagnostic.component == "RSC610 steady_baseline:seed7"
         assert "conservation violated" in diagnostic.message
         assert outcome.runs == 1
         assert outcome.failures == 1
@@ -142,40 +117,73 @@ class TestFailurePaths:
     ):
         calls = {"count": 0}
 
-        def flaky_bench(profile, seed, only=None):
+        def flaky_run(spec):
             calls["count"] += 1
-            return [_result(events=100 + calls["count"])]
+            return _run(events=100 + calls["count"])
 
-        monkeypatch.setattr(sanitize_module, "run_bench", flaky_bench)
+        monkeypatch.setattr(sanitize_module, "run_scenario", flaky_run)
         config = SanitizerConfig(
             seeds=(1,),
-            scenarios=["inject_to_retire"],
+            scenarios=["steady_baseline"],
             artifact_dir=str(tmp_path / "artifacts"),
         )
         report, outcome = run_sanitizer(config)
         assert [d.code for d in report.diagnostics] == ["RSC611"]
         diagnostic = report.diagnostics[0]
-        assert diagnostic.component == "RSC611 smoke:inject_to_retire:seed1"
-        assert "events" in diagnostic.message
+        assert diagnostic.component == "RSC611 steady_baseline:seed1"
+        assert "events_run" in diagnostic.message
         assert calls["count"] == 2  # each (scenario, seed) pair runs twice
         with open(outcome.artifacts[0], "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert payload["diverged_keys"] == ["events"]
-        assert payload["first"]["events"] == 101
-        assert payload["second"]["events"] == 102
+        assert payload["diverged_keys"] == ["systems.0.events_run"]
+        assert payload["first"]["systems"][0]["events_run"] == 101
+        assert payload["second"]["systems"][0]["events_run"] == 102
+
+    def test_crash_on_the_second_run_only_yields_rsc611(
+        self, tmp_path, monkeypatch
+    ):
+        calls = {"count": 0}
+
+        def crashes_on_rerun(spec):
+            calls["count"] += 1
+            if calls["count"] == 2:
+                raise RuntimeError("dict changed size during iteration")
+            return _run()
+
+        monkeypatch.setattr(sanitize_module, "run_scenario", crashes_on_rerun)
+        config = SanitizerConfig(
+            seeds=(1,),
+            scenarios=["steady_baseline"],
+            artifact_dir=str(tmp_path / "artifacts"),
+        )
+        report, outcome = run_sanitizer(config)
+        assert [d.code for d in report.diagnostics] == ["RSC611"]
+        diagnostic = report.diagnostics[0]
+        assert diagnostic.component == "RSC611 steady_baseline:seed1"
+        assert "second run under the same seed failed" in diagnostic.message
+        assert "dict changed size" in diagnostic.message
+        assert outcome.failures == 1
+        assert os.path.basename(outcome.artifacts[0]) == (
+            "divergence_steady_baseline_seed1.json"
+        )
+        with open(outcome.artifacts[0], "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload["first"] == _run().summary
+        assert "dict changed size" in payload["error"]
+        assert "traceback" in payload
 
     def test_unwritable_artifact_dir_does_not_mask_the_finding(
         self, tmp_path, monkeypatch
     ):
-        def exploding_bench(profile, seed, only=None):
+        def exploding_run(spec):
             raise RuntimeError("boom")
 
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("a file where the artifact dir should go\n")
-        monkeypatch.setattr(sanitize_module, "run_bench", exploding_bench)
+        monkeypatch.setattr(sanitize_module, "run_scenario", exploding_run)
         config = SanitizerConfig(
             seeds=(1,),
-            scenarios=["inject_to_retire"],
+            scenarios=["steady_baseline"],
             artifact_dir=str(blocker),
         )
         report, outcome = run_sanitizer(config)
@@ -184,10 +192,10 @@ class TestFailurePaths:
 
 
 class TestRealScenario:
-    def test_perturbed_inject_to_retire_is_green(self, tmp_path):
+    def test_perturbed_scenario_is_green(self, tmp_path):
         config = SanitizerConfig(
             seeds=(1,),
-            scenarios=["inject_to_retire"],
+            scenarios=["correlated_crashes"],
             artifact_dir=str(tmp_path / "artifacts"),
         )
         report, outcome = run_sanitizer(config)

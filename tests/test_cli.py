@@ -31,368 +31,11 @@ class TestCli:
         assert "within [N/10, 10N]" in out
 
     def test_unknown_command_exits(self):
-        with pytest.raises(SystemExit):
-            main(["bogus"])
-
-
-class TestBenchCli:
-    def test_bench_smoke_json(self, capsys, tmp_path):
-        """`repro bench` runs a full profile, prints the JSON document,
-        and writes it to --output."""
-        from repro.bench.harness import BENCH_ID, SCHEMA_VERSION
-
-        output = tmp_path / "BENCH.json"
-        code = main(
-            ["bench", "--profile", "smoke", "--json", "--output", str(output)]
-        )
-        assert code == 0
-        import json
-
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["bench_id"] == BENCH_ID
-        assert payload["schema"] == SCHEMA_VERSION
-        assert len(payload["scenarios"]) >= 3
-        routing = payload["scenarios"]["token_routing"]
-        assert routing["metrics"]["speedup_vs_scan"] >= 5.0
-        for scenario in ("inject_to_retire", "large_churn"):
-            metrics = payload["scenarios"][scenario]["metrics"]
-            assert metrics["latency_p50"] > 0
-            assert metrics["latency_p99"] >= metrics["latency_p50"]
-        assert json.loads(output.read_text()) == payload
-
-    def test_bench_single_scenario_text(self, capsys):
-        code = main(["bench", "--profile", "smoke", "--scenario", "batch_counts"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "batch_counts" in out
-        assert "token_routing" not in out
-
-    def test_bench_threads_backend_json(self, capsys, tmp_path):
-        """`repro bench --backend threads` runs the contended sweep,
-        verify-green, and emits the threads payload."""
-        output = tmp_path / "BENCH_THREADS.json"
-        code = main(
-            [
-                "bench",
-                "--backend",
-                "threads",
-                "--profile",
-                "smoke",
-                "--json",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
-        import json
-
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["bench_id"] == "BENCH_THREADS_1"
-        assert payload["backend"] == "threads"
-        assert payload["verified"] is True
-        # The acceptance cell: network vs locked counter at >= 4 threads.
-        four_way = payload["scenarios"]["network_w4_t4"]["metrics"]
-        assert four_way["lost_tokens"] == 0
-        assert four_way["step_ok"] == 1
-        assert four_way["speedup_vs_locked_counter"] > 0
-        assert "locked_counter_t4" in payload["scenarios"]
-        assert json.loads(output.read_text()) == payload
-
-    def test_bench_threads_backend_rejects_sim_only_flags(self, capsys, tmp_path):
-        for flags in (
-            ["--trace", str(tmp_path / "t.json")],
-            ["--metrics-out", str(tmp_path / "m.jsonl")],
-            ["--scenario", "batch_counts"],
-        ):
-            code = main(["bench", "--backend", "threads"] + flags)
-            assert code == 2
-            err = capsys.readouterr().err
-            assert "not supported with --backend threads" in err
-
-    def test_bench_threads_baseline_gates_regressions(self, capsys, tmp_path):
-        """The threads backend honours --baseline/--max-regression the
-        same way the simulator backend does: an unbeatable baseline cell
-        is a regression (exit 1), a trivially slow one passes (exit 0)."""
-        import json
-
-        from repro.threads.bench import THREADS_BENCH_ID, THREADS_PROFILES
-
-        params = THREADS_PROFILES["smoke"]
-        names = ["locked_counter_t%d" % t for t in params["threads"]]
-        names += [
-            "network_w%d_t%d" % (w, t)
-            for w in params["widths"]
-            for t in params["threads"]
-        ]
-
-        def write_baseline(path, rate):
-            path.write_text(
-                json.dumps(
-                    {
-                        "schema": 2,
-                        "bench_id": THREADS_BENCH_ID,
-                        "backend": "threads",
-                        "profile": "smoke",
-                        "seed": 0,
-                        "verified": True,
-                        "scenarios": {
-                            name: {"ops_per_sec": rate, "events": 1, "metrics": {}}
-                            for name in names
-                        },
-                    }
-                )
-            )
-
-        slow = tmp_path / "slow.json"
-        write_baseline(slow, 1.0)
-        code = main(
-            [
-                "bench",
-                "--backend",
-                "threads",
-                "--profile",
-                "smoke",
-                "--baseline",
-                str(slow),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "baseline %s" % slow in out
-
-        fast = tmp_path / "fast.json"
-        write_baseline(fast, 1e15)  # unbeatable
-        code = main(
-            [
-                "bench",
-                "--backend",
-                "threads",
-                "--profile",
-                "smoke",
-                "--baseline",
-                str(fast),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "FAIL" in out
-
-    def test_bench_threads_baseline_missing_scenario_exits_2(
-        self, capsys, tmp_path
-    ):
-        """The threads sweep has no --scenario filter, so a baseline
-        cell absent from the run means the profile grids diverged."""
-        import json
-
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema": 2,
-                    "bench_id": "BENCH_THREADS_1",
-                    "backend": "threads",
-                    "profile": "smoke",
-                    "seed": 0,
-                    "verified": True,
-                    "scenarios": {
-                        "network_w4096_t512": {
-                            "ops_per_sec": 1.0,
-                            "events": 1,
-                            "metrics": {},
-                        }
-                    },
-                }
-            )
-        )
-        code = main(
-            [
-                "bench",
-                "--backend",
-                "threads",
-                "--profile",
-                "smoke",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "network_w4096_t512" in captured.err
-        assert "missing" in captured.err
-
-    def test_bench_unknown_profile_lists_valid_set_per_backend(self, capsys):
-        """--profile is validated by the selected backend's registry,
-        not argparse: exit 2 with the backend's valid profile names."""
-        from repro.bench import PROFILES
-        from repro.threads.bench import THREADS_PROFILES
-
-        assert main(["bench", "--profile", "galactic"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown profile 'galactic'" in err
-        for name in PROFILES:
-            assert name in err
-
-        assert (
-            main(["bench", "--backend", "threads", "--profile", "galactic"]) == 2
-        )
-        err = capsys.readouterr().err
-        assert "unknown threads profile 'galactic'" in err
-        for name in THREADS_PROFILES:
-            assert name in err
-
-    def test_bench_baseline_regression_fails(self, capsys, tmp_path):
-        import json
-
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "bench_id": "BENCH_4",
-                    "profile": "smoke",
-                    "seed": 0,
-                    "scenarios": {
-                        "batch_counts": {
-                            "ops_per_sec": 1e15,  # unbeatable
-                            "events": 1,
-                            "metrics": {},
-                        }
-                    },
-                }
-            )
-        )
-        code = main(
-            [
-                "bench",
-                "--profile",
-                "smoke",
-                "--scenario",
-                "batch_counts",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_bench_unknown_scenario_errors(self, capsys):
-        assert main(["bench", "--scenario", "warp_drive"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_bench_missing_baseline_scenario_exits_2(self, capsys, tmp_path):
-        """A full (unfiltered) run must cover every baseline scenario;
-        one silently vanishing fails loudly instead of slipping past
-        the gate unmeasured."""
-        import json
-
-        from repro.bench import PROFILES
-
-        baseline_scenarios = {
-            name: {"ops_per_sec": 1.0, "events": 1, "metrics": {}}
-            for name in PROFILES["smoke"]
-        }
-        baseline_scenarios["phantom_scenario"] = {
-            "ops_per_sec": 1.0,
-            "events": 1,
-            "metrics": {},
-        }
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema": 2,
-                    "bench_id": "BENCH_5",
-                    "profile": "smoke",
-                    "seed": 0,
-                    "scenarios": baseline_scenarios,
-                }
-            )
-        )
-        code = main(["bench", "--profile", "smoke", "--baseline", str(baseline)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "phantom_scenario" in captured.err
-        assert "missing" in captured.err
-
-    def test_bench_scenario_filter_exempt_from_missing_check(
-        self, capsys, tmp_path
-    ):
-        """Explicit --scenario selection asked for a subset; baseline
-        scenarios it skips are reported but not fatal."""
-        import json
-
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema": 2,
-                    "bench_id": "BENCH_5",
-                    "profile": "smoke",
-                    "seed": 0,
-                    "scenarios": {
-                        "batch_counts": {
-                            "ops_per_sec": 1.0,
-                            "events": 1,
-                            "metrics": {},
-                        },
-                        "token_routing": {
-                            "ops_per_sec": 1.0,
-                            "events": 1,
-                            "metrics": {},
-                        },
-                    },
-                }
-            )
-        )
-        code = main(
-            [
-                "bench",
-                "--profile",
-                "smoke",
-                "--scenario",
-                "batch_counts",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "MISSING" in out
-
-    def test_bench_trace_and_metrics_export(self, capsys, tmp_path):
-        """--trace/--metrics-out record the run and export a valid
-        Chrome trace and metrics JSONL."""
-        import json
-
-        from repro.obs import validate_chrome_trace
-
-        trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.jsonl"
-        code = main(
-            [
-                "bench",
-                "--profile",
-                "smoke",
-                "--scenario",
-                "inject_to_retire",
-                "--trace",
-                str(trace_path),
-                "--metrics-out",
-                str(metrics_path),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(trace_path.read_text())
-        assert validate_chrome_trace(payload) == []
-        names = {event["name"] for event in payload["traceEvents"]}
-        assert "token" in names  # async begin/end spans
-        assert "process_name" in names  # scenario section metadata
-        rows = [
-            json.loads(line) for line in metrics_path.read_text().splitlines()
-        ]
-        by_name = {row["name"] for row in rows}
-        assert "tokens.latency" in by_name
-        assert "sim.events_executed" in by_name
+        # "bench" was a command until perf/ replaced it.
+        for command in ("bogus", "bench"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command])
+            assert excinfo.value.code == 2
 
 
 class TestTraceCli:
