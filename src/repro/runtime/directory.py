@@ -11,15 +11,17 @@ index in ``T_w``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.chord.hashing import name_to_point
 from repro.chord.ring import ChordRing
+from repro.core.atomics import GuardedMap
 from repro.core.cut import Cut
 from repro.core.decomposition import ComponentSpec, DecompositionTree
 from repro.errors import ComponentNotFound, ProtocolError
 
 Path = Tuple[int, ...]
+EdgeKey = Tuple[Path, int]
 
 
 class ComponentDirectory:
@@ -34,12 +36,23 @@ class ComponentDirectory:
         #: so entries never invalidate; the memo spares the token hot
         #: path a tree walk + SHA-1 per lookup.
         self._points: Dict[Path, int] = {}
-        #: Monotonic mutation stamp: bumped on every register/unregister.
-        #: Caches keyed by it (the client-side input-lookup cache, the
-        #: ``live_paths`` memo below) stay valid exactly as long as the
-        #: deployed cut is unchanged.
+        #: Monotonic mutation stamp: bumped on every register/unregister,
+        #: handoffs included (the client-side input-lookup cache is keyed
+        #: by it).
         self._generation = 0  # repro: owned-by: single-writer
+        #: Memo of ``live_paths()``; dropped when a path enters or leaves.
         self._live_memo: Optional[FrozenSet[Path]] = None
+        #: The edge table (Section 3.5's remembered out-neighbours):
+        #: (component path, out port) -> ``("out", wire)`` or
+        #: ``("member", dest path, in port)``. A resolution names a path,
+        #: never an owner, and depends on the live set only through the
+        #: descent that ends at its destination; :meth:`_changed` holds
+        #: the drop rule.
+        self._edges: GuardedMap[EdgeKey, Tuple] = GuardedMap()  # repro: owned-by: shared
+        #: destination path -> the edge keys resolved to it.
+        self._edges_to: GuardedMap[Path, Set[EdgeKey]] = GuardedMap()  # repro: owned-by: shared
+        #: path -> number of live paths strictly below it.
+        self._live_below: Dict[Path, int] = {}  # repro: owned-by: single-writer
 
     # ------------------------------------------------------------------
     # naming and placement
@@ -65,19 +78,50 @@ class ComponentDirectory:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def _bump_generation(self) -> None:
-        """The one mutation site for the stamp and its dependent memo
-        (the single-writer ownership contract on ``_generation``)."""
-        self._generation += 1
-        self._live_memo = None
-
     def register(self, path: Path, node_id: int) -> None:
-        self._owner[tuple(path)] = node_id
-        self._bump_generation()
+        """``path`` is hosted at ``node_id``: a new live member, or the
+        handoff of a live one."""
+        path = tuple(path)
+        entered = path not in self._owner
+        self._owner[path] = node_id
+        self._changed(path, int(entered))
 
     def unregister(self, path: Path) -> None:
-        self._owner.pop(tuple(path), None)
-        self._bump_generation()
+        path = tuple(path)
+        left = path in self._owner
+        if left:
+            del self._owner[path]
+        self._changed(path, -int(left))
+
+    def _changed(self, path: Path, step: int) -> None:
+        """The one mutation site of the stamp and of what hangs off the
+        live set. ``step`` says whether ``path`` entered (1) or left
+        (-1) the live set; 0 is a handoff, which changes no resolution.
+
+        Otherwise drop exactly the edges whose destination is a prefix
+        of ``path`` or has ``path`` as a prefix: a resolution descends
+        from the sibling it enters to the first live path, so no other
+        entry can change. Indexed destinations are live, so one lies
+        strictly below ``path`` only while an ancestor and a descendant
+        are both live, which ``_live_below`` tells without a scan.
+        """
+        self._generation += 1
+        if not step:
+            return
+        self._live_memo = None
+        below = self._live_below
+        for end in range(len(path)):
+            prefix = path[:end]
+            below[prefix] = below.get(prefix, 0) + step
+            self._drop_edges_to(prefix)
+        self._drop_edges_to(path)
+        if below.get(path):
+            for dest in [d for d in self._edges_to if d[: len(path)] == path]:
+                self._drop_edges_to(dest)
+
+    def _drop_edges_to(self, dest: Path) -> None:
+        for key in self._edges_to.take(dest, ()):
+            self._edges.take(key)
 
     @property
     def generation(self) -> int:
@@ -100,6 +144,19 @@ class ComponentDirectory:
         mutated in place and never replaced, so the reader stays valid
         for the directory's lifetime."""
         return self._owner.get
+
+    def edge_reader(self) -> "Callable[[EdgeKey], Optional[Tuple]]":
+        """The per-hop probe of the edge table (one ``dict.get``), valid
+        for the directory's lifetime like :meth:`owner_reader`."""
+        return self._edges.reader()
+
+    def remember_edge(self, key: EdgeKey, resolved: Tuple) -> None:
+        """Record an ``"out"`` or ``"member"`` resolution made under
+        the current live set (a ``"missing"`` crash hole is the caller's
+        to retry, never to remember)."""
+        self._edges.put(key, resolved)
+        if resolved[0] == "member":
+            self._edges_to.ensure(resolved[1], set).add(key)
 
     def live_paths(self) -> FrozenSet[Path]:
         memo = self._live_memo

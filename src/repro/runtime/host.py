@@ -8,10 +8,10 @@ state the splitting/merging rules need: the node's last level estimate
 and the list of components it has split but not yet merged
 (Section 3.2).
 
-Out-neighbour addresses are cached per (component, output port) as
-Section 3.5 prescribes; the system invalidates caches when the network
-is reconfigured and the hit/miss counters feed the routing-efficiency
-experiment.
+Out-neighbour addresses are remembered per (component, output port) as
+Section 3.5 prescribes, in the directory's edge table, which forgets an
+edge only when the live set changes along it; the per-host hit/miss
+counters feed the routing-efficiency experiment.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class NodeHost(SimulatedProcess):
         self.split_registry: Set[Path] = set()
         #: The node's last computed level estimate, to detect decreases.
         self.last_level: Optional[int] = None
-        self._edge_cache: Dict[Tuple[Path, int], Tuple] = {}
+        #: Hoisted probe of the directory's edge table (one ``dict.get``).
+        self._edge_of = system.directory.edge_reader()
         self.cache_hits = 0
         self.cache_misses = 0
         self.tokens_routed = AtomicCounter()  # repro: owned-by: shared
@@ -86,9 +87,6 @@ class NodeHost(SimulatedProcess):
     def drain_buffer(self, path: Path) -> List[Tuple[int, Token]]:
         """Take (and clear) the tokens buffered for a frozen component."""
         return self.buffers.pop(path, [])
-
-    def clear_edge_cache(self) -> None:
-        self._edge_cache.clear()
 
     # ------------------------------------------------------------------
     # token plane
@@ -160,16 +158,12 @@ class NodeHost(SimulatedProcess):
                 system.send_token(dest_path, dest_port, token)
 
     def _edge(self, path: Path, state: ComponentState, out_port: int) -> Tuple:
-        key = (path, out_port)
-        cached = self._edge_cache.get(key)
+        cached = self._edge_of((path, out_port))
         if cached is not None:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        resolved = self.system.resolve_edge(state.spec, out_port)
-        if resolved[0] != "missing":  # never cache a crash hole
-            self._edge_cache[key] = resolved
-        return resolved
+        return self.system.resolve_edge(state.spec, out_port)
 
     # ------------------------------------------------------------------
     # introspection

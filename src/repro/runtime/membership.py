@@ -61,19 +61,25 @@ class MembershipManager:
         system.hosts[node.node_id] = host
         system.note_node_joined(node.node_id)
         system.bus.register(node.node_id, host)
-        self._rehome_components()
+        self._rehome_components(node.node_id)
         return node
 
-    def _rehome_components(self) -> None:
-        """Move every component whose hash home changed (O(#components))."""
+    def _rehome_components(self, joiner: int) -> None:
+        """Move the components whose hash home is now ``joiner``.
+
+        Every component sits at its hash home (``check_consistent``'s
+        invariant, which every operation preserves), and a join only
+        takes points from the joiner's ring successor, so nobody else
+        can lose one: O(components on one host).
+        """
         system = self.system
-        moves = []
-        for path in system.directory.live_paths():
+        old_host = system.hosts[system.ring.succ_k(joiner, 1).node_id]
+        moves = 0
+        for path in sorted(old_host.components):
             home = system.directory.home(path)
-            if home != system.directory.owner(path):
-                moves.append((path, home))
-        for path, home in moves:
-            old_host = system.hosts[system.directory.owner(path)]
+            if home == old_host.node_id:
+                continue
+            moves += 1
             was_frozen = path in old_host.frozen
             buffered = old_host.drain_buffer(path)
             state = old_host.remove(path)
@@ -85,8 +91,7 @@ class MembershipManager:
             system.stats.control_messages += 2  # state transfer + ack
         if moves:
             system.advance(2 * system.control_latency)
-            system.invalidate_caches()
-            system.stats.handoffs += len(moves)
+            system.stats.handoffs += moves
 
     # ------------------------------------------------------------------
     # graceful leave
@@ -123,7 +128,6 @@ class MembershipManager:
         del system.hosts[node_id]
         system.note_node_left(node_id)
         system.advance(2 * system.control_latency)
-        system.invalidate_caches()
 
     # ------------------------------------------------------------------
     # crash
@@ -149,6 +153,5 @@ class MembershipManager:
             system.directory.unregister(path)
         del system.hosts[node_id]
         system.note_node_left(node_id)
-        system.invalidate_caches()
         system.stats.crashes += 1
         return report

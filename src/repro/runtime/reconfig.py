@@ -46,6 +46,9 @@ class Reconfigurator:
 
     def __init__(self, system):
         self.system = system
+        #: (kind, width) -> child indices fed by the parent's own inputs;
+        #: a pure function of the fixed wiring, filled on first use.
+        self._input_fed_cache: Dict[Tuple, frozenset] = {}  # repro: owned-by: single-writer
 
     # ------------------------------------------------------------------
     # split
@@ -60,8 +63,8 @@ class Reconfigurator:
         if state is None:
             raise ProtocolError("directory says %r is on %s, but it is not" % (path, owner))
         # Static gate (repro.staticcheck): reject the reconfiguration up
-        # front — leaf split, or a post-split set that is not a valid
-        # cut — before any freeze or state transfer happens.
+        # front — target not live, not a component, or a balancer —
+        # before any freeze or state transfer happens.
         validate_split(system.tree, system.directory.live_paths(), path)
         host.freeze(path)
         children = split_child_states(system.wiring, state.spec, state.arrivals)
@@ -79,7 +82,6 @@ class Reconfigurator:
         system.directory.unregister(path)
         host.split_registry.add(path)
         system.stats.splits += 1
-        system.invalidate_caches()
         # Forward the tokens buffered while frozen into the children.
         spec = state.spec
         for port, token in host.drain_buffer(path):
@@ -92,9 +94,7 @@ class Reconfigurator:
     # ------------------------------------------------------------------
     def _input_fed_children(self, parent) -> frozenset:
         """Child indices that receive some of the parent's own inputs."""
-        cache = getattr(self, "_input_fed_cache", None)
-        if cache is None:
-            cache = self._input_fed_cache = {}
+        cache = self._input_fed_cache
         key = (parent.kind, parent.width)
         fed = cache.get(key)
         if fed is None:
@@ -116,10 +116,10 @@ class Reconfigurator:
         works for any recursive structure).
         """
         depth = len(path)
-        tree = self.system.tree
+        root = self.system.tree.node(path)
         boundary = []
         for member in subtree:
-            spec = tree.node(path)
+            spec = root
             fed = True
             for index in member[depth:]:
                 if index not in self._input_fed_children(spec):
@@ -162,19 +162,17 @@ class Reconfigurator:
                 buffered.append((member, port, token))
             states[member] = owner_host.remove(member)
             system.directory.unregister(member)
-            # Any sub-split bookkeeping inside the subtree is now moot.
-            for host in system.hosts.values():
-                host.split_registry.discard(member)
         merged = self._fold(system.tree.node(path), states)
         system.advance(2 * system.control_latency)
         home = system.directory.home(path)
         system.hosts[home].install(merged)
         system.directory.register(path, home)
-        initiator.split_registry.discard(path)
+        # The split of ``path``, and any sub-split bookkeeping inside
+        # the subtree, is now moot on every host.
+        moot = {path, *subtree}
         for host in system.hosts.values():
-            host.split_registry.discard(path)
+            host.split_registry.difference_update(moot)
         system.stats.merges += 1
-        system.invalidate_caches()
         # Phase 4: re-address buffered boundary tokens to the parent.
         for member, port, token in buffered:
             parent_port = self._port_at_ancestor(member, port, path)

@@ -160,7 +160,6 @@ class Stabilizer:
             system.stats.recoveries += 1
         if restored:
             system.advance(2 * system.control_latency)
-            system.invalidate_caches()
         self._adopt_orphan_merges()
         return restored
 

@@ -109,10 +109,6 @@ class AdaptiveCountingSystem:
         self.directory = ComponentDirectory(self.tree, self.ring)
         #: Hoisted C-level liveness/owner probe for the per-hop path.
         self._owner_of = self.directory.owner_reader()
-        #: Shared edge-resolution memo, valid for one directory
-        #: generation (see :meth:`resolve_edge`).
-        self._edge_memo: Dict[Tuple[Path, int], Tuple] = {}  # repro: owned-by: single-writer
-        self._edge_memo_stamp = -1  # repro: owned-by: single-writer
         self.hosts: Dict[int, NodeHost] = {}
         # Sorted list of live node ids, maintained incrementally by the
         # membership layer so the token hot path never re-sorts
@@ -525,11 +521,6 @@ class AdaptiveCountingSystem:
             if not self.sim.step():
                 raise ProtocolError("drain stalled with tokens in flight")
 
-    def invalidate_caches(self) -> None:
-        """Drop all out-neighbour caches (the network changed)."""
-        for host in self.hosts.values():
-            host.clear_edge_cache()
-
     def publish_pool_stats(self) -> Dict[str, Dict[str, int]]:
         """Snapshot both freelists (envelopes, event handles)
         into the active recorder's gauges and return the snapshot.
@@ -557,27 +548,18 @@ class AdaptiveCountingSystem:
         addressed to the hole's subtree root and retried until
         stabilisation restores a member there.
 
-        Resolutions are memoised per directory generation and shared by
-        every host: the answer depends only on the deployed cut, so when
-        one host has resolved an edge, the other 2k need not repeat the
-        wiring walk — per-host caches warm from here. Even crash holes
-        memoise safely: recovery re-registers the component, which bumps
-        the generation and drops the memo wholesale.
+        Every other resolution goes into the directory's edge table,
+        which every host reads: the answer names paths, not owners, so
+        it holds for whoever hosts ``spec`` until the live set changes
+        along the descent to the destination.
         """
-        generation = self.directory.generation
-        memo = self._edge_memo
-        if self._edge_memo_stamp != generation:
-            memo.clear()
-            self._edge_memo_stamp = generation
-        key = (spec.path, out_port)
-        resolved = memo.get(key)
-        if resolved is None:
-            resolved = self.wiring.resolve_output(
-                spec, out_port, self.directory.live_paths()
-            )
-            if resolved[0] in ("member", "missing"):
-                resolved = (resolved[0], resolved[1].path, resolved[2])
-            memo[key] = resolved
+        resolved = self.wiring.resolve_output(
+            spec, out_port, self.directory.live_paths()
+        )
+        if resolved[0] != "out":
+            resolved = (resolved[0], resolved[1].path, resolved[2])
+        if resolved[0] != "missing":
+            self.directory.remember_edge((spec.path, out_port), resolved)
         return resolved
 
     # ------------------------------------------------------------------

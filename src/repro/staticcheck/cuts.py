@@ -40,7 +40,7 @@ Error codes
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import InvalidTransitionError, StructureError
 from repro.staticcheck.diagnostics import Report
@@ -197,22 +197,37 @@ class _Subtree:
 # ----------------------------------------------------------------------
 # single-operation validators for the runtime
 # ----------------------------------------------------------------------
+def _as_set(paths: Iterable[Path]) -> AbstractSet[Path]:
+    """``paths`` as a set of tuples; a set (the directory's frozenset)
+    is taken as is, since set members are already hashable tuples."""
+    if isinstance(paths, (set, frozenset)):
+        return paths
+    return frozenset(tuple(p) for p in paths)
+
+
 def check_split(tree, live_paths: Iterable[Path], path: Path, source: Optional[str] = None) -> Report:
     """Whether splitting live member ``path`` is valid right now.
 
-    The local preconditions (member live, not a leaf) are always
-    checked. The global check — the post-split component set is a valid
-    cut — runs only when the *current* set already is one: after a
-    crash the live set legitimately has holes until stabilisation
-    refills them, and reconfiguration of the surviving members must not
-    be vetoed for that.
+    Only the local preconditions are checked: the target is live, is a
+    node of ``T_w`` and is not a balancer. That is the whole gate, by a
+    lemma: replacing a non-leaf member of a cut by all its children
+    keeps the antichain an antichain and every root-to-leaf path crossed
+    exactly once, and the change is one subtree-aligned split region. A
+    global ``is_valid_cut(live)`` + ``check_transition(live, target)``
+    could therefore only run when it cannot fail (and never ran on a
+    live set with crash holes, which must not veto a survivor's split).
+    The global invariant is still machine-checked where it can fail:
+    ``AdaptiveCountingSystem.verify()`` rebuilds the deployed
+    :class:`~repro.core.cut.Cut` (``directory.check_consistent``) and
+    ``repro check`` runs :func:`check_cut`;
+    ``tests/staticcheck/test_cuts.py`` holds this function equal to the
+    global formulation over random cuts, holes and overlaps.
     """
     if source is None:
         source = "split%r" % (tuple(path),)
     report = Report()
-    live = frozenset(_normalise(live_paths))
     path = tuple(path)
-    if path not in live:
+    if path not in _as_set(live_paths):
         report.add("RSC206", "cannot split %r: not a live member" % (path,), source)
         return report
     try:
@@ -222,10 +237,6 @@ def check_split(tree, live_paths: Iterable[Path], path: Path, source: Optional[s
         return report
     if spec.is_leaf:
         report.add("RSC206", "cannot split the balancer %s" % (spec,), source)
-        return report
-    if is_valid_cut(tree, live):
-        target = (live - {path}) | {child.path for child in spec.children()}
-        report.extend(check_transition(tree, live, target, source))
     return report
 
 
@@ -240,7 +251,7 @@ def check_merge(tree, live_paths: Iterable[Path], path: Path, source: Optional[s
     if source is None:
         source = "merge%r" % (tuple(path),)
     report = Report()
-    live = frozenset(_normalise(live_paths))
+    live = _as_set(live_paths)
     path = tuple(path)
     try:
         tree.node(path)

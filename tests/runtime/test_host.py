@@ -90,9 +90,38 @@ class TestEdgeCache:
         # misses bounded by (distinct member out-ports), not token count
         assert misses - before_misses <= 6 * 4
 
-    def test_invalidate_clears(self, system):
-        for _ in range(5):
+    @staticmethod
+    def misses_of_a_round(system):
+        """Misses while 64 tokens cross every out-port of the network."""
+        before = sum(h.cache_misses for h in system.hosts.values())
+        for _ in range(64):
             system.inject_token()
         system.run_until_quiescent()
-        system.invalidate_caches()
-        assert all(not h._edge_cache for h in system.hosts.values())
+        return sum(h.cache_misses for h in system.hosts.values()) - before
+
+    @pytest.fixture
+    def warm(self):
+        """Six width-4 components on eight nodes, every edge resolved."""
+        system = AdaptiveCountingSystem(width=8, seed=1, initial_nodes=8)
+        system.reconfig.split(())
+        assert self.misses_of_a_round(system) == 6 * 4
+        assert self.misses_of_a_round(system) == 0
+        return system
+
+    def test_split_elsewhere_leaves_unrelated_edges_hits(self, warm):
+        # (0,) is fed by network inputs only: no component's edge leads
+        # into it, so only its six new balancers have edges to learn.
+        warm.reconfig.split((0,))
+        assert self.misses_of_a_round(warm) == 6 * 2
+
+    def test_splitting_a_destination_costs_one_miss_per_edge_into_it(self, warm):
+        # (4,) has four input ports, each fed by one merger out-port:
+        # those four edges are re-learnt once, plus its two balancers' own.
+        warm.reconfig.split((4,))
+        assert self.misses_of_a_round(warm) == 4 + 2 * 2
+
+    def test_join_that_only_moves_components_costs_nothing(self, warm):
+        while not warm.stats.handoffs:
+            warm.add_node()
+        assert warm.stats.splits == 1
+        assert self.misses_of_a_round(warm) == 0

@@ -1,14 +1,22 @@
 """Pass 2 (cut validity analyzer) — cuts, transitions, runtime gate."""
 
+import random
+
 import pytest
 
 from repro.core.cut import Cut
 from repro.core.decomposition import DecompositionTree
-from repro.errors import InvalidCutError, InvalidTransitionError, ProtocolError
+from repro.errors import (
+    InvalidCutError,
+    InvalidTransitionError,
+    ProtocolError,
+    StructureError,
+)
 from repro.ext.periodic_adaptive import block_level_cut_paths, periodic_tree
 from repro.runtime.system import AdaptiveCountingSystem
 from repro.staticcheck import check_cut, check_transition, validate_merge, validate_split
 from repro.staticcheck.cuts import check_merge, check_split, is_valid_cut, transition_plan
+from repro.staticcheck.diagnostics import Report
 
 TREE8 = DecompositionTree(8)
 
@@ -136,6 +144,76 @@ class TestSplitMergePreconditions:
         # The typed error is catchable through both hierarchies.
         assert issubclass(InvalidTransitionError, InvalidCutError)
         assert issubclass(InvalidTransitionError, ProtocolError)
+
+
+def global_check_split(tree, live_paths, path):
+    """``check_split`` in its global formulation (what the runtime gate
+    ran before it went local): the local preconditions, then — when the
+    live set is a valid cut — ``check_transition`` to the explicit
+    post-split set. Kept as the oracle for the lemma in ``check_split``'s
+    docstring."""
+    report = Report()
+    live = frozenset(tuple(p) for p in live_paths)
+    path = tuple(path)
+    if path not in live:
+        report.add("RSC206", "not a live member", "oracle")
+        return report
+    try:
+        spec = tree.node(path)
+    except StructureError:
+        report.add("RSC202", "not a component", "oracle")
+        return report
+    if spec.is_leaf:
+        report.add("RSC206", "balancer", "oracle")
+        return report
+    if is_valid_cut(tree, live):
+        target = (live - {path}) | {child.path for child in spec.children()}
+        report.extend(check_transition(tree, live, target, "oracle"))
+    return report
+
+
+def random_cut(tree, rng):
+    """A seeded random cut: split random non-leaf members of ``{()}``."""
+    members = {()}
+    for _ in range(rng.randrange(4 * tree.width)):
+        path = rng.choice(sorted(members))
+        spec = tree.node(path)
+        if not spec.is_leaf:
+            members.remove(path)
+            members.update(child.path for child in spec.children())
+    return members
+
+
+class TestSplitGateIsLocal:
+    """The local gate returns the codes of the global formulation for
+    every (live set, target) — valid cuts, cuts with a crash hole, cuts
+    with an ancestor overlap; every member and two non-members as
+    target, about 10 000 cases."""
+
+    @pytest.mark.parametrize("width,cuts", [(4, 40), (8, 40), (16, 30), (32, 15)])
+    def test_same_codes_as_the_global_formulation(self, width, cuts):
+        tree = DecompositionTree(width)
+        rng = random.Random(width)
+        for _ in range(cuts):
+            cut = random_cut(tree, rng)
+            ordered = sorted(cut)
+            hole = cut - {rng.choice(ordered)}
+            deep = max(ordered, key=len)
+            overlap = cut | {deep[:-1]} if deep else cut
+            for live in (cut, hole, overlap):
+                if not live:
+                    continue
+                a_member = max(live, key=len)
+                outsiders = [a_member + (0,), (9, 9)]
+                for target in sorted(live) + outsiders:
+                    expected = global_check_split(tree, live, target).codes()
+                    assert check_split(tree, live, target).codes() == expected, (
+                        sorted(live), target)
+
+    def test_live_member_that_is_no_component(self):
+        live = {(0,), (9, 9)}
+        assert check_split(TREE8, live, (9, 9)).codes() == ["RSC202"]
+        assert global_check_split(TREE8, live, (9, 9)).codes() == ["RSC202"]
 
 
 class TestRuntimeGate:
