@@ -101,7 +101,7 @@ class ProtocolNode(SimulatedProcess):
         #: of leaving it in the event heap as a dead no-op closure until
         #: its fire time — under churn workloads those dead timers used
         #: to dominate the queue (every successful RPC left one behind).
-        self._pending: GuardedMap[int, Tuple[Callable[[object], None], EventHandle]] = GuardedMap()  # repro: owned-by: shared
+        self._pending: GuardedMap[int, Tuple[Callable[[object], None], EventHandle]] = GuardedMap()
         self._call_ids = itertools.count()
 
     # ------------------------------------------------------------------

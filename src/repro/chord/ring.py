@@ -46,7 +46,7 @@ class ChordRing:
         self.rng = random.Random(seed)
         self._ids: List[int] = []
         self._nodes: Dict[int, ChordNode] = {}
-        self._join_counter = AtomicCounter()  # repro: owned-by: shared
+        self._join_counter = AtomicCounter()
         #: Bumped on every membership change; derived structures (the
         #: finger-table cache below, external memos) key off it.
         self._version = 0

@@ -16,10 +16,10 @@ Commands
     structure and the step property for small widths, validate cuts,
     lint the codebase (``--lint``), verify protocol message flow
     (``--protocol``), bounded-model-check the Chord/runtime protocols
-    over all small-scope schedules (``--model-check``), run the Pass-6
-    shared-state/atomicity rules (``--concurrency``) and the
-    schedule-perturbation sanitizer (``--sanitize[=N]``), or print the
-    long-form explanation of any diagnostic code (``--explain``).
+    over all small-scope schedules (``--model-check``), re-run the
+    scenario library under adversarial same-timestamp orders
+    (``--sanitize [N]``), or print the long-form explanation of any
+    diagnostic code (``--explain``). Every pass asked for runs.
 ``trace``
     Record one fully traced inject-under-churn run (``repro.obs``) and
     export it as Chrome ``trace_event`` JSON (Perfetto-loadable) plus
@@ -36,6 +36,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -191,6 +192,12 @@ def cmd_check(args) -> int:
             )
             return 2
         sanitize_seeds = list(range(1, args.sanitize + 1))
+    if args.sanitize_jitter < 0 or not math.isfinite(args.sanitize_jitter):
+        print(
+            "repro check: error: --sanitize-jitter must be finite and >= 0",
+            file=sys.stderr,
+        )
+        return 2
 
     convention = (
         MergerConvention.PAPER_PROSE
@@ -229,14 +236,6 @@ def cmd_check(args) -> int:
             protocol_paths=args.protocol_paths,
             model_check=args.model_check,
             model_config=model_config,
-            concurrency=args.concurrency,
-            concurrency_paths=args.concurrency_paths,
-            concurrency_baseline=args.concurrency_baseline,
-            update_concurrency_baseline=args.update_concurrency_baseline,
-            allow_baseline_growth=args.allow_baseline_growth,
-            ownership=args.ownership,
-            ownership_paths=args.ownership_paths,
-            thread_ready=args.thread_ready,
             sanitize_seeds=sanitize_seeds,
             sanitize_jitter=args.sanitize_jitter,
             sanitize_scenarios=args.sanitize_scenarios,
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="PATH",
         default=None,
-        help="run only the AST lint pass over the given files/directories",
+        help="run the AST lint pass over the given files/directories",
     )
     check.add_argument(
         "--no-certify",
@@ -420,55 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         "system_factory for the model checker's subject",
     )
     check.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run the Pass-6 static shared-state/atomicity rules (RSC60x)",
-    )
-    check.add_argument(
-        "--concurrency-paths",
-        nargs="+",
-        metavar="PATH",
-        default=None,
-        help="files/directories to analyze instead of the default runtime packages",
-    )
-    check.add_argument(
-        "--concurrency-baseline",
-        metavar="PATH",
-        default=None,
-        help="triage baseline file (default: CONCURRENCY_BASELINE.txt in "
-        "the working directory, when present)",
-    )
-    check.add_argument(
-        "--update-concurrency-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run's findings, then apply it",
-    )
-    check.add_argument(
-        "--allow-baseline-growth",
-        action="store_true",
-        help="let --update-concurrency-baseline add new entries (the "
-        "drained baseline refuses to grow back without this)",
-    )
-    check.add_argument(
-        "--ownership",
-        action="store_true",
-        help="run the Pass-7 ownership/lock-discipline rules (RSC70x)",
-    )
-    check.add_argument(
-        "--ownership-paths",
-        nargs="+",
-        metavar="PATH",
-        default=None,
-        help="files/directories for Pass 7 instead of the default runtime packages",
-    )
-    check.add_argument(
-        "--thread-ready",
-        action="store_true",
-        help="composite thread-readiness gate: strict Pass 6 (no baseline "
-        "demotion, non-empty baseline is an error) + Pass 7 + the "
-        "schedule-perturbation sanitizer",
-    )
-    check.add_argument(
         "--sanitize",
         nargs="?",
         const=1,
@@ -507,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CODE",
         default=None,
         help="print description, rationale, and a minimal example for a "
-        "diagnostic code (e.g. RSC601), then exit",
+        "diagnostic code (e.g. RSC610), then exit",
     )
     check.add_argument("--json", action="store_true", help="machine-readable output")
     check.set_defaults(func=cmd_check)

@@ -1,43 +1,34 @@
-"""Atomic counter facades for the thread-readiness contract (Pass 7).
+"""Counter facades: one named call site per shared counter update.
 
-Every compound read-modify-write that Pass 6 flagged as RSC602 —
-``self.count += 1``, ``self.output_counts[w] += 1``, toggled bits,
-keyed in-flight ledgers — is a load, an op, and a store that only the
-single-threaded event loop keeps atomic. The ROADMAP's threads backend
-removes that accident, so shared counter state routes through the small
-facades in this module instead: one named call site (``increment``,
-``fetch_increment``, ``flip``, ``post``/``settle``) that a backend can
-make genuinely atomic.
+Shared counter state — ``self.count += 1``, ``self.output_counts[w] +=
+1``, toggled bits, keyed in-flight ledgers — routes through the small
+facades in this module instead of raw ints and dicts: one named
+operation (``increment``, ``fetch_increment``, ``flip``,
+``post``/``settle``, ``put``/``take``) per update. The simulator is
+single-threaded — a node handles one message at a time — so the facades
+(:class:`AtomicCounter`, :class:`PerWireCounters`, :class:`ToggleBit`,
+:class:`TokenLedger`, :class:`GuardedMap`) are plain Python with no
+synchronization: byte-identical arithmetic to the raw-int code they
+replaced, and cheap enough for the simulator's hot path.
 
-Two flavors exist:
+Two thread-safe primitives live beside them, for the one place OS
+threads do run (:mod:`repro.threads`, the contrast experiment):
 
-* the **single-thread** flavor (the classes below) is a plain-Python
-  facade with no synchronization — byte-identical arithmetic to the
-  raw-int code it replaced, and cheap enough for the simulator's hot
-  path;
-* the **locked** flavor (``Locked*``) wraps every mutation *and every
-  read that observes mutable state* in a ``threading.Lock`` — the
-  conservative implementation a shared-memory backend starts from.
-  Read paths route through ``get()``/``snapshot()`` precisely so the
-  locked subclasses can intercept them: a comparison against a locked
-  counter acquires that counter's lock for the read.
-
-One lock-free helper exists outside the flavors:
-:class:`ThreadSafeToggle`, a balancer toggle whose ``flip()`` is a
-single C-level fetch-and-add (``next()`` on ``itertools.count``) that
-the GIL makes atomic — the hot-path toggle of the threads backend. On
-free-threaded builds (PEP 703) it degrades to an internal lock.
-
-Backends select a flavor through :func:`flavor` /
-:class:`AtomicsFlavor` rather than naming classes, so swapping the
-whole family is one constructor argument.
+* :class:`LockedAtomicCounter` wraps every mutation *and every read* of
+  an :class:`AtomicCounter` in a ``threading.Lock``. Read paths route
+  through ``get()`` precisely so the subclass can intercept them: a
+  comparison against a locked counter acquires that counter's lock for
+  the read.
+* :class:`ThreadSafeToggle`, a balancer toggle whose ``flip()`` is a
+  single C-level fetch-and-add (``next()`` on ``itertools.count``) that
+  the GIL makes atomic. On free-threaded builds (PEP 703) it degrades
+  to an internal lock.
 
 The facades deliberately implement the arithmetic/comparison protocol
 (``int(c)``, ``c == 5``, ``c - other``, iteration for the per-wire
 family), so read sites — step-property checks, benchmarks, tests —
 keep treating them as the numbers they wrap. Mutation, however, only
-happens through the named methods: Pass 7 (RSC704) flags direct pokes
-at the internals.
+happens through the named methods.
 """
 
 from __future__ import annotations
@@ -45,7 +36,6 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -58,7 +48,6 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
-    Type,
     TypeVar,
     Union,
 )
@@ -109,8 +98,8 @@ class AtomicCounter:
         self._value = int(value)
 
     # -- int facade -----------------------------------------------------
-    # Every read dunder routes through get() so that Locked* subclasses
-    # make *reads* lock-consistent by overriding one method; comparisons
+    # Every read dunder routes through get() so that LockedAtomicCounter
+    # makes *reads* lock-consistent by overriding one method; comparisons
     # read the other side through its get() too (see _as_number), so a
     # locked counter on either side of `a == b` is read under its own
     # lock. Each side's lock is taken and released independently —
@@ -133,9 +122,8 @@ class AtomicCounter:
         return NotImplemented
 
     def __ne__(self, other: object) -> bool:
-        # Explicit mirror of __eq__ (kept next to it by the Pass 7
-        # audit): preserves NotImplemented so reflected comparisons
-        # against foreign types still work.
+        # Explicit mirror of __eq__: preserves NotImplemented so
+        # reflected comparisons against foreign types still work.
         result = self.__eq__(other)
         if result is NotImplemented:
             return result
@@ -304,9 +292,6 @@ class PerWireCounters:
         return iter(self._values)
 
     def __eq__(self, other: object) -> bool:
-        # snapshot() both sides so a locked counter array is read under
-        # its own lock; the two snapshots are taken one after the other
-        # (never nested), so locked-vs-locked comparison cannot deadlock.
         if isinstance(other, PerWireCounters):
             return self.snapshot() == other.snapshot()
         if isinstance(other, (list, tuple)):
@@ -324,62 +309,6 @@ class PerWireCounters:
 
     def __repr__(self) -> str:
         return "%s(%r)" % (type(self).__name__, self._values)
-
-
-class LockedPerWireCounters(PerWireCounters):
-    """:class:`PerWireCounters` with mutations and snapshots locked."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, width_or_values: Union[int, Iterable[int]]) -> None:
-        super().__init__(width_or_values)
-        self._lock = threading.Lock()
-
-    def increment(self, index: int, amount: int = 1) -> int:
-        with self._lock:
-            return super().increment(index, amount)
-
-    def fetch_increment(self, index: int, amount: int = 1) -> int:
-        with self._lock:
-            return super().fetch_increment(index, amount)
-
-    def decrement(self, index: int, amount: int = 1) -> int:
-        with self._lock:
-            return super().decrement(index, amount)
-
-    def set(self, index: int, value: int) -> None:
-        with self._lock:
-            super().set(index, value)
-
-    def reset(self, values: Optional[Iterable[int]] = None) -> None:
-        with self._lock:
-            super().reset(values)
-
-    def snapshot(self) -> List[int]:
-        with self._lock:
-            return super().snapshot()
-
-    # -- locked reads ---------------------------------------------------
-    def get(self, index: int) -> int:
-        with self._lock:
-            return super().get(index)
-
-    def __getitem__(self, index: int) -> int:
-        with self._lock:
-            return super().__getitem__(index)
-
-    def __setitem__(self, index: int, value: int) -> None:
-        with self._lock:
-            super().__setitem__(index, value)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return super().__len__()
-
-    def __iter__(self) -> Iterator[int]:
-        # Iterate a point-in-time copy: handing out a live iterator over
-        # ``_values`` would read it after the lock is released.
-        return iter(self.snapshot())
 
 
 class ToggleBit:
@@ -408,28 +337,6 @@ class ToggleBit:
         return "%s(%d)" % (type(self).__name__, self._bit)
 
 
-class LockedToggleBit(ToggleBit):
-    """:class:`ToggleBit` with flips *and reads* under a lock."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, initial: int = 0) -> None:
-        super().__init__(initial)
-        self._lock = threading.Lock()
-
-    def flip(self) -> int:
-        with self._lock:
-            return super().flip()
-
-    def read(self) -> int:
-        with self._lock:
-            return super().read()
-
-    def set(self, bit: int) -> None:
-        with self._lock:
-            super().set(bit)
-
-
 def _gil_enabled() -> bool:
     """Whether this interpreter runs with the GIL (always true before
     the free-threaded builds of 3.13; ``sys._is_gil_enabled`` after)."""
@@ -454,10 +361,10 @@ class ThreadSafeToggle:
     longer atomic, so the constructor detects that and routes flips
     through an internal lock instead — same semantics, locked speed.
 
-    Deliberately not part of an :class:`AtomicsFlavor`: the tick
-    counter only supports ``flip()`` (a toggle you could ``set`` or
-    ``read`` mid-flight would need the lock the whole point is to
-    avoid). Quiescent state lives in the retirement counters, not here.
+    Deliberately not a :class:`ToggleBit` subclass: the tick counter
+    only supports ``flip()`` (a toggle you could ``set`` or ``read``
+    mid-flight would need the lock the whole point is to avoid).
+    Quiescent state lives in the retirement counters, not here.
     """
 
     __slots__ = ("_ticks", "_lock")
@@ -536,12 +443,11 @@ class TokenLedger(Generic[K]):
     def reader(self) -> Callable[..., Any]:
         """A bound, C-level read callable (``dict.get``) for hot paths.
 
-        Reading one key is atomic under the GIL in every flavor, so the
-        reader is safe to hoist and call lock-free; it must never be
-        used to mutate. Missing keys read as ``None`` (the raw
-        ``dict.get`` default), unlike :meth:`get`'s 0. A hoisted reader
-        observes the dict it was created from: :meth:`reset` swaps the
-        underlying dict and invalidates previously handed-out readers.
+        The reader is safe to hoist; it must never be used to mutate.
+        Missing keys read as ``None`` (the raw ``dict.get`` default),
+        unlike :meth:`get`'s 0. A hoisted reader observes the dict it
+        was created from: :meth:`reset` swaps the underlying dict and
+        invalidates previously handed-out readers.
         """
         return self._entries.get
 
@@ -580,8 +486,6 @@ class TokenLedger(Generic[K]):
         return bool(self._entries)
 
     def __eq__(self, other: object) -> bool:
-        # snapshot() both sides (sequentially, never nested) so locked
-        # ledgers are read under their own lock without deadlock risk.
         if isinstance(other, TokenLedger):
             return self.snapshot() == other.snapshot()
         if isinstance(other, dict):
@@ -601,63 +505,11 @@ class TokenLedger(Generic[K]):
         return "%s(%r)" % (type(self).__name__, self._entries)
 
 
-class LockedTokenLedger(TokenLedger[K]):
-    """:class:`TokenLedger` with mutations and snapshots locked."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, initial: Optional[Mapping[K, int]] = None) -> None:
-        super().__init__(initial)
-        self._lock = threading.Lock()
-
-    def post(self, key: K, amount: int = 1) -> int:
-        with self._lock:
-            return super().post(key, amount)
-
-    def fetch_post(self, key: K, amount: int = 1) -> int:
-        with self._lock:
-            return super().fetch_post(key, amount)
-
-    def settle(self, key: K, amount: int = 1) -> int:
-        with self._lock:
-            return super().settle(key, amount)
-
-    def clear_balance(self, key: K) -> int:
-        with self._lock:
-            return super().clear_balance(key)
-
-    def reset(self) -> None:
-        with self._lock:
-            super().reset()
-
-    def snapshot(self) -> Dict[K, int]:
-        with self._lock:
-            return super().snapshot()
-
-    # -- locked reads ---------------------------------------------------
-    # Single-key reads (balance/get/__getitem__/__contains__/__len__)
-    # stay lock-free: each is one C-level dict operation, atomic under
-    # the GIL (see :meth:`TokenLedger.reader`). Iteration is not — it
-    # interleaves with writers — so the iterating reads go through a
-    # locked snapshot.
-    def keys(self) -> Iterable[K]:
-        return self.snapshot().keys()
-
-    def items(self) -> Iterable[Tuple[K, int]]:
-        return self.snapshot().items()
-
-    def values(self) -> Iterable[int]:
-        return self.snapshot().values()
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self.snapshot())
-
-
 class GuardedMap(Generic[K, V]):
     """A keyed object map whose mutations are two named operations:
     ``put`` (insert/replace) and ``take`` (remove-and-return). Used for
     pending-RPC continuations and the cut network's live component
-    states, where Pass 6 flagged raw ``d[k] = v`` / ``d.pop(k)`` pairs.
+    states, in place of raw ``d[k] = v`` / ``d.pop(k)`` pairs.
     """
 
     __slots__ = ("_entries",)
@@ -675,7 +527,7 @@ class GuardedMap(Generic[K, V]):
 
     def ensure(self, key: K, factory: Callable[[], V]) -> V:
         """Return ``key``'s value, creating it via ``factory`` first if
-        absent (an explicit, lockable ``setdefault``)."""
+        absent (an explicit ``setdefault``)."""
         try:
             return self._entries[key]
         except KeyError:
@@ -723,8 +575,6 @@ class GuardedMap(Generic[K, V]):
         return bool(self._entries)
 
     def __eq__(self, other: object) -> bool:
-        # snapshot() both sides (sequentially, never nested) so locked
-        # maps are read under their own lock without deadlock risk.
         if isinstance(other, GuardedMap):
             return self.snapshot() == other.snapshot()
         if isinstance(other, dict):
@@ -744,104 +594,6 @@ class GuardedMap(Generic[K, V]):
         return "%s(%r)" % (type(self).__name__, self._entries)
 
 
-class LockedGuardedMap(GuardedMap[K, V]):
-    """:class:`GuardedMap` with mutations and snapshots locked."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, initial: Optional[Mapping[K, V]] = None) -> None:
-        super().__init__(initial)
-        self._lock = threading.Lock()
-
-    def put(self, key: K, value: V) -> None:
-        with self._lock:
-            super().put(key, value)
-
-    def take(self, key: K, default: Optional[V] = None) -> Optional[V]:
-        with self._lock:
-            return super().take(key, default)
-
-    def ensure(self, key: K, factory: Callable[[], V]) -> V:
-        with self._lock:
-            return super().ensure(key, factory)
-
-    def reset(self, initial: Optional[Mapping[K, V]] = None) -> None:
-        with self._lock:
-            super().reset(initial)
-
-    def snapshot(self) -> Dict[K, V]:
-        with self._lock:
-            return super().snapshot()
-
-    # -- locked reads ---------------------------------------------------
-    # Same policy as LockedTokenLedger: single-key reads are one
-    # GIL-atomic dict operation and stay lock-free; iteration reads a
-    # locked point-in-time snapshot.
-    def keys(self) -> Iterable[K]:
-        return self.snapshot().keys()
-
-    def values(self) -> Iterable[V]:
-        return self.snapshot().values()
-
-    def items(self) -> Iterable[Tuple[K, V]]:
-        return self.snapshot().items()
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self.snapshot())
-
-
-@dataclass(frozen=True)
-class AtomicsFlavor:
-    """One selectable family of atomic facades.
-
-    A backend picks a flavor once (``flavor("locked")``) and constructs
-    every counter through it; the event-loop backend uses the single-
-    thread family, a shared-memory backend the locked one.
-    """
-
-    name: str
-    counter: Type[AtomicCounter]
-    per_wire: Type[PerWireCounters]
-    toggle: Type[ToggleBit]
-    ledger: Type[TokenLedger]
-    guarded_map: Type[GuardedMap]
-
-
-SINGLE_THREAD = AtomicsFlavor(
-    name="single-thread",
-    counter=AtomicCounter,
-    per_wire=PerWireCounters,
-    toggle=ToggleBit,
-    ledger=TokenLedger,
-    guarded_map=GuardedMap,
-)
-
-LOCKED = AtomicsFlavor(
-    name="locked",
-    counter=LockedAtomicCounter,
-    per_wire=LockedPerWireCounters,
-    toggle=LockedToggleBit,
-    ledger=LockedTokenLedger,
-    guarded_map=LockedGuardedMap,
-)
-
-FLAVORS: Dict[str, AtomicsFlavor] = {
-    SINGLE_THREAD.name: SINGLE_THREAD,
-    LOCKED.name: LOCKED,
-}
-
-
-def flavor(name: str) -> AtomicsFlavor:
-    """Look up a flavor by name (``single-thread`` or ``locked``)."""
-    try:
-        return FLAVORS[name]
-    except KeyError:
-        raise ValueError(
-            "unknown atomics flavor %r (choose from %s)"
-            % (name, ", ".join(sorted(FLAVORS)))
-        ) from None
-
-
 def _as_number(other: Any) -> Number:
     if isinstance(other, AtomicCounter):
         # get(), not _value: a locked counter must be read under its lock.
@@ -855,19 +607,10 @@ def _as_number(other: Any) -> Number:
 
 __all__ = [
     "AtomicCounter",
-    "AtomicsFlavor",
-    "FLAVORS",
     "GuardedMap",
-    "LOCKED",
     "LockedAtomicCounter",
-    "LockedGuardedMap",
-    "LockedPerWireCounters",
-    "LockedToggleBit",
-    "LockedTokenLedger",
     "PerWireCounters",
-    "SINGLE_THREAD",
     "ThreadSafeToggle",
     "ToggleBit",
     "TokenLedger",
-    "flavor",
 ]

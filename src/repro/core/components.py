@@ -74,9 +74,9 @@ class ComponentState:
     counter is ``x = total % spec.width``; the route of the next token
     is a pure function of ``total``.
 
-    The traversal counter lives behind an :class:`AtomicCounter` (the
-    thread-readiness contract); ``total`` stays a plain-int property so
-    split/merge replay, audits and tests keep exact-integer semantics.
+    The traversal counter lives behind an :class:`AtomicCounter`;
+    ``total`` stays a plain-int property so split/merge replay, audits
+    and tests keep exact-integer semantics.
     """
 
     def __init__(
@@ -86,7 +86,6 @@ class ComponentState:
         arrivals: Optional[Dict[int, int]] = None,
     ) -> None:
         self.spec = spec
-        # repro: owned-by: shared
         self._traversed = AtomicCounter(int(total))
         self.arrivals: Dict[int, int] = dict(arrivals) if arrivals else {}
 

@@ -208,13 +208,12 @@ class CutNetwork:
         self.tree = cut.tree
         self.width = cut.tree.width
         self.wiring = wiring if wiring is not None else Wiring(cut.tree, convention)
-        # repro: owned-by: shared
         self.states: GuardedMap[Path, ComponentState] = GuardedMap(
             {spec.path: ComponentState(spec) for spec in cut.members()}
         )
-        self.output_counts = PerWireCounters(self.width)  # repro: owned-by: shared
-        self.tokens_in = AtomicCounter()  # repro: owned-by: shared
-        self.tokens_out = AtomicCounter()  # repro: owned-by: shared
+        self.output_counts = PerWireCounters(self.width)
+        self.tokens_in = AtomicCounter()
+        self.tokens_out = AtomicCounter()
         self._edges: Dict[Tuple[Path, int], Tuple] = {}
         self._input_map: Dict[int, Tuple[Path, int]] = {}
         self._topo_cache: Optional[List[Path]] = None

@@ -31,10 +31,9 @@ class CountingTree:
         self.num_leaves = 1 << depth
         # Toggles stored as a heap-shaped array: node 1 is the root,
         # node n has children 2n and 2n+1.
-        # repro: owned-by: shared
         self._toggles = [ToggleBit() for _ in range(self.num_leaves)]
-        self.leaf_counts = PerWireCounters(self.num_leaves)  # repro: owned-by: shared
-        self.tokens = AtomicCounter()  # repro: owned-by: shared
+        self.leaf_counts = PerWireCounters(self.num_leaves)
+        self.tokens = AtomicCounter()
 
     def next_value(self) -> int:
         """Route one token from the root; return its counter value.
@@ -72,7 +71,7 @@ class CentralCounter:
     """The trivial baseline: one counter on one node, zero parallelism."""
 
     def __init__(self):
-        self.tokens = AtomicCounter()  # repro: owned-by: shared
+        self.tokens = AtomicCounter()
 
     def next_value(self) -> int:
         return self.tokens.fetch_increment()

@@ -150,7 +150,7 @@ class BalancingNetwork:
     def __init__(self, width: int, layers: Sequence[Layer], output_order: Sequence[int]):
         topology = compile_topology(width, layers, output_order)
         self.width = width
-        self.output_counts = PerWireCounters(width)  # repro: owned-by: shared
+        self.output_counts = PerWireCounters(width)
         self._adopt(topology)
 
     def _adopt(self, topology: CompiledTopology) -> None:

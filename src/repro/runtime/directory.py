@@ -39,7 +39,7 @@ class ComponentDirectory:
         #: Monotonic mutation stamp: bumped on every register/unregister,
         #: handoffs included (the client-side input-lookup cache is keyed
         #: by it).
-        self._generation = 0  # repro: owned-by: single-writer
+        self._generation = 0
         #: Memo of ``live_paths()``; dropped when a path enters or leaves.
         self._live_memo: Optional[FrozenSet[Path]] = None
         #: The edge table (Section 3.5's remembered out-neighbours):
@@ -48,11 +48,11 @@ class ComponentDirectory:
         #: never an owner, and depends on the live set only through the
         #: descent that ends at its destination; :meth:`_changed` holds
         #: the drop rule.
-        self._edges: GuardedMap[EdgeKey, Tuple] = GuardedMap()  # repro: owned-by: shared
+        self._edges: GuardedMap[EdgeKey, Tuple] = GuardedMap()
         #: destination path -> the edge keys resolved to it.
-        self._edges_to: GuardedMap[Path, Set[EdgeKey]] = GuardedMap()  # repro: owned-by: shared
+        self._edges_to: GuardedMap[Path, Set[EdgeKey]] = GuardedMap()
         #: path -> number of live paths strictly below it.
-        self._live_below: Dict[Path, int] = {}  # repro: owned-by: single-writer
+        self._live_below: Dict[Path, int] = {}
 
     # ------------------------------------------------------------------
     # naming and placement

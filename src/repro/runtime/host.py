@@ -49,7 +49,7 @@ class NodeHost(SimulatedProcess):
         self._edge_of = system.directory.edge_reader()
         self.cache_hits = 0
         self.cache_misses = 0
-        self.tokens_routed = AtomicCounter()  # repro: owned-by: shared
+        self.tokens_routed = AtomicCounter()
 
     @property
     def node_id(self) -> int:
@@ -99,7 +99,7 @@ class NodeHost(SimulatedProcess):
             # lookup ever instead of one per message.
             from repro.runtime.combining import BatchTokenMsg as _cls
 
-            BatchTokenMsg = _BatchTokenMsg = _cls  # repro: thread-safe: write-once import memo, idempotent
+            BatchTokenMsg = _BatchTokenMsg = _cls
         if isinstance(message, TokenMsg):
             self._handle_one(message.path, message.port, message.token)
         elif isinstance(message, BatchTokenMsg):

@@ -48,7 +48,7 @@ class Reconfigurator:
         self.system = system
         #: (kind, width) -> child indices fed by the parent's own inputs;
         #: a pure function of the fixed wiring, filled on first use.
-        self._input_fed_cache: Dict[Tuple, frozenset] = {}  # repro: owned-by: single-writer
+        self._input_fed_cache: Dict[Tuple, frozenset] = {}
 
     # ------------------------------------------------------------------
     # split

@@ -42,7 +42,7 @@ class _Deployment:
         self.bus = MessageBus(self.sim, latency or ConstantLatency(1.0), service_time)
         self.rng = random.Random(seed + 1)
         self.token_stats = TokenStats()
-        self._token_counter = AtomicCounter()  # repro: owned-by: shared
+        self._token_counter = AtomicCounter()
         self._processes: Dict[int, "_ObjectHost"] = {}
         for _ in range(num_nodes):
             node = self.ring.join()
@@ -106,10 +106,9 @@ class StaticBitonicDeployment(_Deployment):
                 mapping[top] = index
                 mapping[bottom] = index
             self._wire_to_balancer.append(mapping)
-        # repro: owned-by: shared
         self._toggles: TokenLedger[Tuple[int, int]] = TokenLedger()
         self._homes: Dict[Tuple[int, int], int] = {}
-        self.output_counts = PerWireCounters(self.width)  # repro: owned-by: shared
+        self.output_counts = PerWireCounters(self.width)
         self._position = {wire: j for j, wire in enumerate(network.output_order)}
 
     @property
@@ -165,7 +164,7 @@ class CentralCounterDeployment(_Deployment):
     def __init__(self, num_nodes: int, **kwargs):
         super().__init__(num_nodes, **kwargs)
         self._home = self.object_home("central-counter")
-        self._count = AtomicCounter()  # repro: owned-by: shared
+        self._count = AtomicCounter()
 
     @property
     def num_objects(self) -> int:

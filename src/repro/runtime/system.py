@@ -116,10 +116,9 @@ class AdaptiveCountingSystem:
         self._live_nodes: List[int] = []
         self.stats = SystemStats()
         self.token_stats = TokenStats()
-        self.injected_per_wire = PerWireCounters(width)  # repro: owned-by: shared
-        self.output_counts = PerWireCounters(width)  # repro: owned-by: shared
+        self.injected_per_wire = PerWireCounters(width)
+        self.output_counts = PerWireCounters(width)
         self.lost_components: Set[Path] = set()
-        # repro: owned-by: shared
         self._inflight: TokenLedger[Path] = TokenLedger()
         # Exact emitted-but-not-arrived accounting, used by crash
         # recovery: (path, port) -> tokens owed to that input. A token
@@ -127,13 +126,12 @@ class AdaptiveCountingSystem:
         # moves keys when rerouted, so ``Stabilizer.reconstruct`` can
         # subtract tokens its in-neighbours counted as departed that
         # have not actually arrived.
-        # repro: owned-by: shared
         self._owed: TokenLedger[Tuple[Path, int]] = TokenLedger()
         # Injected tokens whose input lookup failed and is pending a
         # retry, per network wire: counted in ``injected_per_wire`` but
         # not yet owed to any component.
-        self._inject_pending = PerWireCounters(width)  # repro: owned-by: shared
-        self._token_counter = AtomicCounter()  # repro: owned-by: shared
+        self._inject_pending = PerWireCounters(width)
+        self._token_counter = AtomicCounter()
         self._next_wire = 0
         self._retire_callbacks: List[Callable[[Token], None]] = []
         self.combiner = (

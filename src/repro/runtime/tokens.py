@@ -98,14 +98,14 @@ class TokenStats:
     quiescence.
     """
 
-    # Each statistic is an AtomicCounter (thread-readiness contract);
-    # the counters compare/add like the plain ints they replaced, and
-    # `stats.issued += n` still works (one atomic add, same object).
-    issued: AtomicCounter = field(default_factory=AtomicCounter)  # repro: owned-by: shared
-    retired: AtomicCounter = field(default_factory=AtomicCounter)  # repro: owned-by: shared
-    dropped: AtomicCounter = field(default_factory=AtomicCounter)  # repro: owned-by: shared
-    total_hops: AtomicCounter = field(default_factory=AtomicCounter)  # repro: owned-by: shared
-    total_reroutes: AtomicCounter = field(default_factory=AtomicCounter)  # repro: owned-by: shared
+    # Each statistic is an AtomicCounter: the counters compare/add like
+    # the plain ints they replaced, and `stats.issued += n` still works
+    # (one named add, same object).
+    issued: AtomicCounter = field(default_factory=AtomicCounter)
+    retired: AtomicCounter = field(default_factory=AtomicCounter)
+    dropped: AtomicCounter = field(default_factory=AtomicCounter)
+    total_hops: AtomicCounter = field(default_factory=AtomicCounter)
+    total_reroutes: AtomicCounter = field(default_factory=AtomicCounter)
     latencies: list = field(default_factory=list)
 
     def record_retired(self, token: Token) -> None:

@@ -28,7 +28,7 @@ offset    stream
 
 The smoke matrix (:mod:`repro.scenarios.smoke`) digests the summary
 plus the run's recorded metrics into the committed fingerprint; the
-sanitizer (:mod:`repro.staticcheck.concurrency.sanitize`) compares the
+sanitizer (:mod:`repro.staticcheck.sanitize`) compares the
 summaries of two runs under one perturbed schedule.
 """
 

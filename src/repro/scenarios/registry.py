@@ -10,7 +10,7 @@ Two consumers, one runner (:func:`repro.scenarios.compile.run_scenario`):
 * the smoke matrix (:mod:`repro.scenarios.smoke`) runs every library
   scenario and pins its fingerprint;
 * the schedule-perturbation sanitizer
-  (:mod:`repro.staticcheck.concurrency.sanitize`) re-runs every library
+  (:mod:`repro.staticcheck.sanitize`) re-runs every library
   scenario under reordered same-timestamp events.
 """
 

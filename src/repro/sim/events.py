@@ -61,13 +61,13 @@ Same-timestamp events are FIFO-ordered by default (bucket order equals
 scheduling order). That order is *one legal schedule* among many: any
 interleaving of same-timestamp events is permitted by the model, and
 code that is only correct under the FIFO accident is code that will
-break the moment real threads (or a real network) reorder it. A
+break the moment a real network reorders it. A
 :class:`SchedulePolicy` makes the tie-break pluggable:
 :class:`FifoPolicy` reproduces the historical order bit-for-bit, and
 :class:`PerturbedPolicy` re-keys same-timestamp ties with a seeded RNG
 and can add bounded delivery-delay jitter on the message plane — the
 schedule-perturbation sanitizer (``repro check --sanitize``) runs the
-bench scenarios under it and asserts the invariant set still holds.
+scenario library under it and asserts the invariant set still holds.
 Policies are installed per-simulator at construction, snapshotting the
 module-level :data:`POLICY_FACTORY` swap point (see
 :func:`schedule_policy`); with no policy installed the scheduling hot
@@ -160,7 +160,7 @@ def schedule_policy(
     ``repro.obs.recorder.recording``: the module attribute changes only
     here, between runs, never while a simulator is executing.
     """
-    global POLICY_FACTORY  # repro: thread-safe: designated swap point; mutated only between runs, and simulators snapshot the factory at construction
+    global POLICY_FACTORY
     previous = POLICY_FACTORY
     POLICY_FACTORY = factory
     try:
@@ -224,11 +224,11 @@ class Simulator:
         #: counters (read by :meth:`pool_stats`, mutated only by the
         #: event loop).
         self._handle_pool: List[EventHandle] = []
-        self._handles_created = 0  # repro: owned-by: single-writer
-        self._handles_reused = 0  # repro: owned-by: single-writer
+        self._handles_created = 0
+        self._handles_reused = 0
         self._sequence = itertools.count()
         #: Cancelled entries still sitting in buckets (lazy deletion).
-        self._cancelled = AtomicCounter()  # repro: owned-by: shared
+        self._cancelled = AtomicCounter()
         #: Remaining ``max_events`` slots of the innermost bounded run,
         #: or None when unbounded; shared with the bus's inline path so
         #: the bound stays exact (see :meth:`claim_inline_slot`).
@@ -244,7 +244,7 @@ class Simulator:
         #: run on every schedule).
         self._enqueue = self._enqueue_fifo if self._fifo else self._enqueue_keyed
         self.now = 0.0
-        self.events_run = AtomicCounter()  # repro: owned-by: shared
+        self.events_run = AtomicCounter()
 
     # ------------------------------------------------------------------
     # scheduling

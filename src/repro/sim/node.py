@@ -188,30 +188,30 @@ class MessageBus:
         self.latency = latency or ConstantLatency(1.0)
         self.service_time = service_time
         self._processes: Dict[Hashable, SimulatedProcess] = {}
-        self._busy_until: GuardedMap[Hashable, float] = GuardedMap()  # repro: owned-by: shared
+        self._busy_until: GuardedMap[Hashable, float] = GuardedMap()
         #: Monotonic per-address registration count. A message captures
         #: the destination's epoch at send time; if the address was
         #: unregistered and re-registered while the message was in
         #: flight, the new incarnation must not receive mail addressed
         #: to the old one (the classic re-registration ABA hazard).
-        self._epochs: TokenLedger[Hashable] = TokenLedger()  # repro: owned-by: shared
+        self._epochs: TokenLedger[Hashable] = TokenLedger()
         #: Hoisted lock-free readers (C-level ``dict.get``) for the two
         #: per-message lookups; neither ledger is ever reset(), so the
         #: readers stay valid for the bus's lifetime.
         self._epoch_of = self._epochs.reader()
         self._busy_of = self._busy_until.reader()
-        self.messages_sent = AtomicCounter()  # repro: owned-by: shared
-        self.messages_delivered = AtomicCounter()  # repro: owned-by: shared
-        self.messages_dropped = AtomicCounter()  # repro: owned-by: shared
-        self._in_flight_by_kind: TokenLedger[str] = TokenLedger()  # repro: owned-by: shared
+        self.messages_sent = AtomicCounter()
+        self.messages_delivered = AtomicCounter()
+        self.messages_dropped = AtomicCounter()
+        self._in_flight_by_kind: TokenLedger[str] = TokenLedger()
         #: Hoisted ledger mutators for the per-message hot path.
         self._post_kind = self._in_flight_by_kind.post
         self._settle_kind = self._in_flight_by_kind.settle
         #: Envelope freelist and its traffic counters (sim-loop work
         #: only — acquire in send, release at delivery/drop).
-        self._envelope_pool: List[Envelope] = []  # repro: owned-by: single-writer
-        self._envelopes_created = 0  # repro: owned-by: single-writer
-        self._envelopes_reused = 0  # repro: owned-by: single-writer
+        self._envelope_pool: List[Envelope] = []
+        self._envelopes_created = 0
+        self._envelopes_reused = 0
 
     # ------------------------------------------------------------------
     # envelope pool

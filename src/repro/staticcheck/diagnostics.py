@@ -1,4 +1,4 @@
-"""Diagnostic model shared by all three analysis passes.
+"""Diagnostic model shared by all analysis passes.
 
 A :class:`Diagnostic` is one finding: a stable error code, a message,
 and a *location* — either ``source:line`` for lint findings or a
@@ -19,14 +19,7 @@ Error-code blocks
 ``RSC5xx``
     Bounded model checking of the live protocols.
 ``RSC6xx``
-    Concurrency: static shared-state/atomicity rules (601-605) and the
-    schedule-perturbation sanitizer (610/611); RSC600 covers analysis
-    limitations and contract/baseline hygiene.
-``RSC7xx``
-    Ownership & lock discipline: the ownership/guard contract grammar
-    (700), unguarded shared writes (701), lock-order cycles (702),
-    contract/inference mismatches (703), and atomics-helper misuse
-    (704) — the thread-readiness certification pass.
+    The schedule-perturbation sanitizer (610/611).
 
 :data:`KNOWN_CODES` is the authoritative registry: every code any pass
 may emit, with a one-line meaning. The JSON schema test asserts that
@@ -85,21 +78,9 @@ KNOWN_CODES: Dict[str, str] = {
     "RSC503": "successor graph splits into more than one ring",
     "RSC504": "issued token never assigned an output wire (crash-free run)",
     "RSC505": "quiescent output counts violate the step property",
-    # Pass 6 — concurrency (static rules + schedule sanitizer).
-    "RSC600": "concurrency-pass limitation, bare thread-safe marker, or stale baseline entry",
-    "RSC601": "check-then-act: continuation acts on state tested before registration",
-    "RSC602": "compound read-modify-write on shared state (not atomic under threads)",
-    "RSC603": "module-level mutable state mutated outside a designated swap point",
-    "RSC604": "mutable container escapes its owner (unlocked structure shared)",
-    "RSC605": "continuation touches state in an epoch-bearing class without an epoch guard",
+    # Pass 6 — schedule-perturbation sanitizer.
     "RSC610": "invariant broken under adversarial same-timestamp event reordering",
     "RSC611": "nondeterministic results under a fixed perturbation seed",
-    # Pass 7 — ownership & lock discipline (thread-readiness).
-    "RSC700": "ownership contract grammar/coverage error (bad domain, bad guard, dangling comment)",
-    "RSC701": "write to a declared-shared attribute outside any atomics helper or guard",
-    "RSC702": "lock-order cycle in the synchronization-object acquisition graph",
-    "RSC703": "declared ownership domain contradicted by the inferred access pattern",
-    "RSC704": "atomics-helper misuse (internals poked, container mutator, rebound outside init)",
 }
 
 

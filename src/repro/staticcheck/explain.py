@@ -7,7 +7,7 @@ same shape as the negative fixtures under ``tests/staticcheck/``. The
 schema test asserts this registry covers the code registry exactly, so
 an explanation cannot go missing or stale-reference a removed code.
 
-``repro check --explain RSC601`` renders one entry; an unknown code is
+``repro check --explain RSC610`` renders one entry; an unknown code is
 a usage error (exit 2).
 """
 
@@ -204,8 +204,7 @@ EXPLANATIONS: Dict[str, Explanation] = {
     ),
     "RSC405": Explanation(
         "A registered continuation that mutates shared state without a "
-        "liveness/epoch guard may run after the world changed — the "
-        "flow-graph ancestor of RSC601/RSC605.",
+        "liveness/epoch guard may run after the world changed.",
         "on_reply=lambda r: self.table.update(r)  # no guard",
     ),
     # ------------------------------------------------------------------
@@ -245,85 +244,15 @@ EXPLANATIONS: Dict[str, Explanation] = {
         "output counts [3, 1] at quiescence  # gap of 2",
     ),
     # ------------------------------------------------------------------
-    # Pass 6 — concurrency
+    # Pass 6 — schedule-perturbation sanitizer
     # ------------------------------------------------------------------
-    "RSC600": Explanation(
-        "Three hygiene conditions share this code: the pass could not "
-        "read a file (coverage gap), a '# repro: thread-safe' marker "
-        "has no justification (a contract needs a reason), or a "
-        "baseline entry matches no current finding (the triage ledger "
-        "must not rot).",
-        "# repro: thread-safe\n"
-        "class Registry: ...  # marker with no ': <why>'",
-    ),
-    "RSC601": Explanation(
-        "A method tests self.X, then registers a continuation (reply "
-        "handler, timer, scheduled closure) that writes self.X. By the "
-        "time the continuation runs, arbitrary events have executed: "
-        "the test is stale. Under the event loop this is a logic "
-        "hazard; under threads it is a textbook race. Re-read the "
-        "attribute inside the continuation.",
-        "if not self.busy:\n"
-        "    self._pending[rid] = lambda r: self._apply(r)\n"
-        "# continuation sets self.busy without re-checking it",
-    ),
-    "RSC602": Explanation(
-        "self.count += 1 is a load, an add, and a store. The event "
-        "loop runs handlers to completion so the three steps never "
-        "interleave — an accident of the execution model, not a "
-        "property of the code. The threads backend (ROADMAP) removes "
-        "the accident; counter state needs locks, atomics, or "
-        "per-thread shards first. Findings triaged as event-loop-only "
-        "live in CONCURRENCY_BASELINE.txt.",
-        "def handle_message(self, m):\n"
-        "    self.tokens_retired += 1  # RMW on shared counter",
-    ),
-    "RSC603": Explanation(
-        "Module-level mutable state written from function scope is a "
-        "process-wide race under threads. Deliberate swap points (the "
-        "repro.obs.recorder.ACTIVE pattern: installed between runs, "
-        "read-only during them) carry a '# repro: thread-safe: <why>' "
-        "annotation on the mutation line; everything else is a "
-        "finding.",
-        "ACTIVE = NullRecorder()\n"
-        "def install(r):\n"
-        "    global ACTIVE\n"
-        "    ACTIVE = r  # unannotated global swap",
-    ),
-    "RSC604": Explanation(
-        "A mutable container built in __init__ and passed to another "
-        "object gives two owners one unlocked structure; neither "
-        "class's locking discipline can cover both. On a class "
-        "annotated thread-safe this is a contract violation and is "
-        "never suppressed — the annotation cannot hold once aliases "
-        "escape. Hand out copies or immutable views instead.",
-        "def __init__(self):\n"
-        "    self.table = {}\n"
-        "def attach(self, peer):\n"
-        "    peer.adopt(self.table)  # alias escapes",
-    ),
-    "RSC605": Explanation(
-        "A class that maintains an epoch/version/incarnation counter "
-        "has declared that its state has generations — so every "
-        "continuation must check it still acts on the generation it "
-        "captured (the Envelope.sent_epoch pattern guards exactly "
-        "this re-registration ABA hazard). A continuation touching "
-        "state without comparing any epoch value may apply a stale "
-        "decision to a new incarnation.",
-        "self.epoch += 1  # class is epoch-bearing\n"
-        "self.sim.schedule(t, lambda: self._retry(token))\n"
-        "# _retry never compares a captured epoch",
-    ),
     "RSC610": Explanation(
         "The sanitizer re-ran a library scenario (repro.scenarios) with "
         "same-timestamp events reordered by a seeded RNG — a schedule every "
         "correct implementation must tolerate, since FIFO tie-breaking "
         "is an implementation detail, not a spec. An invariant failure "
         "(token conservation, step property, verify()) or crash under "
-        "such a schedule is a demonstrated ordering dependence, found "
-        "without threads. It also revokes baseline suppressions in the "
-        "same invocation: 'the event loop saves us' just stopped being "
-        "true.",
+        "such a schedule is a demonstrated ordering dependence.",
         "repro check --sanitize=3  # scenario fails under seed 2",
     ),
     "RSC611": Explanation(
@@ -332,78 +261,9 @@ EXPLANATIONS: Dict[str, Explanation] = {
         "Divergence (or a crash only the second run hits) means "
         "nondeterminism *beyond* the schedule — typically iteration over "
         "an unordered container "
-        "or leaked cross-run global state — which would make any "
-        "threads-backend bug unreproducible. Fix this before anything "
-        "else.",
+        "or leaked cross-run global state — which would make every "
+        "other finding unreproducible. Fix this before anything else.",
         "for node in self.members_set: ...  # set iteration order leaks",
-    ),
-    # ------------------------------------------------------------------
-    # Pass 7 — ownership & lock discipline
-    # ------------------------------------------------------------------
-    "RSC700": Explanation(
-        "Ownership contracts are verified, not trusted — but only if "
-        "they parse and anchor. The grammar is '# repro: owned-by: "
-        "<domain>' (sim-loop-confined | single-writer | shared) or "
-        "'# repro: guarded-by: <sync-object>', trailing on an attribute "
-        "declaration or standalone on the line directly above it. An "
-        "unknown domain, a guard naming no attribute the class "
-        "initialises, or a comment anchoring to no declaration is a "
-        "contract that certifies nothing.",
-        "self.total = 0  # repro: owned-by: exclusive  # not a domain",
-    ),
-    "RSC701": Explanation(
-        "Declaring an attribute 'owned-by: shared' (or naming a guard) "
-        "is a promise that every mutation is one atomic operation: a "
-        "repro.core.atomics helper call, or a plain write inside 'with "
-        "self.<guard>:'. A bare '+=' or container poke on such an "
-        "attribute is exactly the compound read-modify-write Pass 6 "
-        "flags as RSC602 — the contract comment does not make it "
-        "atomic.",
-        "self.total = 0  # repro: owned-by: shared\n"
-        "...\n"
-        "def bump(self):\n"
-        "    self.total += 1  # load/add/store, no helper, no guard",
-    ),
-    "RSC702": Explanation(
-        "If one code path acquires lock A then B while another "
-        "acquires B then A, there is a schedule where each holds one "
-        "and waits forever on the other. The pass builds a per-class "
-        "acquisition graph from lexically nested 'with self.<lock>:' "
-        "blocks plus one level of self-method call propagation; any "
-        "cycle is a deadlock no event-loop discipline can excuse.",
-        "def fwd(self):\n"
-        "    with self.lock_a:\n"
-        "        with self.lock_b: ...\n"
-        "def rev(self):\n"
-        "    with self.lock_b:\n"
-        "        with self.lock_a: ...",
-    ),
-    "RSC703": Explanation(
-        "A domain declaration is a checkable claim about who mutates "
-        "the attribute: 'sim-loop-confined' claims every mutating "
-        "method is handler-reachable (the event loop serialises them), "
-        "'single-writer' claims exactly one method writes. The pass "
-        "infers the actual writer set from the access map and reports "
-        "the contradiction rather than trusting the comment — 'shared' "
-        "is the weakest claim and is never contradicted.",
-        "self.count = 0  # repro: owned-by: single-writer\n"
-        "...\n"
-        "def advance(self): self.count = 1\n"
-        "def rewind(self): self.count = 0  # second writer",
-    ),
-    "RSC704": Explanation(
-        "The atomics helpers are safe only through their named "
-        "operations: the single-thread flavor relies on each operation "
-        "being one C-level step, the locked flavor on each taking the "
-        "lock. Poking internals (self.x._value = n), calling a "
-        "container mutator (self.x.update(...)), subscript-assigning, "
-        "or rebinding the helper attribute outside init bypasses both "
-        "disciplines — readers may hold the old object, and the "
-        "mutation races.",
-        "self.total = AtomicCounter()\n"
-        "...\n"
-        "def poke(self):\n"
-        "    self.total._value = 99  # bypasses the atomic operations",
     ),
 }
 

@@ -1,8 +1,9 @@
-"""The schedule-perturbation sanitizer (``repro check --sanitize``).
+"""Pass 6 — the schedule-perturbation sanitizer (``repro check --sanitize``).
 
-The static rules (:mod:`.rules`) predict which state goes wrong when
-event-loop atomicity disappears. This module *demonstrates* schedule
-sensitivity today, without threads: it re-executes the scenario library
+The paper's model is asynchronous message passing: a node handles one
+message at a time, and the only freedom the model leaves is the *order*
+of concurrent deliveries. This module attacks exactly that freedom by
+running the real system: it re-executes the scenario library
 (:mod:`repro.scenarios`) through ``run_scenario`` with a
 :class:`~repro.sim.events.PerturbedPolicy` installed, so same-timestamp
 events run in a seeded-random order instead of FIFO — every perturbed
@@ -41,6 +42,7 @@ import os
 import random
 import traceback
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.scenarios.compile import run_scenario
@@ -140,10 +142,17 @@ def run_sanitizer(
     once more to check the perturbed run reproduces its own summary
     (RSC611 on mismatch or on a crash the first run did not have).
     Findings are appended to ``report``. An unknown scenario name is a
-    usage error (:class:`~repro.scenarios.spec.ScenarioSpecError`).
+    usage error (:class:`~repro.scenarios.spec.ScenarioSpecError`), and
+    so is a negative or non-finite ``max_jitter`` (``ValueError``):
+    both are rejected here, before anything runs or is written, rather
+    than by every run's ``PerturbedPolicy`` as a schedule finding.
     """
     if config is None:
         config = SanitizerConfig()
+    if config.max_jitter < 0 or not isfinite(config.max_jitter):
+        raise ValueError(
+            "max_jitter must be finite and >= 0, got %r" % (config.max_jitter,)
+        )
     if report is None:
         report = Report()
     outcome = SanitizerOutcome()

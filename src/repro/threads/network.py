@@ -78,24 +78,19 @@ class ThreadedCountingNetwork:
     locking.
     """
 
-    # repro: thread-safe: routing tables and the position map are frozen
-    # after __init__ (reads only); every mutable cell is an atomics
-    # helper (ThreadSafeToggle per balancer, LockedAtomicCounter per
-    # output) reached through its named atomic operations.
-
     def __init__(self, topology: CompiledTopology) -> None:
         self.width = topology.width
         self.topology = topology
         # Flat layout, global balancer indices — read-only after init.
-        self._tables: List[RoutingTable] = topology.flat_tables()  # repro: owned-by: single-writer
-        self._position: Dict[int, int] = topology.position()  # repro: owned-by: single-writer
+        self._tables: List[RoutingTable] = topology.flat_tables()
+        self._position: Dict[int, int] = topology.position()
         # One atomic toggle per balancer, one striped (independently
         # locked) retirement counter per output, initialised to the
         # output index so ranks interleave across outputs.
-        self._balancers: List[ThreadSafeToggle] = [  # repro: owned-by: shared
+        self._balancers: List[ThreadSafeToggle] = [
             ThreadSafeToggle() for _ in range(topology.num_balancers)
         ]
-        self._outputs: List[LockedAtomicCounter] = [  # repro: owned-by: shared
+        self._outputs: List[LockedAtomicCounter] = [
             LockedAtomicCounter(j) for j in range(topology.width)
         ]
 

@@ -1,36 +1,31 @@
-"""The atomics facade: single-thread determinism and locked-flavor safety.
+"""The counter facades and the two thread-safe primitives beside them.
 
-Two certification claims back the thread-readiness story:
-
-1. The single-thread flavor is a zero-cost veneer — runs through the
-   facade counters are **bit-identical** to plain-attribute arithmetic.
-   The committed scenario pins (``SCENARIO_FINGERPRINTS.json``,
-   reproduced in ``tests/scenarios/test_library.py`` and, under the
-   locked flavor, in ``test_atomics_parity.py``) hold that claim.
-2. The locked flavor really is safe under preemptive threads — a
-   hammer test drives every locked helper from many threads and
-   asserts exact totals.
+1. The facades (``AtomicCounter``, ``PerWireCounters``, ``ToggleBit``,
+   ``TokenLedger``, ``GuardedMap``) are a zero-cost veneer — runs through
+   them are **bit-identical** to plain-attribute arithmetic. The
+   committed scenario pins (``SCENARIO_FINGERPRINTS.json``, reproduced
+   in ``tests/scenarios/test_library.py``) hold that claim; the
+   semantics cases below hold the API.
+2. ``LockedAtomicCounter`` and ``ThreadSafeToggle`` — what
+   ``repro.threads`` is built from — really are safe under preemptive
+   threads: a hammer drives each from many threads and asserts exact
+   totals, on the GIL path and on the free-threaded (locked) path.
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro.core import atomics
 from repro.core.atomics import (
-    FLAVORS,
-    LOCKED,
-    SINGLE_THREAD,
     AtomicCounter,
     GuardedMap,
     LockedAtomicCounter,
-    LockedGuardedMap,
-    LockedPerWireCounters,
-    LockedTokenLedger,
-    LockedToggleBit,
     PerWireCounters,
+    ThreadSafeToggle,
     TokenLedger,
     ToggleBit,
-    flavor,
 )
 
 THREADS = 8
@@ -38,14 +33,21 @@ OPS = 2000
 
 
 def _hammer(worker):
+    """Run ``worker`` on more threads than cores, preempting often."""
     threads = [threading.Thread(target=worker) for _ in range(THREADS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
-class TestLockedFlavorUnderThreads:
+class TestLockedCounterUnderThreads:
     def test_locked_counter_exact_total(self):
         counter = LockedAtomicCounter()
 
@@ -56,7 +58,7 @@ class TestLockedFlavorUnderThreads:
         _hammer(worker)
         assert counter.get() == THREADS * OPS
 
-    def test_locked_fetch_increment_hands_out_unique_values(self):
+    def test_fetch_increment_hands_out_unique_values(self):
         counter = LockedAtomicCounter()
         seen = [set() for _ in range(THREADS)]
         lanes = iter(range(THREADS))
@@ -73,74 +75,47 @@ class TestLockedFlavorUnderThreads:
         assert len(combined) == THREADS * OPS
         assert combined == set(range(THREADS * OPS))
 
-    def test_locked_per_wire_exact_totals(self):
-        width = 4
-        wires = LockedPerWireCounters(width)
+
+@pytest.fixture(params=["native", "free-threaded"])
+def toggle(request, monkeypatch):
+    """A ``ThreadSafeToggle`` factory for both construction paths: the
+    one this interpreter selects on its own (lock-free under the GIL),
+    and the internal-lock fallback of a free-threaded build — forced,
+    since no GIL build takes it by itself."""
+    if request.param == "free-threaded":
+        monkeypatch.setattr(atomics, "_gil_enabled", lambda: False)
+
+    def build(initial=0):
+        built = ThreadSafeToggle(initial)
+        assert (built._lock is None) == atomics._gil_enabled()
+        return built
+
+    return build
+
+
+class TestThreadSafeToggle:
+    @pytest.mark.parametrize("initial", [0, 1])
+    def test_flip_sequence_is_bit_identical_to_toggle_bit(self, toggle, initial):
+        subject, reference = toggle(initial), ToggleBit(initial)
+        flips = [subject.flip() for _ in range(64)]
+        assert flips == [(initial + i) % 2 for i in range(64)]
+        assert flips == [reference.flip() for _ in range(64)]
+
+    def test_contended_flips_split_exactly_in_half(self, toggle):
+        subject = toggle()
+        seen = [[] for _ in range(THREADS)]
+        lanes = iter(seen)
+        lane_lock = threading.Lock()
 
         def worker():
-            for op in range(OPS):
-                wires.increment(op % width)
+            with lane_lock:
+                mine = next(lanes)
+            mine.extend(subject.flip() for _ in range(OPS))
 
         _hammer(worker)
-        per_wire = THREADS * OPS // width
-        assert wires.snapshot() == [per_wire] * width
-
-    def test_locked_ledger_posts_and_settles_balance_out(self):
-        ledger = LockedTokenLedger()
-
-        def worker():
-            for op in range(OPS):
-                key = op % 5
-                ledger.post(key)
-                ledger.settle(key)
-
-        _hammer(worker)
-        assert all(balance == 0 for balance in ledger.values())
-
-    def test_locked_toggle_even_flips_return_to_start(self):
-        toggle = LockedToggleBit()
-
-        def worker():
-            for _ in range(OPS):  # OPS is even
-                toggle.flip()
-
-        _hammer(worker)
-        assert toggle.read() == 0
-
-    def test_locked_guarded_map_ensure_is_atomic(self):
-        table = LockedGuardedMap()
-        created = LockedAtomicCounter()
-
-        def factory():
-            created.increment()
-            return []
-
-        def worker():
-            for _ in range(OPS):
-                table.ensure("slot", factory).append(1)
-
-        _hammer(worker)
-        # ensure() must construct the slot exactly once; every append
-        # after that lands in the same list.
-        assert created.get() == 1
-        assert len(table["slot"]) == THREADS * OPS
-
-
-class TestFlavorSelection:
-    def test_flavor_lookup(self):
-        assert flavor("single-thread") is SINGLE_THREAD
-        assert flavor("locked") is LOCKED
-        assert set(FLAVORS) == {"single-thread", "locked"}
-
-    def test_unknown_flavor_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown atomics flavor"):
-            flavor("lock-free")
-
-    def test_families_construct_their_own_types(self):
-        assert type(SINGLE_THREAD.counter()) is AtomicCounter
-        assert type(LOCKED.counter()) is LockedAtomicCounter
-        assert type(SINGLE_THREAD.ledger()) is TokenLedger
-        assert type(LOCKED.ledger()) is LockedTokenLedger
+        bits = [bit for lane in seen for bit in lane]
+        assert bits.count(0) == THREADS * OPS // 2
+        assert bits.count(1) == THREADS * OPS // 2
 
 
 class TestFacadeSemantics:

@@ -2,29 +2,21 @@
 
 Three claims, each of which has a way of silently rotting:
 
-1. ``__hash__`` is identity-based on every counter flavor — a mutable
+1. ``__hash__`` is identity-based on both counters — a mutable
    counter hashed by value vanishes from any dict/set it keys the
    moment it increments.
 2. ``__eq__``/``__ne__`` are a mirrored pair that return
    ``NotImplemented`` (not ``False``) for foreign types, so reflected
    comparisons still work.
-3. The ``Locked*`` subclasses take their lock on *reads*, not just
-   writes — ``get()``, ``int()``, comparisons and arithmetic on a
-   ``LockedAtomicCounter`` all pass through ``self._lock``, as do the
-   read facades of the other locked helpers. Verified by swapping the
-   lock for a counting probe.
+3. ``LockedAtomicCounter`` takes its lock on *reads*, not just
+   writes — ``get()``, ``int()``, comparisons and arithmetic all pass
+   through ``self._lock``. Verified by swapping the lock for a counting
+   probe.
 """
 
 import threading
 
-from repro.core.atomics import (
-    AtomicCounter,
-    LockedAtomicCounter,
-    LockedGuardedMap,
-    LockedPerWireCounters,
-    LockedToggleBit,
-    LockedTokenLedger,
-)
+from repro.core.atomics import AtomicCounter, LockedAtomicCounter
 
 
 class ProbeLock:
@@ -138,49 +130,3 @@ class TestLockedCounterReadsTakeTheLock:
         assert plain < right + 1
         assert right_probe.acquisitions == 3
 
-
-class TestOtherLockedReadFacades:
-    def test_locked_toggle_read_acquires(self):
-        toggle = LockedToggleBit(1)
-        probe = probed(toggle)
-        assert toggle.read() == 1
-        assert probe.acquisitions == 1
-
-    def test_locked_per_wire_reads_acquire(self):
-        wires = LockedPerWireCounters([1, 2, 3])
-        probe = probed(wires)
-        assert wires.get(0) == 1
-        assert wires[1] == 2
-        assert len(wires) == 3
-        # iter() directly: list(wires) would also call __len__ as a
-        # length hint and double-count the acquisition.
-        assert list(iter(wires)) == [1, 2, 3]  # iteration via locked snapshot
-        assert wires == [1, 2, 3]
-        assert probe.acquisitions == 5
-
-    def test_locked_per_wire_setitem_acquires(self):
-        wires = LockedPerWireCounters(2)
-        probe = probed(wires)
-        wires[1] = 9
-        assert probe.acquisitions == 1
-        assert wires.snapshot() == [0, 9]
-
-    def test_locked_ledger_iteration_reads_acquire(self):
-        ledger = LockedTokenLedger({"a": 1, "b": 2})
-        probe = probed(ledger)
-        assert sorted(ledger.keys()) == ["a", "b"]
-        assert sorted(ledger.items()) == [("a", 1), ("b", 2)]
-        assert sorted(ledger.values()) == [1, 2]
-        assert sorted(ledger) == ["a", "b"]
-        assert ledger == {"a": 1, "b": 2}
-        assert probe.acquisitions == 5
-
-    def test_locked_guarded_map_iteration_reads_acquire(self):
-        table = LockedGuardedMap({"x": 1})
-        probe = probed(table)
-        assert list(table.keys()) == ["x"]
-        assert list(table.values()) == [1]
-        assert list(table.items()) == [("x", 1)]
-        assert list(table) == ["x"]
-        assert table == {"x": 1}
-        assert probe.acquisitions == 5

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -62,3 +64,93 @@ class TestCheckCommand:
         assert main(
             ["check", "--width", "4", "--convention", "paper-prose", "--no-certify"]
         ) == 0
+
+
+class TestEveryRequestedPassRuns:
+    """One invocation asking for lint + protocol + a sanitizer seed runs
+    all three, and is red when any one of them is."""
+
+    LINT = ["--lint", os.path.join(REPO_SRC, "errors.py")]
+    PROTOCOL = ["--protocol"]
+    SANITIZE = ["--sanitize", "1", "--sanitize-scenarios", "steady_baseline"]
+
+    def _check(self, capsys, lint=LINT, protocol=PROTOCOL):
+        code = main(["check", "--json"] + lint + protocol + self.SANITIZE)
+        payload = json.loads(capsys.readouterr().out)
+        assert [p["name"] for p in payload["passes"]] == [
+            "lint",
+            "protocol-flow",
+            "sanitizer",
+        ]
+        assert len(payload["targets"]) == 3
+        failed = [p["name"] for p in payload["passes"] if p["findings"]]
+        return code, failed
+
+    def test_all_three_run_and_pass(self, capsys):
+        assert self._check(capsys) == (0, [])
+
+    def test_a_lint_finding_fails_the_run(self, capsys):
+        code, failed = self._check(capsys, lint=["--lint", BAD_FIXTURE])
+        assert (code, failed) == (1, ["lint"])
+
+    def test_a_protocol_finding_fails_the_run(self, capsys):
+        flow_bad = os.path.join(HERE, "fixtures", "flow_bad.py")
+        code, failed = self._check(
+            capsys, protocol=["--protocol", "--protocol-paths", flow_bad]
+        )
+        assert (code, failed) == (1, ["protocol-flow"])
+
+    def test_a_sanitizer_finding_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        from repro.staticcheck import sanitize
+
+        def exploding_run(spec):
+            raise RuntimeError("conservation violated")
+
+        monkeypatch.setattr(sanitize, "run_scenario", exploding_run)
+        monkeypatch.chdir(tmp_path)  # the divergence artifact lands here
+        assert self._check(capsys) == (1, ["sanitizer"])
+
+
+class TestExplainCli:
+    def test_explain_known_code(self, capsys):
+        assert main(["check", "--explain", "RSC105"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("RSC105")
+        assert "Rationale:" in out
+        assert "Example" in out
+
+    def test_explain_normalises_case(self, capsys):
+        assert main(["check", "--explain", "rsc610"]) == 0
+        assert capsys.readouterr().out.startswith("RSC610")
+
+    def test_explain_unknown_code_exits_2(self, capsys):
+        assert main(["check", "--explain", "RSC999"]) == 2
+        assert "RSC999" in capsys.readouterr().err
+
+
+class TestRemovedSurface:
+    """The static concurrency / ownership passes are gone, not
+    deprecated: their flags are argparse errors, their codes unknown."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--concurrency"],
+            ["--concurrency-paths", "src"],
+            ["--concurrency-baseline", "BASE.txt"],
+            ["--update-concurrency-baseline"],
+            ["--allow-baseline-growth"],
+            ["--ownership"],
+            ["--ownership-paths", "src"],
+            ["--thread-ready"],
+            ["--explain", "RSC602"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_flags_and_codes_exit_2(self, capsys, argv):
+        try:
+            code = main(["check"] + argv)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""

@@ -22,6 +22,8 @@ ARCHITECTURE_MD = os.path.join(REPO_ROOT, "docs", "architecture.md")
 PAYLOAD_KEYS = {"ok", "targets", "passes", "diagnostics"}
 TARGET_KEYS = {"name", "ok", "diagnostics"}
 PASS_KEYS = {"name", "seconds", "findings", "targets"}
+#: The matrix passes, then the four a flag requests, in execution order.
+PASS_NAMES = ["structure", "cuts", "lint", "protocol-flow", "model-check", "sanitizer"]
 DIAGNOSTIC_KEYS = {"code", "message", "source", "line", "component", "severity"}
 REPORT_JSON_KEYS = {"ok", "errors", "warnings", "diagnostics"}
 
@@ -50,17 +52,10 @@ class TestCodeRegistry:
         missing = set(KNOWN_CODES) - documented
         assert not missing, "codes missing from docs/architecture.md: %s" % sorted(missing)
 
-    def test_registry_covers_all_seven_pass_families(self):
+    def test_registry_covers_all_six_pass_families(self):
         families = {code[:4] for code in KNOWN_CODES}
-        assert families == {
-            "RSC1",
-            "RSC2",
-            "RSC3",
-            "RSC4",
-            "RSC5",
-            "RSC6",
-            "RSC7",
-        }
+        assert families == {"RSC1", "RSC2", "RSC3", "RSC4", "RSC5", "RSC6"}
+        assert len(KNOWN_CODES) == 37
 
     def test_descriptions_are_single_line(self):
         for code, description in KNOWN_CODES.items():
@@ -70,6 +65,7 @@ class TestCodeRegistry:
         from repro.staticcheck.explain import EXPLANATIONS, explain
 
         assert set(EXPLANATIONS) == set(KNOWN_CODES)
+        assert len(EXPLANATIONS) == 37
         for code, entry in EXPLANATIONS.items():
             assert entry.rationale and entry.example, code
             rendered = explain(code)
@@ -89,7 +85,7 @@ class TestJsonPayload:
         for pass_summary in payload["passes"]:
             assert set(pass_summary) == PASS_KEYS
             assert pass_summary["seconds"] >= 0
-        assert {p["name"] for p in payload["passes"]} == {"structure", "cuts"}
+        assert [p["name"] for p in payload["passes"]] == PASS_NAMES[:2]
 
     def test_diagnostic_keys_stable(self, capsys):
         fixture = os.path.join(HERE, "fixtures", "flow_bad.py")
@@ -103,9 +99,12 @@ class TestJsonPayload:
             assert diagnostic["severity"] in {s.value for s in Severity}
 
     def test_protocol_passes_report_via_json(self, capsys):
-        assert main(["check", "--protocol", "--model-check", "--max-nodes", "2",
-                     "--mc-depth", "2", "--json"]) == 0
+        assert main(["check", "--lint", os.path.join(HERE, "__init__.py"),
+                     "--protocol", "--model-check", "--max-nodes", "2",
+                     "--mc-depth", "2", "--sanitize", "1",
+                     "--sanitize-scenarios", "steady_baseline", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert [p["name"] for p in payload["passes"]] == PASS_NAMES[2:]
         names = [target["name"] for target in payload["targets"]]
         assert "protocol message flow" in names
         assert any(name.startswith("bounded model check") for name in names)
@@ -128,8 +127,16 @@ class TestExitCodes:
         assert main(["check", "--lint", fixture]) == 1
         capsys.readouterr()
 
-    def test_two_on_usage_error(self, capsys):
+    def test_two_on_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["check", "--width", "3"]) == 2
         capsys.readouterr()
         assert main(["check", "--model-check", "--max-nodes", "7"]) == 2
         capsys.readouterr()
+        for jitter in ("-1", "nan", "inf"):
+            argv = ["check", "--sanitize", "3", "--sanitize-jitter", jitter]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "--sanitize-jitter" in captured.err
+            assert captured.out == ""
+        assert os.listdir(str(tmp_path)) == []  # nothing run, nothing written

@@ -1,5 +1,6 @@
 """The schedule-perturbation sanitizer: summary diffs, both failure
-codes, artifacts, and a real perturbed scenario run.
+codes, artifacts, the ``run_check`` / CLI wiring, and a real perturbed
+scenario run.
 
 The real tree is expected to *pass* the sanitizer (that is the point of
 PR-5's invariants), so the RSC610/RSC611 paths are exercised by
@@ -14,12 +15,18 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main
 from repro.scenarios.registry import library_names
 from repro.scenarios.spec import ScenarioSpecError
-from repro.staticcheck.concurrency import SanitizerConfig, run_sanitizer
-from repro.staticcheck.concurrency import sanitize as sanitize_module
-from repro.staticcheck.concurrency.sanitize import _diff_keys
-from repro.staticcheck.diagnostics import Severity
+from repro.staticcheck import sanitize as sanitize_module
+from repro.staticcheck.diagnostics import Report, Severity
+from repro.staticcheck.runner import run_check
+from repro.staticcheck.sanitize import (
+    SanitizerConfig,
+    SanitizerOutcome,
+    _diff_keys,
+    run_sanitizer,
+)
 
 
 def _run(events=100, mean_hops=3.5):
@@ -84,6 +91,69 @@ class TestScenarioSelection:
         with pytest.raises(ScenarioSpecError) as excinfo:
             run_sanitizer(SanitizerConfig(seeds=(1,), scenarios=["warp_drive"]))
         assert "large_churn" in str(excinfo.value)
+
+    @pytest.mark.parametrize("jitter", [-1, float("nan"), float("inf")])
+    def test_bad_jitter_is_a_usage_error_before_anything_runs(
+        self, tmp_path, monkeypatch, jitter
+    ):
+        def must_not_run(spec):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(sanitize_module, "run_scenario", must_not_run)
+        artifact_dir = tmp_path / "artifacts"
+        config = SanitizerConfig(
+            seeds=(1,),
+            max_jitter=jitter,
+            scenarios=["steady_baseline"],
+            artifact_dir=str(artifact_dir),
+        )
+        with pytest.raises(ValueError, match="max_jitter"):
+            run_sanitizer(config)
+        assert not artifact_dir.exists()
+
+
+class TestRunCheckWiring:
+    def _capture_config(self, monkeypatch):
+        captured = {}
+
+        def recording_sanitizer(config=None, report=None):
+            captured["config"] = config
+            return Report(), SanitizerOutcome(runs=1, failures=0, artifacts=[])
+
+        monkeypatch.setattr(sanitize_module, "run_sanitizer", recording_sanitizer)
+        return captured
+
+    def test_run_check_passes_scenarios(self, monkeypatch):
+        captured = self._capture_config(monkeypatch)
+        run = run_check(
+            sanitize_seeds=(1,), sanitize_scenarios=["large_churn"]
+        )
+        assert run.report.ok
+        assert [p.name for p in run.passes] == ["sanitizer"]
+        assert captured["config"].scenarios == ["large_churn"]
+
+    def test_run_check_defaults_to_the_whole_library(self, monkeypatch):
+        captured = self._capture_config(monkeypatch)
+        run_check(sanitize_seeds=(1,))
+        assert captured["config"].scenarios is None
+
+    def test_cli_flag_reaches_the_sanitizer(self, monkeypatch):
+        captured = self._capture_config(monkeypatch)
+        assert (
+            main(
+                [
+                    "check",
+                    "--sanitize",
+                    "1",
+                    "--sanitize-scenarios",
+                    "large_churn",
+                    "huge_churn",
+                ]
+            )
+            == 0
+        )
+        config = captured["config"]
+        assert config.scenarios == ["large_churn", "huge_churn"]
 
 
 class TestFailurePaths:
