@@ -62,6 +62,7 @@ def test_crash_stabilization(report, benchmark):
             )
         )
         system_b.lost_components.update(crash_report.lost_components)
+        system_b.lost_registry.update(crash_report.lost_registry_entries)
         system_b.stabilize()
         system_b.run_until_quiescent()
         lost = system_b.token_stats.issued - system_b.token_stats.retired

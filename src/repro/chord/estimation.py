@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.theory import TheoryModel
 from repro.chord.ring import ChordRing
@@ -47,33 +47,41 @@ class SizeEstimator:
         self.ring = ring
         self.step_multiplier = step_multiplier
 
-    def estimate(self, node_id: int) -> SizeEstimate:
-        """The estimate ``n_v`` computed by node ``node_id``.
+    def _walk(self, node_id: int) -> Tuple[float, int, float]:
+        """``(e_v, k, n_v)`` from the node's one ring position.
 
         A node that walks all the way around the ring (fewer nodes than
         ``k``) simply counts the nodes it saw — it then knows ``N``
         exactly, which only sharpens the estimate on tiny systems.
         """
         ring = self.ring
-        n = len(ring)
+        ids = ring.ids
+        n = len(ids)
         if n == 0:
             raise RingError("cannot estimate the size of an empty ring")
         if n == 1:
-            return SizeEstimate(node_id, 0.0, 0, 1.0)
+            return 0.0, 0, 1.0
+        index = ring.position(node_id)
+        size = ring.space.size
         # Step 1: coarse log-size estimate from the successor gap.
-        gap = ring.distance_fraction(node_id, ring.succ_k(node_id, 1).node_id)
+        gap = ((ids[(index + 1) % n] - node_id) % size) / size
         log_estimate = math.log2(1.0 / gap)
         # Step 2: walk k successors. Walking k >= n steps would lap the
         # ring; a real node stops upon seeing itself, knowing N exactly.
         steps = max(1, self.step_multiplier * math.ceil(log_estimate))
         if steps >= n:
-            return SizeEstimate(node_id, log_estimate, n - 1, float(n))
-        span = ring.distance_fraction(node_id, ring.succ_k(node_id, steps).node_id)
-        return SizeEstimate(node_id, log_estimate, steps, steps / span)
+            return log_estimate, n - 1, float(n)
+        span = ((ids[(index + steps) % n] - node_id) % size) / size
+        return log_estimate, steps, steps / span
+
+    def estimate(self, node_id: int) -> SizeEstimate:
+        """The estimate ``n_v`` computed by node ``node_id``, with the
+        intermediate quantities."""
+        return SizeEstimate(node_id, *self._walk(node_id))
 
     def size_estimate(self, node_id: int) -> float:
         """Just ``n_v``."""
-        return self.estimate(node_id).size_estimate
+        return self._walk(node_id)[2]
 
 
 class LevelEstimator:
@@ -104,6 +112,11 @@ class LevelEstimator:
             earlier < later
             for earlier, later in zip(self._phi_table, self._phi_table[1:])
         )
+        # ``ell_v`` is a function of the successors the node walks, so it
+        # cannot move between membership changes: one evaluation per
+        # node per ring version serves every rules round until the next.
+        self._levels: Dict[int, int] = {}
+        self._levels_version = ring.version
 
     def level_for_estimate(self, estimate: float) -> int:
         """The largest level with ``phi(level) < estimate``."""
@@ -117,7 +130,15 @@ class LevelEstimator:
 
     def level_estimate(self, node_id: int) -> int:
         """The node's ``ell_v``."""
-        return self.level_for_estimate(self.sizes.size_estimate(node_id))
+        version = self.sizes.ring.version
+        if version != self._levels_version:
+            self._levels = {}
+            self._levels_version = version
+        level = self._levels.get(node_id)
+        if level is None:
+            level = self.level_for_estimate(self.sizes.size_estimate(node_id))
+            self._levels[node_id] = level
+        return level
 
     def ideal_level(self, n: Optional[int] = None) -> int:
         """``ell*`` for the true system size (or a given ``n``)."""

@@ -1,16 +1,19 @@
-"""Finger tables and greedy Chord lookup, with hop counting.
+"""Greedy Chord lookup, with hop counting.
 
 The paper assumes "an underlying routing service which provides
 efficient routing to an object given the object's name". We implement
-Chord's finger-table routing so experiments can report realistic hop
-counts (O(log N)) for token forwarding and component lookup. Finger
-tables are computed from the ground-truth ring on demand — the paper
-does not study stabilisation-protocol dynamics, so modelling stale
-fingers would add noise without touching any claim.
+Chord's finger routing so experiments can report realistic hop counts
+(O(log N)) for token forwarding and component lookup. Fingers are read
+off the ground-truth ring — the paper does not study
+stabilisation-protocol dynamics, so modelling stale fingers would add
+noise without touching any claim — and since ``finger[i]`` is one binary
+search on the sorted identifier list, routing keeps no table: a
+membership change leaves nothing to rebuild.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Tuple
 
 from repro.chord.hashing import name_to_point
@@ -21,16 +24,12 @@ from repro.errors import RingError
 def finger_table(ring: ChordRing, node_id: int) -> List[ChordNode]:
     """Chord fingers of a node: ``finger[i] = successor(n + 2^i)``.
 
-    Delegates to :meth:`ChordRing.finger_table`, which memoises tables
-    until the next membership change; callers must not mutate the
-    returned list.
+    The definition, computed afresh; :func:`lookup` never builds it.
     """
-    return ring.finger_table(node_id)
-
-
-def _in_open_interval(space_size: int, left: int, right: int, point: int) -> bool:
-    """Whether ``point`` lies clockwise-strictly between ``left`` and ``right``."""
-    return (point - left) % space_size < (right - left) % space_size and point != left
+    size = ring.space.size
+    return [
+        ring.successor((node_id + (1 << i)) % size) for i in range(ring.space.bits)
+    ]
 
 
 def lookup(ring: ChordRing, start_id: int, key_point: int) -> Tuple[ChordNode, int]:
@@ -38,46 +37,45 @@ def lookup(ring: ChordRing, start_id: int, key_point: int) -> Tuple[ChordNode, i
 
     Returns ``(owner, hops)`` where ``hops`` counts node-to-node
     forwardings (0 when the start node already owns the key).
+
+    A node ``n`` whose successor does not own the key forwards to its
+    closest preceding finger: scanning ``i`` downward, the first
+    ``finger[i]`` strictly between ``n`` and the key. Lemma: that finger
+    is ``successor(n + 2^j)`` with ``j = reach.bit_length() - 1``, where
+    ``reach`` is the clockwise offset from ``n`` of the last node before
+    the key. A finger's offset from ``n`` is at least ``2^i``, or 0 when
+    the search wraps all the way round to ``n`` itself, and it is taken
+    iff ``0 < offset < key offset``, i.e. iff some node lies at an
+    offset in ``[2^i, key offset)`` — iff ``2^i <= reach``. Every larger
+    ``i`` is skipped unseen, ``j`` is the largest that passes, and the
+    last node before the key is the same at every hop: one search per
+    forwarding, on identifiers only.
     """
-    if len(ring) == 0:
+    ids = ring.ids
+    count = len(ids)
+    if count == 0:
         raise RingError("lookup on an empty ring")
-    current = ring.node(start_id)
+    index = ring.position(start_id)
     hops = 0
-    # With a single node, that node owns everything.
-    if len(ring) == 1:
-        return current, hops
-    size = ring.space.size
-    scan_of = ring.scan_fingers
-    succ_of = ring.succ_k
-    while True:
-        current_id = current.node_id
-        # The successor comes from a plain bisect, not the finger
-        # table: terminal hops must not pay for building a full table.
-        # The interval checks are inlined — this loop dominates
-        # injection-time hop accounting.
-        succ = succ_of(current_id, 1)
-        succ_id = succ.node_id
-        key_offset = (key_point - current_id) % size
-        # The key is owned by current's successor if it lies in (current, succ].
-        if (
-            key_offset < (succ_id - current_id) % size and key_point != current_id
-        ) or key_point == succ_id:
-            if succ_id != current_id:
-                hops += 1
-            return succ, hops
-        if key_point == current_id:
-            return current, hops
-        # Forward to the closest preceding finger.
-        next_node = succ
-        for finger in scan_of(current_id):
-            finger_id = finger.node_id
-            if (finger_id - current_id) % size < key_offset and finger_id != current_id:
-                next_node = finger
+    if count > 1:
+        size = ring.space.size
+        before_key = ids[bisect_left(ids, key_point) - 1]
+        while True:
+            current_id = ids[index]
+            key_offset = (key_point - current_id) % size
+            if key_offset == 0:
+                break  # the current node owns its own identifier
+            succ_index = index + 1 if index + 1 < count else 0
+            hops += 1
+            if key_offset <= (ids[succ_index] - current_id) % size:
+                index = succ_index  # the key lies in (current, successor]
                 break
-        if next_node.node_id == current_id:
-            return current, hops
-        current = next_node
-        hops += 1
+            reach = (before_key - current_id) % size
+            point = (current_id + (1 << (reach.bit_length() - 1))) % size
+            index = bisect_left(ids, point)
+            if index == count:
+                index = 0
+    return ring.node(ids[index]), hops
 
 
 def lookup_name(ring: ChordRing, start_id: int, name: str) -> Tuple[ChordNode, int]:

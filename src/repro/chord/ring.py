@@ -11,8 +11,8 @@ built from.
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_left, insort
 from typing import Dict, Iterator, List, Optional
 
 from repro.chord.identifiers import IdentifierSpace
@@ -47,21 +47,28 @@ class ChordRing:
         self._ids: List[int] = []
         self._nodes: Dict[int, ChordNode] = {}
         self._join_counter = AtomicCounter()
-        #: Bumped on every membership change; derived structures (the
-        #: finger-table cache below, external memos) key off it.
+        #: Bumped on every membership change (see :attr:`version`).
         self._version = 0
-        self._finger_cache: Dict[int, List[ChordNode]] = {}
-        self._scan_cache: Dict[int, List[ChordNode]] = {}
 
     @property
     def version(self) -> int:
-        """Monotonic membership-change counter (joins and removals)."""
+        """Monotonic membership-change counter (joins and removals):
+        the stamp a memo of anything derived from the membership keeps."""
         return self._version
 
-    def _membership_changed(self) -> None:
-        self._version += 1
-        self._finger_cache = {}
-        self._scan_cache = {}
+    @property
+    def ids(self) -> List[int]:
+        """The node identifiers in ring order. The list is the ring's
+        own, edited in place by joins and removals: read it, do not
+        keep or mutate it."""
+        return self._ids
+
+    def position(self, node_id: int) -> int:
+        """The index of a node in :attr:`ids` (one binary search)."""
+        index = bisect_left(self._ids, node_id)
+        if index >= len(self._ids) or self._ids[index] != node_id:
+            raise MembershipError("no node with id %#x" % node_id)
+        return index
 
     # ------------------------------------------------------------------
     # membership
@@ -99,18 +106,17 @@ class ChordRing:
         if name is None:
             name = "node-%d" % joined
         node = ChordNode(node_id, name)
-        bisect.insort(self._ids, node_id)
+        insort(self._ids, node_id)
         self._nodes[node_id] = node
-        self._membership_changed()
+        self._version += 1
         return node
 
     def remove(self, node_id: int) -> ChordNode:
         """Remove a node (used for both graceful leaves and crashes)."""
         node = self.node(node_id)
-        index = bisect.bisect_left(self._ids, node_id)
-        del self._ids[index]
+        del self._ids[bisect_left(self._ids, node_id)]
         del self._nodes[node_id]
-        self._membership_changed()
+        self._version += 1
         return node
 
     # ------------------------------------------------------------------
@@ -121,76 +127,22 @@ class ChordRing:
         if not self._ids:
             raise RingError("successor lookup on an empty ring")
         self.space.check(point)
-        index = bisect.bisect_left(self._ids, point)
+        index = bisect_left(self._ids, point)
         if index == len(self._ids):
             index = 0
         return self._nodes[self._ids[index]]
-
-    def finger_table(self, node_id: int) -> List[ChordNode]:
-        """Chord fingers of a node: ``finger[i] = successor(n + 2^i)``.
-
-        Memoised until the next membership change — greedy lookups ask
-        for the same node's table O(log N) times per query, and the old
-        rebuild-per-call behaviour dominated the token hot path (~190k
-        ``successor`` bisects per 600 injections in the churn bench).
-        """
-        cached = self._finger_cache.get(node_id)
-        if cached is None:
-            if not self._ids:
-                raise RingError("finger table on an empty ring")
-            ids = self._ids
-            nodes = self._nodes
-            size = self.space.size
-            length = len(ids)
-            insert = bisect.bisect_left
-            cached = []
-            for i in range(self.space.bits):
-                point = (node_id + (1 << i)) % size
-                index = insert(ids, point)
-                if index == length:
-                    index = 0
-                cached.append(nodes[ids[index]])
-            self._finger_cache[node_id] = cached
-        return cached
-
-    def scan_fingers(self, node_id: int) -> List[ChordNode]:
-        """The *distinct* fingers of a node, furthest offset first.
-
-        Greedy lookup scans fingers from the largest power-of-two offset
-        down for the closest preceding node; consecutive offsets often
-        land on the same successor, so the full ``space.bits``-entry
-        table collapses to ~log N candidates. Memoised until the next
-        membership change, like :meth:`finger_table` (from which it is
-        derived, preserving scan order exactly — duplicates in the full
-        table form consecutive runs, so adjacent dedup is lossless).
-        """
-        cached = self._scan_cache.get(node_id)
-        if cached is None:
-            cached = []
-            last = None
-            for finger in reversed(self.finger_table(node_id)):
-                finger_id = finger.node_id
-                if finger_id != last:
-                    cached.append(finger)
-                    last = finger_id
-            self._scan_cache[node_id] = cached
-        return cached
 
     def succ_k(self, node_id: int, k: int) -> ChordNode:
         """The k-th clockwise successor of a node (``succ_1`` is the next
         node; ``k`` wraps modulo the ring size)."""
         if k < 1:
             raise RingError("succ_k requires k >= 1, got %d" % k)
-        index = bisect.bisect_left(self._ids, node_id)
-        if index >= len(self._ids) or self._ids[index] != node_id:
-            raise MembershipError("no node with id %#x" % node_id)
+        index = self.position(node_id)
         return self._nodes[self._ids[(index + k) % len(self._ids)]]
 
     def predecessor(self, node_id: int) -> ChordNode:
         """The node immediately counter-clockwise of ``node_id``."""
-        index = bisect.bisect_left(self._ids, node_id)
-        if index >= len(self._ids) or self._ids[index] != node_id:
-            raise MembershipError("no node with id %#x" % node_id)
+        index = self.position(node_id)
         return self._nodes[self._ids[(index - 1) % len(self._ids)]]
 
     def distance_fraction(self, from_id: int, to_id: int) -> float:

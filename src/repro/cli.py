@@ -127,6 +127,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.nodes < 1:
+        print(
+            "repro estimate: error: --nodes must be >= 1, got %d" % args.nodes,
+            file=sys.stderr,
+        )
+        return 2
     ring = ChordRing(seed=args.seed)
     for _ in range(args.nodes):
         ring.join()

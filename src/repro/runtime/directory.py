@@ -185,6 +185,11 @@ class ComponentDirectory:
                 return path[:end]
         return None
 
+    def has_live_below(self, path: Path) -> bool:
+        """Whether some live member lies strictly below ``path``: on a
+        valid cut, whether ``path`` is split."""
+        return self._live_below.get(tuple(path), 0) > 0
+
     def live_descendants(self, path: Path) -> List[Path]:
         """Live members strictly below ``path``."""
         path = tuple(path)

@@ -16,17 +16,18 @@ Recovery actions, all local in the sense of the paper:
   is a closed form of the total). For input-boundary ports the clients'
   injection ledger plays the in-neighbour role.
 * merge responsibility for splits recorded by the crashed node is
-  re-assigned: any non-live component with live descendants and no
-  registered splitter is adopted by the current home of its name.
+  re-assigned: each entry of its split registry that is still split and
+  that no surviving node has registered is adopted by the current home
+  of its name.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.components import ComponentState, balanced_count_at
 from repro.core.decomposition import ComponentSpec
-from repro.core.wiring import BoundaryRef, PortRef
+from repro.core.wiring import PortRef
 from repro.errors import ProtocolError
 
 Path = Tuple[int, ...]
@@ -37,6 +38,11 @@ class Stabilizer:
 
     def __init__(self, system):
         self.system = system
+        #: parent path -> the inverse of its ``child_output_dest``:
+        #: ``{(child, in port): (sibling, out port)}`` for internal
+        #: wires and ``{boundary out port: (child spec, out port)}``.
+        #: Never invalidated: the wiring is a pure function of the tree.
+        self._inverse: Dict[Path, Tuple[dict, dict]] = {}
 
     # ------------------------------------------------------------------
     # source tracing
@@ -69,38 +75,40 @@ class Stabilizer:
                 emitter, out_port = self._boundary_output_source(emitter, out_port)
             return ("member", emitter.path, out_port)
 
+    def _inverse_wiring(self, parent: ComponentSpec) -> Tuple[dict, dict]:
+        inverse = self._inverse.get(parent.path)
+        if inverse is None:
+            wiring = self.system.wiring
+            crossing, boundary = {}, {}
+            for index, child in enumerate(parent.children()):
+                for out_port in range(child.width):
+                    dest = wiring.child_output_dest(parent, index, out_port)
+                    if isinstance(dest, PortRef):
+                        crossing[dest.child, dest.port] = (index, out_port)
+                    else:
+                        boundary[dest.port] = (child, out_port)
+            inverse = self._inverse[parent.path] = (crossing, boundary)
+        return inverse
+
     def _crossing_source(self, parent: ComponentSpec, child_index: int, port: int):
         """Which sibling output feeds (``child_index``, ``port``) inside
         ``parent`` (inverse of ``child_output_dest`` for internal wires)."""
-        wiring = self.system.wiring
-        children = parent.children()
-        for sibling in range(parent.num_children()):
-            if sibling == child_index:
-                continue
-            for out_port in range(children[sibling].width):
-                dest = wiring.child_output_dest(parent, sibling, out_port)
-                if (
-                    isinstance(dest, PortRef)
-                    and dest.child == child_index
-                    and dest.port == port
-                ):
-                    return sibling, out_port
-        raise ProtocolError(
-            "no sibling feeds child %d port %d of %s" % (child_index, port, parent)
-        )
+        try:
+            return self._inverse_wiring(parent)[0][child_index, port]
+        except KeyError:
+            raise ProtocolError(
+                "no sibling feeds child %d port %d of %s" % (child_index, port, parent)
+            ) from None
 
     def _boundary_output_source(self, parent: ComponentSpec, port: int):
         """Which child output becomes ``parent``'s boundary output ``port``
         (inverse of ``child_output_dest`` for boundary wires)."""
-        wiring = self.system.wiring
-        for index, child in enumerate(parent.children()):
-            for out_port in range(child.width):
-                dest = wiring.child_output_dest(parent, index, out_port)
-                if isinstance(dest, BoundaryRef) and dest.port == port:
-                    return child, out_port
-        raise ProtocolError(
-            "no child emits boundary port %d of %s" % (port, parent)
-        )
+        try:
+            return self._inverse_wiring(parent)[1][port]
+        except KeyError:
+            raise ProtocolError(
+                "no child emits boundary port %d of %s" % (port, parent)
+            ) from None
 
     # ------------------------------------------------------------------
     # reconstruction
@@ -169,19 +177,20 @@ class Stabilizer:
         return sorted(self.system.lost_components)
 
     def _adopt_orphan_merges(self) -> None:
-        """Ensure every split component still has a responsible merger."""
+        """Re-assign the merge duties the crashed nodes held.
+
+        Every split component has a registrant except between a crash
+        and this call: a split registers at the splitter, a leave hands
+        the registry to the successor, a merge clears the path and its
+        subtree on every host. A crash and the restoration above leave
+        the set of split paths as it was, so the orphans are among the
+        crashed nodes' own entries: nothing else is read.
+        """
         system = self.system
-        registered = set()
-        for host in system.hosts.values():
-            registered.update(host.split_registry)
-        live = system.directory.live_paths()
-        # Non-live ancestors of live members are exactly the split
-        # components awaiting a merge decision.
-        split_paths = set()
-        for path in live:
-            for end in range(len(path)):
-                split_paths.add(path[:end])
-        for path in sorted(split_paths - registered, key=len):
-            home = system.directory.home(path)
-            system.hosts[home].split_registry.add(path)
-            system.stats.control_messages += 1
+        directory = system.directory
+        for path in system.lost_registry:
+            if directory.has_live_below(path) and not any(
+                path in host.split_registry for host in system.hosts.values()
+            ):
+                system.hosts[directory.home(path)].split_registry.add(path)
+                system.stats.control_messages += 1

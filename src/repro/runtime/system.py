@@ -119,6 +119,9 @@ class AdaptiveCountingSystem:
         self.injected_per_wire = PerWireCounters(width)
         self.output_counts = PerWireCounters(width)
         self.lost_components: Set[Path] = set()
+        #: Split-registry entries of nodes crashed since the last
+        #: :meth:`stabilize`: the merge duties recovery must re-assign.
+        self.lost_registry: Set[Path] = set()
         self._inflight: TokenLedger[Path] = TokenLedger()
         # Exact emitted-but-not-arrived accounting, used by crash
         # recovery: (path, port) -> tokens owed to that input. A token
@@ -174,6 +177,7 @@ class AdaptiveCountingSystem:
             node_id = self.rng.choice(self._live_nodes)
         report = self.membership.crash(node_id)
         self.lost_components.update(report.lost_components)
+        self.lost_registry.update(report.lost_registry_entries)
         if self.auto_stabilize:
             self.stabilize()
         return report
@@ -183,6 +187,7 @@ class AdaptiveCountingSystem:
         began_at = self.sim.now
         restored = self.stabilizer.stabilize()
         self.lost_components.clear()
+        self.lost_registry.clear()
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.stabilization(began_at, self.sim.now, len(restored))

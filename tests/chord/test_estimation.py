@@ -1,10 +1,13 @@
 """Tests for system-size estimation (paper Section 3.1, Lemmas 3.1-3.3)."""
 
+import math
+import random
+
 import pytest
 
 from repro.chord.estimation import LevelEstimator, SizeEstimator
 from repro.chord.ring import ChordRing
-from repro.errors import RingError
+from repro.errors import MembershipError, RingError
 
 
 def build_ring(n, seed):
@@ -138,3 +141,68 @@ class TestLevelEstimator:
         assert levels.level_for_estimate(10.0) == 2
         assert levels.level_for_estimate(13.0) == 3
         assert levels.level_for_estimate(1.0) == 0
+
+
+def three_search_estimate(ring, step_multiplier, node_id):
+    """``SizeEstimator.estimate`` as it was while each distance came
+    from its own ring search, kept as the oracle; returns
+    ``(e_v, k, n_v)``."""
+    n = len(ring)
+    if n == 1:
+        return 0.0, 0, 1.0
+    # Step 1: coarse log-size estimate from the successor gap.
+    gap = ring.distance_fraction(node_id, ring.succ_k(node_id, 1).node_id)
+    log_estimate = math.log2(1.0 / gap)
+    # Step 2: walk k successors. Walking k >= n steps would lap the
+    # ring; a real node stops upon seeing itself, knowing N exactly.
+    steps = max(1, step_multiplier * math.ceil(log_estimate))
+    if steps >= n:
+        return log_estimate, n - 1, float(n)
+    span = ring.distance_fraction(node_id, ring.succ_k(node_id, steps).node_id)
+    return log_estimate, steps, steps / span
+
+
+class TestOnePositionEstimate:
+    @pytest.mark.parametrize("multiplier", [1, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])
+    def test_bit_identical_to_the_three_search_formula(self, n, multiplier):
+        """``==`` on floats: the same expression in the same order."""
+        ring = build_ring(n, seed=n + multiplier)
+        estimator = SizeEstimator(ring, step_multiplier=multiplier)
+        for node in ring.nodes():
+            expected = three_search_estimate(ring, multiplier, node.node_id)
+            record = estimator.estimate(node.node_id)
+            assert (record.log_estimate, record.steps, record.size_estimate) == expected
+            assert record.node_id == node.node_id
+            assert estimator.size_estimate(node.node_id) == expected[2]
+
+    def test_absent_node_rejected(self):
+        ring = build_ring(4, seed=9)
+        absent = (ring.nodes()[0].node_id + 1) % ring.space.size
+        with pytest.raises(MembershipError):
+            SizeEstimator(ring).size_estimate(absent)
+
+
+class TestLevelMemo:
+    def test_no_level_outlives_its_ring_version(self):
+        """Every membership change re-derives every level: after each
+        join and each removal the memoising estimator agrees with one
+        built afresh, for every node."""
+        ring = build_ring(5, seed=10)
+        levels = LevelEstimator(64, ring)
+        rng = random.Random(10)
+        moved = 0
+        before = {}
+        for step in range(120):
+            if step < 80:
+                ring.join()
+            else:
+                ring.remove(rng.choice(ring.nodes()).node_id)
+            fresh = LevelEstimator(64, ring)
+            after = {v.node_id: levels.level_estimate(v.node_id) for v in ring.nodes()}
+            assert after == {
+                v.node_id: fresh.level_estimate(v.node_id) for v in ring.nodes()
+            }
+            moved += sum(1 for v, level in after.items() if before.get(v, level) != level)
+            before = after
+        assert moved  # the memo had stale levels to serve, and did not

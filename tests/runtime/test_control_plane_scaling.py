@@ -5,13 +5,28 @@ One split and one join on a 64-component and on a fully split
 the calls of ``DecompositionTree.node``, ``ComponentDirectory.home`` and
 ``Wiring.resolve_output`` they cause must not grow with the cut, so a
 whole-cut scan cannot come back unnoticed on any runner.
+
+Likewise for a membership change: a rules round re-derives no size
+estimate the ring has not invalidated, a routing hop searches the ring
+once whether or not the ring just changed, and crash recovery makes the
+same calls on both deployments for the same loss.
 """
+
+import inspect
+import random
+import sys
 
 import pytest
 
+import repro.chord.fingers
+import repro.chord.ring
+from repro.chord.estimation import SizeEstimator
+from repro.chord.fingers import lookup
+from repro.chord.ring import ChordRing
 from repro.core.decomposition import DecompositionTree
 from repro.core.wiring import WiringBase
 from repro.runtime.directory import ComponentDirectory
+from repro.runtime.stabilization import Stabilizer
 from repro.runtime.system import AdaptiveCountingSystem
 
 #: A MIX[4] near the outputs; the deployments differ in everything else.
@@ -86,3 +101,127 @@ def test_a_join_does_not_grow_with_the_cut(deployments, monkeypatch):
         cost = cost_of(system, system.add_node, monkeypatch)
         assert cost["home"] <= on_one_node
         assert cost["node"] == cost["resolve_output"] == 0
+
+
+def count_calls(patch, owner, name):
+    """Replace ``owner.name`` by a counting pass-through; the count is
+    the returned list's only element."""
+    count = [0]
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    patch.setattr(owner, name, counting)
+    return count
+
+
+def function_calls(function):
+    """Calls made while ``function`` runs, Python and C alike, a resumed
+    generator aside: cProfile's count without its clock."""
+    count = [0]
+
+    def profiler(frame, event, _arg):
+        if event == "c_call" or (
+            event == "call" and not frame.f_code.co_flags & inspect.CO_GENERATOR
+        ):
+            count[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(previous)
+    return count[0]
+
+
+def test_a_rules_round_estimates_each_node_once_per_ring_version(monkeypatch):
+    system = AdaptiveCountingSystem(width=64, seed=3, initial_nodes=100)
+    evaluations = count_calls(monkeypatch, SizeEstimator, "size_estimate")
+    assert system.converge() >= 2
+    assert evaluations == [len(system.hosts)]
+    system.converge()
+    system.node_levels()
+    assert evaluations == [len(system.hosts)]
+    system.add_node()
+    system.converge()
+    assert evaluations == [2 * len(system.hosts) - 1]
+
+
+def test_a_routing_hop_searches_the_ring_once_changed_or_not(monkeypatch):
+    ring = ChordRing(seed=5)
+    for _ in range(1024):
+        ring.join()
+    rng = random.Random(5)
+    queries = [
+        (rng.choice(ring.ids), rng.randrange(ring.space.size)) for _ in range(2000)
+    ]
+    # Every ring search of the routing loop, its own and ``position``'s.
+    searches = count_calls(monkeypatch, repro.chord.fingers, "bisect_left")
+    monkeypatch.setattr(
+        repro.chord.ring, "bisect_left", repro.chord.fingers.bisect_left
+    )
+    hops = sum(lookup(ring, start, key)[1] for start, key in queries)
+    assert hops > 5 * len(queries)
+    # The start, the key, and one finger per forwarding; the last hop,
+    # to the successor, is read off the list.
+    assert searches[0] <= 2 * len(queries) + hops <= 3 * hops
+    joiner = ring.join().node_id
+    for start in (joiner, ring.predecessor(joiner).node_id, queries[0][0]):
+        key = (start - 1) % ring.space.size  # all the way round
+        costs = []
+        for _ in range(2):
+            before = searches[0]
+            lookup(ring, start, key)
+            costs.append(searches[0] - before)
+        assert costs[0] == costs[1] > 2
+
+
+def lost_profile(host):
+    return len(host.components), len(host.split_registry)
+
+
+def test_recovery_does_not_grow_with_the_cut(deployments, monkeypatch):
+    """Re-assigning ``r`` lost merge duties makes the same function
+    calls on both deployments; so does all of ``stabilize()`` when the
+    crashed node hosted nothing (rebuilding a component costs what its
+    place in the tree makes it cost, so it is left out of the count)."""
+    adopt = Stabilizer._adopt_orphan_merges
+    adoption = []
+    monkeypatch.setattr(
+        Stabilizer,
+        "_adopt_orphan_merges",
+        lambda self: adoption.append(function_calls(lambda: adopt(self))),
+    )
+    small, full = (
+        {lost_profile(host) for host in system.hosts.values()} for system in deployments
+    )
+    shared = sorted(lost for lost in small & full if lost[1])
+    assert len(shared) >= 3 and (0, 0) in small & full
+    for lost in [(0, 0), shared[0], shared[-1]]:
+        costs = []
+        for system in deployments:
+            monkeypatch.setattr(system, "auto_stabilize", False)
+            report = system.crash_node(
+                min(n for n, host in system.hosts.items() if lost_profile(host) == lost)
+            )
+            total = function_calls(system.stabilize)
+            costs.append((adoption.pop(), total if lost == (0, 0) else None))
+            assert all(
+                any(path in host.split_registry for host in system.hosts.values())
+                for path in report.lost_registry_entries
+            )
+            system.verify()
+        assert costs[0] == costs[1], lost
+
+
+def test_recovery_inverts_the_wiring_of_a_parent_once(monkeypatch):
+    system = AdaptiveCountingSystem(width=16, seed=1, initial_nodes=4)
+    children = system.reconfig.split(())
+    scanned = count_calls(monkeypatch, type(system.wiring), "child_output_dest")
+    for _ in range(3):
+        for path in children:
+            system.stabilizer.reconstruct(path)
+        assert scanned == [sum(child.width for child in system.tree.root.children())]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProtocolError, StructureError
+from repro.errors import ProtocolError, StepPropertyViolation, StructureError
 from repro.runtime.system import MAX_REROUTES, AdaptiveCountingSystem
 from repro.runtime.tokens import Token, TokenStats
 
@@ -54,6 +54,29 @@ class TestRerouteEdgeCases:
             if iteration % 7 == 0:
                 system.converge()
         system.run_until_quiescent()
+        system.verify()
+
+    @pytest.mark.xfail(strict=True, raises=StepPropertyViolation)
+    def test_crash_with_tokens_in_flight_breaks_the_step_property(self):
+        """Known failure, same class as the one above (a crash with
+        tokens in flight) in twenty times fewer steps, with no merge and
+        no ``converge()`` in the loop: the root, reconstructed while its
+        tokens are on the bus, starts two wires late. Five tokens leave
+        as ``[0, 0, 1, 1, 1, 1, 1, 0]``; nothing is lost or dropped.
+        ``repro trace --nodes 1 --churn-every 1 --tokens 20`` shows it
+        from the command line."""
+        system = AdaptiveCountingSystem(width=8, seed=2, initial_nodes=1)
+        system.converge()
+        for injected in range(1, 6):
+            system.inject_token()
+            if injected in (2, 4):
+                system.add_node()
+            if injected in (3, 5):
+                system.crash_node()
+        system.run_until_quiescent()
+        assert list(system.output_counts) == [0, 0, 1, 1, 1, 1, 1, 0]
+        assert system.token_stats.issued == system.token_stats.retired == 5
+        assert system.token_stats.dropped == 0
         system.verify()
 
     def test_token_dropped_after_max_reroutes(self):
@@ -142,6 +165,7 @@ class TestMembershipEdgeCases:
         )
         report = system.membership.crash(loaded)
         system.lost_components.update(report.lost_components)
+        system.lost_registry.update(report.lost_registry_entries)
         tokens = [system.inject_token() for _ in range(10)]
         system.advance(3.0)  # tokens bounce off the hole and schedule retries
         system.stabilize()

@@ -72,6 +72,7 @@ class TestMaxReroutesAccounting:
             system.inject_token()
         report = system.membership.crash(loaded)  # hole not repaired yet
         system.lost_components.update(report.lost_components)
+        system.lost_registry.update(report.lost_registry_entries)
         system.run_until_quiescent()
         stats = system.token_stats
         assert stats.dropped > 0  # seed 32: some tokens hit the hole

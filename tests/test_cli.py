@@ -99,3 +99,9 @@ class TestTraceCli:
     def test_trace_rejects_bad_sample_every(self, capsys):
         assert main(["trace", "--sample-every", "0"]) == 2
         assert "sample_every" in capsys.readouterr().err
+
+    def test_estimate_rejects_an_empty_ring(self, capsys):
+        for nodes in ("0", "-5"):
+            assert main(["estimate", "--nodes", nodes]) == 2
+            captured = capsys.readouterr()
+            assert "--nodes" in captured.err and captured.out == ""
