@@ -130,7 +130,7 @@ class ProtocolNode(SimulatedProcess):
                     recorder.rpc_replied(now, method, now - _issued)
                 _inner(value)
 
-        def expire() -> None:
+        def expire(_undelivered: object = None) -> None:
             if not self.alive:
                 return  # a dead node's timers must not mutate its state
             entry = self._pending.take(call_id)

@@ -49,8 +49,26 @@ from repro.errors import StructureError
 from repro.runtime.system import AdaptiveCountingSystem
 
 
+def _checked_int(accept, requirement: str):
+    """An argparse ``type=`` for an integer that must satisfy ``accept``:
+    a bad value is a usage error (exit 2, the flag named on stderr)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError("must be %s, got %d" % (requirement, value))
+        return value
+
+    return integer
+
+
+_width = _checked_int(lambda w: w >= 2 and w & (w - 1) == 0, "a power of two >= 2")
+_node_count = _checked_int(lambda n: n >= 1, ">= 1")
+_token_count = _checked_int(lambda n: n >= 0, ">= 0")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--width", type=int, default=64, help="network width (power of two)")
+    parser.add_argument("--width", type=_width, default=64, help="network width (power of two)")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -342,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="grow/converge/shrink lifecycle demo")
     _add_common(demo)
-    demo.add_argument("--nodes", type=int, default=40, help="nodes to grow to")
+    demo.add_argument("--nodes", type=_node_count, default=40, help="nodes to grow to")
     demo.set_defaults(func=cmd_demo)
 
     tree = sub.add_parser("tree", help="print the decomposition tree T_w")
@@ -353,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="converge a system and push tokens")
     _add_common(run)
-    run.add_argument("--nodes", type=int, default=30)
-    run.add_argument("--tokens", type=int, default=200)
+    run.add_argument("--nodes", type=_node_count, default=30)
+    run.add_argument("--tokens", type=_token_count, default=200)
     run.set_defaults(func=cmd_run)
 
     estimate = sub.add_parser("estimate", help="size-estimation accuracy (Section 3.1)")
@@ -534,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="record a traced run (repro.obs) and export it"
     )
     _add_common(trace)
-    trace.add_argument("--nodes", type=int, default=16, help="initial node count")
-    trace.add_argument("--tokens", type=int, default=300, help="tokens to inject")
+    trace.add_argument("--nodes", type=_node_count, default=16, help="initial node count")
+    trace.add_argument("--tokens", type=_token_count, default=300, help="tokens to inject")
     trace.add_argument(
         "--churn-every",
         type=int,

@@ -22,13 +22,12 @@ from repro.chord.ring import ChordNode
 from repro.core.atomics import AtomicCounter
 from repro.core.components import ComponentState
 from repro.errors import ProtocolError
-from repro.runtime.tokens import Token, TokenMsg
+from repro.obs import recorder as _obs
+from repro.runtime.combining import BatchTokenMsg
+from repro.runtime.tokens import Token
 from repro.sim.node import SimulatedProcess
 
 Path = Tuple[int, ...]
-
-#: Filled on first message; see ``handle_message``.
-_BatchTokenMsg = None
 
 
 class NodeHost(SimulatedProcess):
@@ -92,50 +91,47 @@ class NodeHost(SimulatedProcess):
     # token plane
     # ------------------------------------------------------------------
     def handle_message(self, message) -> None:
-        global _BatchTokenMsg
-        BatchTokenMsg = _BatchTokenMsg
-        if BatchTokenMsg is None:
-            # Deferred to dodge the host <-> combining import cycle; one
-            # lookup ever instead of one per message.
-            from repro.runtime.combining import BatchTokenMsg as _cls
-
-            BatchTokenMsg = _BatchTokenMsg = _cls
-        if isinstance(message, TokenMsg):
-            self._handle_one(message.path, message.port, message.token)
-        elif isinstance(message, BatchTokenMsg):
-            self._handle_tokens(message.path, list(message.items))
-        else:  # pragma: no cover - no other message kinds today
-            raise ProtocolError("unknown message %r" % (message,))
-
-    def _handle_one(self, path: Path, port: int, token: Token) -> None:
-        """:meth:`_handle_tokens` specialised for the single-token
-        message that dominates uncombined traffic (no batch list)."""
+        """A token arrived — it is its own message and names the input
+        it is owed to. The single token that dominates uncombined
+        traffic is handled in this frame; a batch goes to
+        :meth:`_handle_batch`."""
+        if message.__class__ is not Token:
+            self._handle_batch(message)
+            return
         system = self.system
-        system.note_token_arrived(path)
-        system._unowe(token)
+        path, port = message.owed
+        message.owed = None  # arrived: system._unowe, in this frame
+        message.in_flight = False
+        obs = _obs.ACTIVE
+        if obs.enabled:
+            obs.owed_delta(-1)
         if path in self.frozen:
-            self.buffers.setdefault(path, []).append((port, token))
+            self.buffers.setdefault(path, []).append((port, message))
             return
         state = self.components.get(path)
         if state is None:
-            system.reroute_token(path, port, token)
+            system.reroute_token(path, port, message)
             return
         self.tokens_routed.increment()
         out_port = state.route_token(port)
-        dest = self._edge(path, state, out_port)
-        if dest[0] == "out":
-            system.retire_token(token, state, out_port, dest[1])
+        dest = self._edge_of((path, out_port))
+        if dest is None:
+            self.cache_misses += 1
+            dest = system.resolve_edge(state.spec, out_port)
         else:
-            _, dest_path, dest_port = dest
-            system.send_token(dest_path, dest_port, token)
+            self.cache_hits += 1
+        if dest[0] == "out":
+            system.retire_token(message, state, out_port, dest[1])
+        else:
+            system.send_token(dest[1], dest[2], message)
 
-    def _handle_tokens(self, path: Path, items: List[Tuple[int, Token]]) -> None:
+    def _handle_batch(self, message) -> None:
+        if not isinstance(message, BatchTokenMsg):  # pragma: no cover
+            raise ProtocolError("unknown message %r" % (message,))
         system = self.system
-        note_arrived = system.note_token_arrived
-        unowe = system._unowe
+        path, items = message.path, message.items
         for _port, token in items:
-            note_arrived(path)
-            unowe(token)
+            system._unowe(token)
         if path in self.frozen:
             self.buffers.setdefault(path, []).extend(items)
             return
@@ -154,8 +150,7 @@ class NodeHost(SimulatedProcess):
                 # "member" and "missing" both address a path; for a
                 # crash hole, send_token's reroute machinery retries
                 # until stabilisation restores it.
-                _, dest_path, dest_port = dest
-                system.send_token(dest_path, dest_port, token)
+                system.send_token(dest[1], dest[2], token)
 
     def _edge(self, path: Path, state: ComponentState, out_port: int) -> Tuple:
         cached = self._edge_of((path, out_port))

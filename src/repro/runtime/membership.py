@@ -141,11 +141,11 @@ class MembershipManager:
         host = system.hosts[node_id]
         report = CrashReport(node_id)
         report.lost_components = sorted(host.components)
-        report.lost_buffered_tokens = sum(len(b) for b in host.buffers.values())
+        for buffer in host.buffers.values():  # these tokens die with the host
+            report.lost_buffered_tokens += len(buffer)
+            system.live_tokens.difference_update(token for _port, token in buffer)
         report.lost_registry_entries = sorted(host.split_registry)
-        report.disturbed_tokens = sum(
-            system._inflight.get(path, 0) for path in report.lost_components
-        )
+        report.disturbed_tokens = system.tokens_in_flight(host.components)
         system.stats.disturbed_tokens += report.disturbed_tokens
         system.ring.remove(node_id)
         system.bus.unregister(node_id)

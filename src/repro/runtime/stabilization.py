@@ -123,11 +123,13 @@ class Stabilizer:
         and have *not* been routed by the lost component; counting them
         as arrivals would advance the reconstructed round-robin pointer
         past phantom tokens and permanently skew the output distribution
-        when they really arrive. Subtract the owed ledger so the
-        restored state is one the component could actually have reached.
+        when they really arrive. Subtract what the live tokens say is
+        still owed (one walk per lost component) so the restored state
+        is one the component could actually have reached.
         """
         system = self.system
         spec = system.tree.node(tuple(path))
+        owed = system.owed_by_port(spec.path)
         arrivals = {}
         for port in range(spec.width):
             source = self.input_source(spec, port)
@@ -142,7 +144,7 @@ class Stabilizer:
                 emitter = system.hosts[owner].components[emitter_path]
                 count = balanced_count_at(0, emitter.total, emitter.width, out_port)
                 system.stats.control_messages += 2  # query + reply
-            count -= system.tokens_owed(path, port)
+            count -= owed[port]
             if count > 0:
                 arrivals[port] = count
         total = sum(arrivals.values())

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chord.ring import ChordNode, ChordRing
-from repro.core.atomics import AtomicCounter, PerWireCounters, TokenLedger
+from repro.core.atomics import AtomicCounter, PerWireCounters
 from repro.core.components import ComponentState, balanced_count_at
 from repro.core.cut import Cut, CutNetwork
 from repro.core.decomposition import ComponentSpec, DecompositionTree
@@ -45,7 +46,7 @@ from repro.runtime.reconfig import Reconfigurator
 from repro.runtime.rules import RulesEngine
 from repro.runtime.audit import StateAuditor
 from repro.runtime.stabilization import Stabilizer
-from repro.runtime.tokens import Token, TokenMsg, TokenStats
+from repro.runtime.tokens import Token, TokenStats
 from repro.sim.events import Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.node import MessageBus
@@ -122,14 +123,13 @@ class AdaptiveCountingSystem:
         #: Split-registry entries of nodes crashed since the last
         #: :meth:`stabilize`: the merge duties recovery must re-assign.
         self.lost_registry: Set[Path] = set()
-        self._inflight: TokenLedger[Path] = TokenLedger()
-        # Exact emitted-but-not-arrived accounting, used by crash
-        # recovery: (path, port) -> tokens owed to that input. A token
-        # stays owed across undeliverable bounces and retry waits, and
-        # moves keys when rerouted, so ``Stabilizer.reconstruct`` can
-        # subtract tokens its in-neighbours counted as departed that
-        # have not actually arrived.
-        self._owed: TokenLedger[Tuple[Path, int]] = TokenLedger()
+        #: Issued tokens that have neither retired nor dropped (nor been
+        #: lost in a crashed host's buffers). The tokens are the
+        #: emitted-but-not-arrived ledger: each records the (path, port)
+        #: it is owed to and whether it is on the bus toward it now, so
+        #: a hop keeps no table and recovery (a crash report, a merge
+        #: drain, ``Stabilizer.reconstruct``) walks this set instead.
+        self.live_tokens: Set[Token] = set()
         # Injected tokens whose input lookup failed and is pending a
         # retry, per network wire: counted in ``injected_per_wire`` but
         # not yet owed to any component.
@@ -247,6 +247,7 @@ class AdaptiveCountingSystem:
             from_node = self.rng.choice(self._live_nodes)
         token = Token(self._token_counter.fetch_increment(), wire, self.sim.now)
         self.token_stats.issued.increment()
+        self.live_tokens.add(token)
         self.injected_per_wire.increment(wire)
         obs = _obs.ACTIVE
         if obs.enabled:
@@ -265,10 +266,7 @@ class AdaptiveCountingSystem:
             if obs.enabled:
                 obs.token_rerouted(self.sim.now, token)
             if token.reroutes > MAX_REROUTES:
-                self.stats.dropped_tokens += 1
-                self.token_stats.record_dropped(token)
-                if obs.enabled:
-                    obs.token_dropped(self.sim.now, token)
+                self._drop(token)
                 return
             self._inject_pending.increment(wire)
 
@@ -290,44 +288,40 @@ class AdaptiveCountingSystem:
     def send_token(self, path: Path, port: int, token: Token) -> None:
         """Forward a token to input ``port`` of the component at ``path``.
 
+        The token itself is the message: it is marked owed to
+        (``path``, ``port``) — its emitter has counted it as departed
+        toward that input — and stays so across bounces and retry waits
+        until it arrives; a reroute to a new address moves the debt.
         With combining enabled, the token may wait up to the combining
         window at the sender so companions headed to the same component
         share one message.
         """
-        path = tuple(path)
-        if self._owner_of(path) is None:
+        if path.__class__ is not tuple:
+            path = tuple(path)
+        owner = self._owner_of(path)
+        if owner is None:
             self.reroute_token(path, port, token)
             return
+        obs = _obs.ACTIVE
+        key = (path, port)
+        if token.owed != key:
+            if token.owed is not None:
+                self._unowe(token)  # a reroute moves the debt
+            token.owed = key
+            if obs.enabled:
+                obs.owed_delta(1)
         if self.combiner is not None:
-            self._owe(path, port, token)
             self.combiner.offer(path, port, token)
             return
-        self._dispatch_one(path, port, token)
-
-    def _dispatch_one(self, path: Path, port: int, token: Token) -> None:
-        """:meth:`dispatch_batch` specialised for one token — the
-        per-hop common case without combining — skipping the batch list
-        machinery. ``path`` must already be a live tuple."""
-        owner = self._owner_of(path)
         token.hops += 1
-        self._owe(path, port, token)
-        obs = _obs.ACTIVE
+        token.in_flight = True
         if obs.enabled:
             obs.token_hop(self.sim.now, token, path, port, 1)
-        self._inflight.post(path)
-        self.bus.send(
-            owner,
-            TokenMsg(path, port, token),
-            kind="token",
-            on_undeliverable=lambda: self._one_undelivered(path, port, token),
-        )
-
-    def _one_undelivered(self, path: Path, port: int, token: Token) -> None:
-        self.note_token_arrived(path)
-        self._retry(path, port, token)
+        self.bus.send(owner, token, "token", self._undelivered)
 
     def dispatch_batch(self, path: Path, items) -> None:
-        """Ship a batch of (port, token) pairs as one message."""
+        """Ship a batch of (port, token) pairs — each already owed to
+        its (``path``, port) by :meth:`send_token` — as one message."""
         path = tuple(path)
         owner = self._owner_of(path)
         if owner is None:
@@ -335,78 +329,63 @@ class AdaptiveCountingSystem:
                 self.reroute_token(path, port, token)
             return
         obs = _obs.ACTIVE
-        if obs.enabled:
-            now = self.sim.now
-            batch_size = len(items)
-            for port, token in items:
-                token.hops += 1
-                self._owe(path, port, token)
-                obs.token_hop(now, token, path, port, batch_size)
-        else:
-            for port, token in items:
-                token.hops += 1
-                self._owe(path, port, token)
-        self._inflight.post(path, len(items))
-        if len(items) == 1:
-            port, token = items[0]
-            message = TokenMsg(path, port, token)
-        else:
-            message = BatchTokenMsg(path, tuple(items))
-        # Every caller hands over ownership of ``items`` (a fresh list or
-        # a popped combining buffer), so the drop callback can capture it
-        # directly instead of deferring a defensive copy.
-        self.bus.send(
-            owner,
-            message,
-            kind="token",
-            on_undeliverable=lambda: self._batch_undelivered(path, items),
-        )
-
-    def _batch_undelivered(self, path: Path, items) -> None:
-        for _ in items:
-            self.note_token_arrived(path)
         for port, token in items:
-            self._retry(path, port, token)
+            token.hops += 1
+            token.in_flight = True
+            if obs.enabled:
+                obs.token_hop(self.sim.now, token, path, port, len(items))
+        message = items[0][1] if len(items) == 1 else BatchTokenMsg(path, tuple(items))
+        self.bus.send(owner, message, "token", self._undelivered)
 
-    def note_token_arrived(self, path: Path) -> None:
-        if self._inflight.settle(path) < 0:
-            # The old dict idiom clamped at zero; keep that behaviour.
-            self._inflight.clear_balance(path)
-
-    # ------------------------------------------------------------------
-    # emitted-but-not-arrived ledger (crash-recovery accounting)
-    # ------------------------------------------------------------------
-    def _owe(self, path: Path, port: int, token: Token) -> None:
-        """Record that ``token`` is owed to (``path``, ``port``): its
-        emitter has counted it as departed toward that input, but it has
-        not arrived there yet. Re-owing to the same key (a retry) is a
-        no-op; rerouting to a new address moves the count."""
-        key = (path, port)
-        if token.owed == key:
-            return
-        self._unowe(token)
-        token.owed = key
-        self._owed.post(key)
-        obs = _obs.ACTIVE
-        if obs.enabled:
-            obs.owed_delta(1)
+    def _undelivered(self, message) -> None:
+        """The bus dropped a token message (its owner is gone): every
+        token in it is off the bus, still owed, and retries."""
+        tokens = [message] if message.__class__ is Token else [t for _, t in message.items]
+        for token in tokens:
+            token.in_flight = False
+            self._retry(token.owed[0], token.owed[1], token)
 
     def _unowe(self, token: Token) -> None:
         """The token arrived somewhere (or was dropped): settle its debt."""
-        key = token.owed
-        if key is None:
+        if token.owed is None:
             return
         token.owed = None
-        self._owed.settle(key)
+        token.in_flight = False
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.owed_delta(-1)
 
+    def owed_by_port(self, path: Path) -> Counter:
+        """Per input port of ``path``, the tokens counted as emitted
+        toward it that have not arrived: in flight on the bus, bounced
+        and awaiting a retry, or waiting in a combining buffer. One walk
+        of the live tokens, made at recovery and never on the hop."""
+        path = tuple(path)
+        return Counter(
+            token.owed[1]
+            for token in self.live_tokens
+            if token.owed is not None and token.owed[0] == path
+        )
+
     def tokens_owed(self, path: Path, port: int) -> int:
-        """Tokens counted as emitted toward (``path``, ``port``) that
-        have not arrived: in flight on the bus, bounced and awaiting a
-        retry, or waiting in a combining buffer."""
-        return self._owed.balance((tuple(path), port))
+        """Tokens owed to the one input (``path``, ``port``)."""
+        return self.owed_by_port(path)[port]
+
+    def tokens_in_flight(self, paths) -> int:
+        """Tokens on the bus toward any component in ``paths`` now."""
+        return sum(
+            1 for token in self.live_tokens if token.in_flight and token.owed[0] in paths
+        )
+
+    def _drop(self, token: Token) -> None:
+        """Give up on a token that exhausted ``MAX_REROUTES``."""
+        self.stats.dropped_tokens += 1
+        self.token_stats.record_dropped(token)
+        obs = _obs.ACTIVE
+        if obs.enabled:
+            obs.token_dropped(self.sim.now, token)
+        self._unowe(token)
+        self.live_tokens.discard(token)
 
     def _retry(self, path: Path, port: int, token: Token) -> None:
         token.reroutes += 1
@@ -414,11 +393,7 @@ class AdaptiveCountingSystem:
         if obs.enabled:
             obs.token_rerouted(self.sim.now, token)
         if token.reroutes > MAX_REROUTES:
-            self.stats.dropped_tokens += 1
-            self.token_stats.record_dropped(token)
-            if obs.enabled:
-                obs.token_dropped(self.sim.now, token)
-            self._unowe(token)
+            self._drop(token)
             return
         self.sim.schedule(RETRY_DELAY, lambda: self.send_token(path, port, token))
 
@@ -483,6 +458,7 @@ class AdaptiveCountingSystem:
         token.value = (emitted - 1) * self.width + wire
         token.exit_wire = wire
         token.retired_at = self.sim.now
+        self.live_tokens.discard(token)
         self.output_counts.increment(wire)
         self.token_stats.record_retired(token)
         for callback in self._retire_callbacks:
@@ -519,7 +495,7 @@ class AdaptiveCountingSystem:
         while True:
             if self.combiner is not None:
                 self.combiner.flush_all()
-            if not any(self._inflight.get(p, 0) for p in paths):
+            if not self.tokens_in_flight(paths):
                 return
             if not self.sim.step():
                 raise ProtocolError("drain stalled with tokens in flight")

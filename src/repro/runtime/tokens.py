@@ -1,16 +1,18 @@
 """Tokens and token bookkeeping for the distributed runtime.
 
-:class:`Token` and :class:`TokenMsg` are the hottest records in the
-system — one of each per injection, and a ``TokenMsg`` per hop — so
-both are hand-rolled ``__slots__`` classes rather than dataclasses:
-no per-instance ``__dict__``, cheaper attribute access, and (for
-``Token``) cheaper mutation of the hop/reroute counters en route.
+:class:`Token` is the hottest record in the system — one per injection,
+and it *is* the message of every hop: it carries the (path, port) it is
+addressed and owed to, so a hop allocates no message and keeps no table
+(a multi-token batch travels as a ``combining.BatchTokenMsg``). It is a
+hand-rolled ``__slots__`` class rather than a dataclass: no
+per-instance ``__dict__``, cheaper attribute access, and cheaper
+mutation of the hop/reroute counters en route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.atomics import AtomicCounter
 from repro.obs import recorder as _obs
@@ -29,6 +31,7 @@ class Token:
         "exit_wire",
         "value",
         "owed",
+        "in_flight",
     )
 
     def __init__(
@@ -50,11 +53,13 @@ class Token:
         self.retired_at = retired_at
         self.exit_wire = exit_wire
         self.value = value
-        #: Runtime bookkeeping: the (path, port) this token is currently
-        #: owed to (emitted toward but not yet arrived at), or None.
-        #: Crash recovery subtracts owed tokens when reconstructing a
-        #: lost component's arrival counts.
+        #: The (path, port) this token is addressed and owed to (emitted
+        #: toward but not yet arrived at), or None; ``in_flight`` says
+        #: it is on the bus toward it now (not bounced, buffered or
+        #: waiting to retry). Crash recovery reads both off the live
+        #: tokens when reconstructing a lost component's arrivals.
         self.owed = None
+        self.in_flight = False
 
     @property
     def latency(self) -> Optional[float]:
@@ -67,24 +72,6 @@ class Token:
             self.token_id,
             self.entry_wire,
             self.value,
-        )
-
-
-class TokenMsg:
-    """A token addressed to input ``port`` of the component at ``path``."""
-
-    __slots__ = ("path", "port", "token")
-
-    def __init__(self, path: Tuple[int, ...], port: int, token: Token):
-        self.path = path
-        self.port = port
-        self.token = token
-
-    def __repr__(self):
-        return "TokenMsg(path=%r, port=%d, token=%r)" % (
-            self.path,
-            self.port,
-            self.token,
         )
 
 

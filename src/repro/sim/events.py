@@ -20,9 +20,12 @@ heap, bit for bit:
   ``(key, handle)`` pairs, so ties break by the policy's injective key
   exactly as they did in the global ``(time, key, handle)`` heap.
 
-Buckets live in the dict until *exhausted* (lazily removed at dispatch),
-so a callback that schedules back into the current instant joins the
-draining bucket and keeps its position in the total order.
+A bucket is retired the moment its last entry is popped, so no bucket
+in the dict is ever empty. Lemma (order unchanged, FIFO and keyed): a
+callback that schedules back into the instant whose bucket it just
+emptied opens a fresh bucket at the same timestamp, and the old one
+held nothing to be ordered against; a bucket that still has entries
+stays, so a same-instant schedule joins it in order as before.
 
 Event lifecycle
 ---------------
@@ -210,9 +213,8 @@ class Simulator:
     """
 
     def __init__(self, policy: Optional[SchedulePolicy] = None):
-        #: Calendar buckets: timestamp -> same-timestamp events. A
-        #: bucket stays here until exhausted, so same-instant schedules
-        #: during its drain join it in order.
+        #: Calendar buckets: timestamp -> same-timestamp events, never
+        #: empty (a bucket retires with its last entry).
         self._buckets: Dict[float, object] = {}
         #: One heap entry per distinct pending timestamp (the bucket
         #: anchors); kept in lockstep with ``_buckets``.
@@ -311,12 +313,30 @@ class Simulator:
     def schedule_pooled(self, delay: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is returned, so
         the event cannot be cancelled — in exchange its handle comes
-        from (and returns to) the simulator's freelist."""
-        if delay < 0 or not isfinite(delay):
+        from (and returns to) the simulator's freelist. One call per
+        message: the freelist pop and the FIFO insert run in this frame."""
+        if not 0 <= delay < inf:  # false for NaN too
             raise SimulationError(
                 "cannot schedule a negative or non-finite delay (delay=%r)" % delay
             )
-        self._enqueue(self.now + delay, self._acquire_handle(callback))
+        pool = self._handle_pool
+        if pool:
+            handle = pool.pop()
+            handle.callback = callback
+            self._handles_reused += 1
+        else:
+            handle = EventHandle(callback, pooled=True)
+            self._handles_created += 1
+        time = self.now + delay
+        if not self._fifo:
+            self._enqueue_keyed(time, handle)
+            return
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            spare = self._bucket_pool
+            bucket = self._buckets[time] = spare.pop() if spare else deque()
+            heappush(self._times, time)
+        bucket.append(handle)  # type: ignore[attr-defined]
 
     def schedule_at_pooled(self, time: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule_at` using the handle freelist."""
@@ -361,7 +381,7 @@ class Simulator:
     # dispatch
     # ------------------------------------------------------------------
     def _retire_bucket(self, time: float, bucket: object) -> None:
-        """Drop an exhausted bucket and recycle its container."""
+        """Drop the emptied head bucket and recycle its container."""
         heappop(self._times)
         del self._buckets[time]
         self._bucket_pool.append(bucket)
@@ -374,8 +394,10 @@ class Simulator:
         through a schedule/pop. Claiming succeeds only when running the
         callback *now* is provably identical to scheduling it: ``time``
         is the current instant and every queued live event is strictly
-        later (a freshly scheduled event would land at the back of the
-        current bucket, so it would be popped next anyway). A granted
+        later (a freshly scheduled event would open the instant's only
+        bucket, so it would be popped next anyway). Buckets retire when
+        emptied, so for an event that was the last of its instant that
+        proof is one comparison with the head timestamp. A granted
         claim is charged like a popped event — ``events_run`` and the
         active ``max_events`` budget — keeping accounting exact; when
         the budget is exhausted the claim is refused and the caller must
@@ -384,17 +406,12 @@ class Simulator:
         if time != self.now:
             return False
         times = self._times
-        fifo = self._fifo
-        while times:
+        while times and times[0] <= time:
+            # Events remain at this instant: only cancelled ones (lazy
+            # deletion, cleared here from the head) may be skipped.
             head = times[0]
-            if head > time:
-                # Common case: everything queued is strictly later, and
-                # whatever cancelled entries sit behind ``head`` cannot
-                # change that — skip the housekeeping entirely.
-                break
             bucket = self._buckets[head]
-            # Lazy-deletion housekeeping at the queue head.
-            if fifo:
+            if self._fifo:
                 while bucket and bucket[0].cancelled:  # type: ignore[index, attr-defined]
                     bucket.popleft()  # type: ignore[attr-defined]
                     self._cancelled.decrement()
@@ -402,10 +419,9 @@ class Simulator:
                 while bucket and bucket[0][1].cancelled:  # type: ignore[index]
                     heappop(bucket)  # type: ignore[arg-type]
                     self._cancelled.decrement()
-            if not bucket:
-                self._retire_bucket(head, bucket)
-                continue
-            return False
+            if bucket:
+                return False
+            self._retire_bucket(head, bucket)
         budget = self._budget
         if budget is not None:
             if budget <= 0:
@@ -420,18 +436,15 @@ class Simulator:
     def step(self) -> bool:
         """Run the next live event; returns False when none remain."""
         times = self._times
-        buckets = self._buckets
-        fifo = self._fifo
         while times:
             time = times[0]
-            bucket = buckets[time]
-            if not bucket:
-                self._retire_bucket(time, bucket)
-                continue
-            if fifo:
+            bucket = self._buckets[time]
+            if self._fifo:
                 handle = bucket.popleft()  # type: ignore[attr-defined]
             else:
                 handle = heappop(bucket)[1]  # type: ignore[arg-type]
+            if not bucket:
+                self._retire_bucket(time, bucket)
             if handle.cancelled:
                 self._cancelled.decrement()
                 continue
@@ -477,6 +490,7 @@ class Simulator:
         buckets = self._buckets
         fifo = self._fifo
         handle_pool = self._handle_pool
+        bucket_pool = self._bucket_pool
         events_run = self.events_run
         drop_cancelled = self._cancelled.decrement
         started = events_run.get()
@@ -490,32 +504,31 @@ class Simulator:
             while times and times[0] < limit:
                 time = times[0]
                 bucket = buckets[time]
-                if not bucket:
-                    self._retire_bucket(time, bucket)
-                    continue
                 # Peek before charging: an exhausted budget must leave
                 # the event queued, and a cancelled head is uncounted.
                 handle = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
-                if handle.cancelled:
-                    if fifo:
-                        bucket.popleft()  # type: ignore[attr-defined]
-                    else:
-                        heappop(bucket)  # type: ignore[arg-type]
-                    drop_cancelled()
-                    continue
-                budget = self._budget  # re-read: inline deliveries consume it
-                if budget is not None:
-                    if budget <= 0:
-                        raise SimulationError(
-                            "simulation did not quiesce within %d events" % max_events
-                            if limit == inf
-                            else "too many events before time %r" % limit
-                        )
-                    self._budget = budget - 1
+                cancelled = handle.cancelled
+                if not cancelled:
+                    budget = self._budget  # re-read: inline deliveries consume it
+                    if budget is not None:
+                        if budget <= 0:
+                            raise SimulationError(
+                                "simulation did not quiesce within %d events" % max_events
+                                if limit == inf
+                                else "too many events before time %r" % limit
+                            )
+                        self._budget = budget - 1
                 if fifo:
                     bucket.popleft()  # type: ignore[attr-defined]
                 else:
                     heappop(bucket)  # type: ignore[arg-type]
+                if not bucket:  # retire with the last entry (_retire_bucket)
+                    heappop(times)
+                    del buckets[time]
+                    bucket_pool.append(bucket)
+                if cancelled:
+                    drop_cancelled()
+                    continue
                 callback = handle.callback
                 handle.callback = None
                 if handle.pooled:

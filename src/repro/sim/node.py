@@ -14,9 +14,12 @@ Delivery is driven by one slotted :class:`Envelope` record per message
 envelope's ``arrive`` trampoline after network transit, and ``arrive``
 either queues ``deliver`` behind the destination's service queue or —
 when the destination is idle, costs no service time, and the delivery
-would provably be the very next event anyway — runs it inline via
-:meth:`Simulator.claim_inline_slot`, skipping the queue round-trip
-without perturbing event order or accounting.
+would provably be the very next event anyway — delivers in the same
+frame via :meth:`Simulator.claim_inline_slot`, skipping the queue
+round-trip without perturbing event order or accounting. A message
+whose destination is gone is handed back to the sender's
+``on_undeliverable`` callback, so one bound method serves every send;
+the bus keeps no per-message count (``in_flight`` reads the envelopes).
 
 Envelope pooling
 ----------------
@@ -80,7 +83,7 @@ class Envelope:
         to_address: Hashable,
         message,
         kind: str,
-        on_undeliverable: Optional[Callable[[], None]],
+        on_undeliverable: Optional[Callable[[object], None]],
         sent_epoch: Optional[int],
     ):
         self.bus = bus
@@ -91,80 +94,60 @@ class Envelope:
         self.sent_epoch = sent_epoch
         self.generation = 0
 
-    def addressee(self) -> Optional[SimulatedProcess]:
-        """The live destination process, or None (gone or re-registered)."""
-        bus = self.bus
-        process = bus._processes.get(self.to_address)
-        if process is None:
-            return None
-        if self.sent_epoch is not None and bus._epoch_of(self.to_address) != self.sent_epoch:
-            return None  # same address, different incarnation
-        return process
+    def arrive(self, queued: bool = False) -> None:
+        """Network transit ended: take a service slot, then deliver.
 
-    def arrive(self) -> None:
-        """Network transit ended: enter the destination's service queue."""
+        One frame does the addressee check, the slot arithmetic and —
+        for an idle destination with zero service cost, when the
+        simulator certifies it is order- and accounting-identical — the
+        delivery itself. Otherwise :meth:`deliver` is scheduled for the
+        slot and re-enters here with ``queued`` set."""
         bus = self.bus
-        current = self.addressee()
-        if current is None:
-            kind = self.kind
-            on_undeliverable = self.on_undeliverable
-            bus._finish(kind)
-            bus.messages_dropped.increment()
-            obs = _obs.ACTIVE
-            if obs.enabled:
-                obs.bus_dropped(bus.simulator.now, kind)
-            bus._release_envelope(self)
-            if on_undeliverable is not None:
-                on_undeliverable()
-            return
+        to_address = self.to_address
+        current = bus._processes.get(to_address)
+        if (
+            current is not None
+            and self.sent_epoch is not None
+            and bus._epoch_of(to_address) != self.sent_epoch
+        ):
+            current = None  # same address, different incarnation
         simulator = bus.simulator
         now = simulator.now
-        busy = bus._busy_of(self.to_address)
-        finish = (busy if busy is not None and busy > now else now) + bus.service_time
-        if finish != now:
-            bus._busy_until.put(self.to_address, finish)
-        # else: an idle destination with zero service cost stays "busy
-        # until now", which any existing entry already implies — skipping
-        # the write keeps the zero-service hot path free of map traffic.
         obs = _obs.ACTIVE
-        if obs.enabled:
-            obs.bus_queued(now, self.kind, finish - now)
-        # Same-timestamp fast path: an idle destination with zero
-        # service cost processes the message in this very event when the
-        # simulator certifies that is order- and accounting-identical.
-        if finish == now and simulator.claim_inline_slot(finish):
-            # Nothing ran between the addressee check above and this
-            # call, so the resolution cannot have gone stale.
-            self._deliver_to(current)
-            return
-        simulator.schedule_at_pooled(finish, self.deliver)
-
-    def deliver(self) -> None:
-        """Service slot reached: hand the payload to the process."""
-        self._deliver_to(self.addressee())
-
-    def _deliver_to(self, current: Optional[SimulatedProcess]) -> None:
+        if current is not None and not queued:
+            busy = bus._busy_of(to_address)
+            finish = (busy if busy is not None and busy > now else now) + bus.service_time
+            if finish != now:
+                bus._busy_until.put(to_address, finish)
+            # else: an idle destination with zero service cost stays
+            # "busy until now", which any existing entry already implies.
+            if obs.enabled:
+                obs.bus_queued(now, self.kind, finish - now)
+            if finish != now or not simulator.claim_inline_slot(now):
+                simulator.schedule_at_pooled(finish, self.deliver)
+                return
         # Extract everything before releasing: the released envelope may
         # be re-acquired by a send issued inside the handler below.
-        bus = self.bus
         kind = self.kind
         message = self.message
         on_undeliverable = self.on_undeliverable
-        bus._finish(kind)
-        obs = _obs.ACTIVE
+        bus._release_envelope(self)
         if current is None:
             bus.messages_dropped.increment()
             if obs.enabled:
-                obs.bus_dropped(bus.simulator.now, kind)
-            bus._release_envelope(self)
+                obs.bus_dropped(now, kind)
             if on_undeliverable is not None:
-                on_undeliverable()
+                on_undeliverable(message)
             return
         bus.messages_delivered.increment()
         if obs.enabled:
-            obs.bus_delivered(bus.simulator.now, kind)
-        bus._release_envelope(self)
+            obs.bus_delivered(now, kind)
         current.handle_message(message)
+
+    def deliver(self) -> None:
+        """Service slot reached: hand the payload to the process (or
+        drop it if the addressee went away while it queued)."""
+        self.arrive(True)
 
 
 class MessageBus:
@@ -203,12 +186,10 @@ class MessageBus:
         self.messages_sent = AtomicCounter()
         self.messages_delivered = AtomicCounter()
         self.messages_dropped = AtomicCounter()
-        self._in_flight_by_kind: TokenLedger[str] = TokenLedger()
-        #: Hoisted ledger mutators for the per-message hot path.
-        self._post_kind = self._in_flight_by_kind.post
-        self._settle_kind = self._in_flight_by_kind.settle
-        #: Envelope freelist and its traffic counters (sim-loop work
+        #: Every envelope built (``in_flight`` reads their kinds), the
+        #: freelist among them, and its traffic counters (sim-loop work
         #: only — acquire in send, release at delivery/drop).
+        self._envelopes: List[Envelope] = []
         self._envelope_pool: List[Envelope] = []
         self._envelopes_created = 0
         self._envelopes_reused = 0
@@ -221,7 +202,7 @@ class MessageBus:
         to_address: Hashable,
         message,
         kind: str,
-        on_undeliverable: Optional[Callable[[], None]],
+        on_undeliverable: Optional[Callable[[object], None]],
         sent_epoch: Optional[int],
     ) -> Envelope:
         pool = self._envelope_pool
@@ -235,14 +216,15 @@ class MessageBus:
             self._envelopes_reused += 1
             return envelope
         self._envelopes_created += 1
-        return Envelope(self, to_address, message, kind, on_undeliverable, sent_epoch)
+        envelope = Envelope(self, to_address, message, kind, on_undeliverable, sent_epoch)
+        self._envelopes.append(envelope)
+        return envelope
 
     def _release_envelope(self, envelope: Envelope) -> None:
         # The generation bump invalidates any stamp captured while the
-        # envelope was live.
+        # envelope was live; a released envelope has no kind.
         envelope.generation += 1
-        envelope.message = None
-        envelope.on_undeliverable = None
+        envelope.message = envelope.on_undeliverable = envelope.kind = None
         self._envelope_pool.append(envelope)
 
     def pool_stats(self) -> Dict[str, int]:
@@ -275,24 +257,25 @@ class MessageBus:
     # messaging
     # ------------------------------------------------------------------
     def in_flight(self, kind: str) -> int:
-        """Messages of a given kind sent but not yet handled."""
-        return self._in_flight_by_kind.balance(kind)
+        """Messages of a given kind sent but not yet handled: read off
+        the live envelopes when asked, not kept per message."""
+        return sum(1 for envelope in self._envelopes if envelope.kind == kind)
 
     def send(
         self,
         to_address: Hashable,
         message,
         kind: str = "message",
-        on_undeliverable: Optional[Callable[[], None]] = None,
+        on_undeliverable: Optional[Callable[[object], None]] = None,
     ) -> None:
         """Deliver ``message`` to ``to_address`` after latency + queueing.
 
         If the destination is gone at delivery time (crash), the message
-        is dropped and ``on_undeliverable`` (if given) runs instead —
-        this is how neighbours notice lost components.
+        is dropped and ``on_undeliverable`` (if given) receives it
+        instead — this is how neighbours notice lost components, and
+        why a sender can pass one bound method for every message.
         """
         self.messages_sent.increment()
-        self._post_kind(kind)
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.bus_sent(self.simulator.now, kind)
@@ -312,6 +295,3 @@ class MessageBus:
         if policy is not None:
             transit += policy.delivery_jitter()
         simulator.schedule_pooled(transit, envelope.arrive)
-
-    def _finish(self, kind: str) -> None:
-        self._settle_kind(kind)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.components import ComponentState
 from repro.errors import ProtocolError
 from repro.runtime.system import AdaptiveCountingSystem
-from repro.runtime.tokens import Token, TokenMsg
+from repro.runtime.tokens import Token
 
 
 @pytest.fixture
@@ -15,6 +15,12 @@ def system():
 
 def root_host(system):
     return system.hosts[system.directory.owner(())]
+
+
+def addressed(token, path, port):
+    """The token is the message: it names the input it is owed to."""
+    token.owed = (path, port)
+    return token
 
 
 class TestInstallRemove:
@@ -45,8 +51,7 @@ class TestTokenHandling:
     def test_token_routed_and_retired(self, system):
         host = root_host(system)
         token = Token(0, 0, 0.0)
-        system._inflight.post((), 1)
-        host.handle_message(TokenMsg((), 0, token))
+        host.handle_message(addressed(token, (), 0))
         assert token.value == 0
         assert token.exit_wire == 0
         assert system.token_stats.retired == 1
@@ -55,8 +60,7 @@ class TestTokenHandling:
         host = root_host(system)
         host.freeze(())
         token = Token(0, 0, 0.0)
-        system._inflight.post((), 1)
-        host.handle_message(TokenMsg((), 3, token))
+        host.handle_message(addressed(token, (), 3))
         assert token.value is None
         assert host.buffers[()] == [(3, token)]
         assert host.drain_buffer(()) == [(3, token)]
@@ -69,8 +73,7 @@ class TestTokenHandling:
         token = Token(9, 0, 0.0)
         # Address the token to the now-dead root; any host will reroute.
         host = next(iter(system.hosts.values()))
-        system._inflight.post((), 1)
-        host.handle_message(TokenMsg((), 0, token))
+        host.handle_message(addressed(token, (), 0))
         system.run_until_quiescent()
         assert token.value is not None
         assert token.reroutes == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ComponentNotFound, ProtocolError
+from repro.runtime.combining import CombiningConfig
 from repro.runtime.system import AdaptiveCountingSystem
 
 
@@ -136,6 +137,36 @@ class TestMergeProtocol:
         system.reconfig.merge((), owner_host)
         system.run_until_quiescent()
         assert system.token_stats.retired == 20
+        system.verify()
+
+    @pytest.mark.parametrize(
+        "combining", [None, CombiningConfig(window=0.5)], ids=["plain", "combining"]
+    )
+    def test_recursive_merge_with_tokens_on_internal_wires_drains(self, combining):
+        """The drain reads the tokens themselves: 200 of them, past the
+        frozen input boundary and on wires inside a twice-split subtree
+        (or waiting in its combining buffers), must all reach the
+        members they are owed to before the states are folded."""
+        system = AdaptiveCountingSystem(
+            width=32, seed=2, initial_nodes=12, combining=combining
+        )
+        for path in [(), (0,), (1,), (2,), (3,), (0, 0), (2, 1)]:
+            system.reconfig.split(path)
+        system.run_until_quiescent()
+        initiator = next(h for h in system.hosts.values() if () in h.split_registry)
+        subtree = system.directory.live_descendants(())
+        internal = set(subtree) - set(system.reconfig.input_boundary((), subtree))
+        for _ in range(200):
+            system.inject_token()
+        system.advance(2.75)  # two hops in: every token is inside the subtree
+        waiting = system.combiner.pending if combining else 0
+        assert system.tokens_in_flight(internal) + waiting == 200
+        assert system.tokens_in_flight(internal) > 0
+        system.reconfig.merge((), initiator)
+        assert len(system.directory) == 1 and system.stats.merges == 1
+        system.run_until_quiescent()
+        assert system.token_stats.retired == 200
+        assert not system.live_tokens
         system.verify()
 
     def test_counting_across_split_merge_cycles(self, system):

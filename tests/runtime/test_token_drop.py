@@ -4,53 +4,58 @@ undeliverable batches, and ``MAX_REROUTES`` exhaustion accounting."""
 import pytest
 
 from repro.errors import ProtocolError
+from repro.runtime.combining import CombiningConfig
 from repro.runtime.system import MAX_REROUTES, AdaptiveCountingSystem
-from repro.runtime.tokens import Token
 
 
 class TestUndeliveredBatchBookkeeping:
     def test_inflight_empties_after_undeliverable_batch(self):
-        """`_batch_undelivered` must hand every item of the batch back
-        through `note_token_arrived`, leaving `_inflight` empty — a
-        leaked entry would stall `drain_paths` (merges) forever."""
-        system = AdaptiveCountingSystem(width=8, seed=41, initial_nodes=3)
+        """An undeliverable batch must take every one of its tokens off
+        the bus (still owed, awaiting a retry) — a token left marked in
+        flight would stall `drain_paths` (merges) forever."""
+        system = AdaptiveCountingSystem(
+            width=8, seed=41, initial_nodes=3, combining=CombiningConfig(window=0.5)
+        )
         owner = system.directory.owner(())
         host = system.hosts[owner]
-        tokens = [Token(900 + i, i, system.sim.now) for i in range(3)]
-        system.token_stats.issued += len(tokens)
-        system.dispatch_batch((), [(i, t) for i, t in enumerate(tokens)])
-        assert system._inflight[()] == 3
+        tokens = [system.inject_token(wire=wire) for wire in range(3)]
+        assert system.tokens_in_flight({()}) == 0  # waiting in the buffer
+        system.combiner.flush_all()  # one three-token message
+        assert system.bus.in_flight("token") == 1
+        assert system.tokens_in_flight({()}) == 3
         # The owner silently disappears from the bus before delivery
         # (crash window): the batch bounces via on_undeliverable.
         system.bus.unregister(owner)
         system.advance(2.0)
-        assert system._inflight == {}
+        assert system.tokens_in_flight({()}) == 0
+        assert [system.tokens_owed((), wire) for wire in range(3)] == [1, 1, 1]
         assert all(t.reroutes == 1 for t in tokens)
         # The process comes back; the scheduled retries deliver.
         system.bus.register(owner, host)
         system.run_until_quiescent()
         assert all(t.value is not None for t in tokens)
-        assert system._inflight == {}
+        assert system.tokens_in_flight({()}) == 0
+        assert not system.live_tokens
         system.verify()
 
     def test_retry_chain_terminates_at_max_reroutes(self):
-        """A batch bouncing forever (owner never returns) drops each
-        token after MAX_REROUTES retries, with the drop recorded in
-        both stats and `_inflight` left clean."""
+        """A token bouncing forever (owner never returns) is dropped
+        after MAX_REROUTES retries, with the drop recorded in both
+        stats and nothing left owed, in flight or live."""
         system = AdaptiveCountingSystem(
             width=8, seed=42, initial_nodes=3, auto_stabilize=False
         )
         owner = system.directory.owner(())
-        token = Token(900, 0, system.sim.now)
-        system.token_stats.issued += 1
-        system.dispatch_batch((), [(0, token)])
+        token = system.inject_token(wire=0)
         system.bus.unregister(owner)
         system.run_until_quiescent()
         assert token.reroutes == MAX_REROUTES + 1
         assert token.value is None
         assert system.token_stats.dropped == 1
         assert system.stats.dropped_tokens == 1
-        assert system._inflight == {}
+        assert system.tokens_in_flight({()}) == 0
+        assert system.tokens_owed((), 0) == 0
+        assert not system.live_tokens
         assert system.sim.pending == 0
 
 

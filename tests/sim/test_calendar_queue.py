@@ -223,3 +223,56 @@ class TestWheelHeapEquivalence:
         before = real.events_run.get()
         assert real.claim_inline_slot(real.now) is expected
         assert real.events_run.get() - before == (1 if expected else 0)
+
+    @pytest.mark.parametrize("policy_seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("children", [0, 1, 3])
+    def test_rescheduling_into_the_instant_a_callback_just_emptied(
+        self, children, policy_seed
+    ):
+        """A bucket retires with its last entry, so a callback that
+        schedules back into its own instant opens a fresh bucket there.
+        The lemma (`sim.events` docstring) says nothing can tell: same
+        dispatch order as the single heap, FIFO and keyed, and
+        `claim_inline_slot(now)` granted exactly when the reference
+        holds no live event at or before ``now`` — before the callback
+        re-fills the instant and after, with a cancelled straggler left
+        behind in every instant for the head housekeeping to clear."""
+
+        def reference_claim(reference):
+            if any(time <= reference.now for time in reference.live_pending_times()):
+                return False
+            reference.events_run += 1  # a granted claim is an executed event
+            return True
+
+        def run(sim, claim):
+            fired = []
+
+            def make_event(label, depth):
+                def fire():
+                    fired.append((label, sim.now, claim(sim)))
+                    if depth < 2:
+                        for child in range(children):
+                            sim.schedule_at(sim.now, make_event((label, child), depth + 1))
+                        fired.append(("refilled", claim(sim)))
+
+                return fire
+
+            for index in range(6):  # two live events an instant ...
+                sim.schedule_at(float(index % 3), make_event(index, 0))
+            for instant in range(3):  # ... and one cancelled
+                sim.cancel(sim.schedule_at(float(instant), lambda: None))
+            executed = sim.run_until_idle(max_events=10_000)
+            return fired, executed, int(sim.events_run)
+
+        def policy():
+            if policy_seed is None:
+                return None
+            return PerturbedPolicy(random.Random(policy_seed))
+
+        real = run(Simulator(policy=policy()), lambda sim: sim.claim_inline_slot(sim.now))
+        reference = run(ReferenceSimulator(policy=policy()), reference_claim)
+        assert real[0] == reference[0]
+        granted = sum(1 for entry in real[0] if entry[-1])
+        assert granted >= 3  # the last event of each instant, at least
+        # Popped plus inline-claimed events, counted alike on both sides.
+        assert real[2] == reference[2] == reference[1] + granted

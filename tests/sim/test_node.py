@@ -47,9 +47,9 @@ class TestDelivery:
     def test_undeliverable_runs_callback(self, setup):
         sim, bus = setup
         failures = []
-        bus.send("ghost", "msg", on_undeliverable=lambda: failures.append(1))
+        bus.send("ghost", "msg", on_undeliverable=failures.append)
         sim.run_until_idle()
-        assert failures == [1]
+        assert failures == ["msg"]  # the callback receives the message
         assert bus.messages_dropped == 1
 
     def test_unregister_mid_flight(self, setup):
@@ -57,7 +57,7 @@ class TestDelivery:
         proc = Recorder(sim)
         bus.register("a", proc)
         failures = []
-        bus.send("a", "msg", on_undeliverable=lambda: failures.append(1))
+        bus.send("a", "msg", on_undeliverable=lambda _message: failures.append(1))
         bus.unregister("a")
         sim.run_until_idle()
         assert proc.received == []
@@ -75,7 +75,7 @@ class TestDelivery:
         old, new = Recorder(sim), Recorder(sim)
         bus.register("a", old)
         failures = []
-        bus.send("a", "for-old", on_undeliverable=lambda: failures.append(1))
+        bus.send("a", "for-old", on_undeliverable=lambda _message: failures.append(1))
         bus.unregister("a")
         bus.register("a", new)
         sim.run_until_idle()
@@ -155,7 +155,6 @@ class ClosureMessageBus(MessageBus):
 
     def send(self, to_address, message, kind="message", on_undeliverable=None):
         self.messages_sent += 1
-        self._in_flight_by_kind.post(kind)
         transit = self.latency.sample()
         sent_epoch = self._epochs.get(to_address) if self.is_registered(to_address) else None
 
@@ -169,10 +168,9 @@ class ClosureMessageBus(MessageBus):
 
         def arrive():
             if addressee() is None:
-                self._finish(kind)
                 self.messages_dropped += 1
                 if on_undeliverable is not None:
-                    on_undeliverable()
+                    on_undeliverable(message)
                 return
             start = max(self.simulator.now, self._busy_until.get(to_address, 0.0))
             finish = start + self.service_time
@@ -180,11 +178,10 @@ class ClosureMessageBus(MessageBus):
 
             def process_it():
                 current = addressee()
-                self._finish(kind)
                 if current is None:
                     self.messages_dropped += 1
                     if on_undeliverable is not None:
-                        on_undeliverable()
+                        on_undeliverable(message)
                     return
                 self.messages_delivered += 1
                 current.handle_message(message)
@@ -251,7 +248,7 @@ def _run_bus_trace(bus_cls, seed):
                 target,
                 (step, rng.randrange(3)),
                 kind="token",
-                on_undeliverable=lambda s=step: drops.append((s, sim.now)),
+                on_undeliverable=lambda _message, s=step: drops.append((s, sim.now)),
             )
         if roll > 0.6:
             sim.run_until(sim.now + rng.choice((0.0, 1.0, 2.0)))

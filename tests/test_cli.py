@@ -105,3 +105,21 @@ class TestTraceCli:
             assert main(["estimate", "--nodes", nodes]) == 2
             captured = capsys.readouterr()
             assert "--nodes" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [([command, "--width", "7"], "--width") for command in ("run", "demo", "tree", "trace")]
+        + [
+            (["run", "--nodes", "-2"], "--nodes"),
+            (["run", "--nodes", "0"], "--nodes"),
+            (["run", "--tokens", "-3"], "--tokens"),
+            (["demo", "--nodes", "0"], "--nodes"),
+            (["trace", "--nodes", "0"], "--nodes"),
+        ],
+    )
+    def test_bad_sizes_are_usage_errors_not_tracebacks(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as usage_error:
+            main(argv)
+        assert usage_error.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument %s: must be" % flag in captured.err and captured.out == ""
