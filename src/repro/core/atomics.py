@@ -508,8 +508,8 @@ class TokenLedger(Generic[K]):
 class GuardedMap(Generic[K, V]):
     """A keyed object map whose mutations are two named operations:
     ``put`` (insert/replace) and ``take`` (remove-and-return). Used for
-    pending-RPC continuations and the cut network's live component
-    states, in place of raw ``d[k] = v`` / ``d.pop(k)`` pairs.
+    pending-RPC continuations, the directory's edge tables and the bus's
+    busy-until map, in place of raw ``d[k] = v`` / ``d.pop(k)`` pairs.
     """
 
     __slots__ = ("_entries",)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.core.atomics import AtomicCounter
 from repro.core.decomposition import ComponentSpec
 from repro.errors import StructureError
 
@@ -73,10 +72,6 @@ class ComponentState:
     port (sparse; ports with zero arrivals are absent). The paper's
     counter is ``x = total % spec.width``; the route of the next token
     is a pure function of ``total``.
-
-    The traversal counter lives behind an :class:`AtomicCounter`;
-    ``total`` stays a plain-int property so split/merge replay, audits
-    and tests keep exact-integer semantics.
     """
 
     def __init__(
@@ -86,17 +81,8 @@ class ComponentState:
         arrivals: Optional[Dict[int, int]] = None,
     ) -> None:
         self.spec = spec
-        self._traversed = AtomicCounter(int(total))
+        self.total = int(total)
         self.arrivals: Dict[int, int] = dict(arrivals) if arrivals else {}
-
-    @property
-    def total(self) -> int:
-        """Exact number of tokens that have traversed the component."""
-        return self._traversed.get()
-
-    @total.setter
-    def total(self, value: int) -> None:
-        self._traversed.set(int(value))
 
     @property
     def width(self) -> int:
@@ -105,7 +91,7 @@ class ComponentState:
     @property
     def x(self) -> int:
         """The paper's counter: the wire the next token will exit on."""
-        return self._traversed.get() % self.width
+        return self.total % self.width
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.width:
@@ -118,10 +104,11 @@ class ComponentState:
         width = self.spec.width
         if not 0 <= in_port < width:
             self._check_port(in_port)
-        wire = self._traversed.fetch_increment() % width
+        total = self.total
+        self.total = total + 1
         arrivals = self.arrivals
         arrivals[in_port] = arrivals.get(in_port, 0) + 1
-        return wire
+        return total % width
 
     def route_batch(self, port_counts: Mapping[int, int]) -> List[int]:
         """Consume a batch of tokens; return per-output-wire counts.
@@ -136,8 +123,8 @@ class ComponentState:
             if n < 0:
                 raise StructureError("negative token count on port %d" % port)
             count += n
-        start = self._traversed.fetch_increment(count) % self.width
-        counts = balanced_counts(start, count, self.width)
+        counts = balanced_counts(self.total % self.width, count, self.width)
+        self.total += count
         for port, n in port_counts.items():
             if n:
                 self.arrivals[port] = self.arrivals.get(port, 0) + n

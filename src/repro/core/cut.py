@@ -12,9 +12,10 @@ with the state transfer of :mod:`repro.core.splitmerge`.
 from __future__ import annotations
 
 import random
+from operator import index as as_index
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.atomics import AtomicCounter, GuardedMap, PerWireCounters
+from repro.core.atomics import AtomicCounter, PerWireCounters
 from repro.core.components import ComponentState, TokenTrace, balanced_counts
 from repro.core.decomposition import ComponentSpec, DecompositionTree
 from repro.core.splitmerge import merge_child_states, split_child_states
@@ -195,6 +196,10 @@ class CutNetwork:
     * reconfiguration: :meth:`split_member` / :meth:`merge_member`
       replace members in place with the Section 2.2 state transfer.
 
+    Both token semantics walk one int-indexed hop table (:meth:`_compile`),
+    dropped by whoever changes the member set or swaps a state object:
+    write through the reconfiguration methods, never ``states`` itself.
+
     The network tracks cumulative per-output-wire counts so the step
     property can be checked at any quiescent point.
     """
@@ -208,15 +213,11 @@ class CutNetwork:
         self.tree = cut.tree
         self.width = cut.tree.width
         self.wiring = wiring if wiring is not None else Wiring(cut.tree, convention)
-        self.states: GuardedMap[Path, ComponentState] = GuardedMap(
-            {spec.path: ComponentState(spec) for spec in cut.members()}
-        )
+        self.states = {spec.path: ComponentState(spec) for spec in cut.members()}
         self.output_counts = PerWireCounters(self.width)
         self.tokens_in = AtomicCounter()
         self.tokens_out = AtomicCounter()
-        self._edges: Dict[Tuple[Path, int], Tuple] = {}
-        self._input_map: Dict[int, Tuple[Path, int]] = {}
-        self._topo_cache: Optional[List[Path]] = None
+        self._invalidate()
 
     # ------------------------------------------------------------------
     # structure
@@ -224,7 +225,7 @@ class CutNetwork:
     @property
     def cut(self) -> Cut:
         """The current cut (recomputed from live members)."""
-        return Cut(self.tree, self.states.keys())
+        return Cut(self.tree, self.states)
 
     def members(self) -> List[ComponentState]:
         """Live member states, in pre-order."""
@@ -234,63 +235,87 @@ class CutNetwork:
         return frozenset(self.states)
 
     def _invalidate(self) -> None:
-        self._edges.clear()
-        self._input_map.clear()
-        self._topo_cache = None
+        self._table: Optional[tuple] = None
+        self._topo: Optional[List[int]] = None
+
+    def _compile(self) -> tuple:
+        """Number the live members ``0..n-1`` in pre-order (O(members), no
+        wiring call) as ``(members, index, rows, inputs)``: ``rows[i][out_port]``
+        is ``(j, in_port)`` for the next member, ``(-1, out_wire)`` for a network
+        output, ``None`` until a token first needs it; ``inputs[wire]`` likewise."""
+        index = {path: i for i, path in enumerate(sorted(self.states))}
+        members = [self.states[path] for path in index]
+        rows = [[None] * state.spec.width for state in members]
+        table = self._table = (members, index, rows, [None] * self.width)
+        return table
+
+    def _resolve(self, i: int, port: int) -> Tuple[int, int]:
+        """Fill ``rows[i][port]`` through the wiring, on first use."""
+        members, index, rows, _ = self._table or self._compile()
+        kind, *dest = self.wiring.resolve_output(members[i].spec, port, index)
+        entry = rows[i][port] = (
+            (-1, dest[0]) if kind == "out" else (index[dest[0].path], dest[1])
+        )
+        return entry
+
+    def _resolve_input(self, wire: int) -> Tuple[int, int]:
+        """Fill ``inputs[wire]`` through the wiring, on first use."""
+        _, index, _, inputs = self._table or self._compile()
+        spec, port = self.wiring.resolve_network_input(wire, index)
+        entry = inputs[wire] = (index[spec.path], port)
+        return entry
 
     def _edge(self, path: Path, port: int) -> Tuple:
-        """Destination of (member, output port); cached."""
-        key = (path, port)
-        dest = self._edges.get(key)
-        if dest is None:
-            spec = self.states[path].spec
-            resolved = self.wiring.resolve_output(spec, port, self.states.keys())
-            if resolved[0] == "member":
-                dest = ("member", resolved[1].path, resolved[2])
-            else:
-                dest = resolved
-            self._edges[key] = dest
-        return dest
+        """Destination of (member, output port), in paths."""
+        members, index, rows, _ = self._table or self._compile()
+        i = index[path]
+        j, dest = rows[i][port] or self._resolve(i, port)
+        return ("out", dest) if j < 0 else ("member", members[j].spec.path, dest)
 
     def _input(self, wire: int) -> Tuple[Path, int]:
-        entry = self._input_map.get(wire)
-        if entry is None:
-            spec, port = self.wiring.resolve_network_input(wire, self.states.keys())
-            entry = (spec.path, port)
-            self._input_map[wire] = entry
-        return entry
+        members, _, _, inputs = self._table or self._compile()
+        i, port = inputs[wire] or self._resolve_input(wire)
+        return members[i].spec.path, port
+
+    def _successors(self) -> List[List[int]]:
+        """Every member's successor members, ascending (fills every row)."""
+        rows = (self._table or self._compile())[2]
+        return [
+            sorted({(row[p] or self._resolve(i, p))[0] for p in range(len(row))} - {-1})
+            for i, row in enumerate(rows)
+        ]
 
     def member_graph(self) -> Dict[Path, set]:
         """Adjacency (member path -> successor member paths)."""
-        graph: Dict[Path, set] = {path: set() for path in self.states}
-        for path, state in self.states.items():
-            for port in range(state.width):
-                dest = self._edge(path, port)
-                if dest[0] == "member":
-                    graph[path].add(dest[1])
-        return graph
+        paths = list((self._table or self._compile())[1])
+        return {paths[i]: {paths[j] for j in js} for i, js in enumerate(self._successors())}
 
-    def topological_order(self) -> List[Path]:
-        """Members in an order compatible with the wire DAG."""
-        if self._topo_cache is None:
-            graph = self.member_graph()
-            indegree = {path: 0 for path in graph}
-            for succs in graph.values():
+    def _order(self) -> List[int]:
+        """Member indices in an order compatible with the wire DAG."""
+        if self._topo is None:
+            graph = self._successors()
+            indegree = [0] * len(graph)
+            for succs in graph:
                 for succ in succs:
                     indegree[succ] += 1
-            ready = sorted(path for path, deg in indegree.items() if deg == 0)
-            order: List[Path] = []
+            ready = [i for i, deg in enumerate(indegree) if deg == 0]
+            order: List[int] = []
             while ready:
-                path = ready.pop()
-                order.append(path)
-                for succ in sorted(graph[path]):
+                i = ready.pop()
+                order.append(i)
+                for succ in graph[i]:
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
                         ready.append(succ)
             if len(order) != len(graph):
                 raise StructureError("member graph is not acyclic")
-            self._topo_cache = order
-        return self._topo_cache
+            self._topo = order
+        return self._topo
+
+    def topological_order(self) -> List[Path]:
+        """Members in an order compatible with the wire DAG."""
+        paths = list((self._table or self._compile())[1])
+        return [paths[i] for i in self._order()]
 
     def input_layer(self) -> List[Path]:
         """Members that receive network input wires."""
@@ -320,25 +345,27 @@ class CutNetwork:
         tokens the values are exactly ``0, 1, 2, ...`` in a quiescent
         network.
         """
+        try:
+            wire = as_index(wire)
+        except TypeError:
+            raise StructureError("input wire %r is not an integer" % (wire,)) from None
         if not 0 <= wire < self.width:
             raise StructureError("input wire %d out of range" % wire)
+        members, _, rows, inputs = self._table or self._compile()
+        i, port = inputs[wire] or self._resolve_input(wire)
         self.tokens_in.increment()
-        path, port = self._input(wire)
-        while True:
-            state = self.states[path]
+        while i >= 0:
+            state = members[i]
             if trace is not None:
                 trace.hops.append(state.spec)
             out_port = state.route_token(port)
-            dest = self._edge(path, out_port)
-            if dest[0] == "out":
-                out_wire = dest[1]
-                value = self.output_counts.fetch_increment(out_wire) * self.width + out_wire
-                self.tokens_out.increment()
-                if trace is not None:
-                    trace.output_wire = out_wire
-                    trace.value = value
-                return out_wire, value
-            _, path, port = dest
+            i, port = rows[i][out_port] or self._resolve(i, out_port)
+        value = self.output_counts.fetch_increment(port) * self.width + port
+        self.tokens_out.increment()
+        if trace is not None:
+            trace.output_wire = port
+            trace.value = value
+        return port, value
 
     # ------------------------------------------------------------------
     # batch (quiescent-count) semantics
@@ -354,31 +381,36 @@ class CutNetwork:
             raise StructureError(
                 "expected %d input counts, got %d" % (self.width, len(input_counts))
             )
-        pending: Dict[Path, Dict[int, int]] = {path: {} for path in self.states}
+        members, _, rows, inputs = self._table or self._compile()
+        pending: List[Dict[int, int]] = [{} for _ in members]
+        total = 0
         for wire, count in enumerate(input_counts):
+            try:
+                count = as_index(count)
+            except TypeError:
+                count = -1
             if count < 0:
-                raise StructureError("negative token count on wire %d" % wire)
+                raise StructureError("token count on wire %d is not an integer >= 0" % wire)
             if count:
-                path, port = self._input(wire)
-                pending[path][port] = pending[path].get(port, 0) + count
+                i, port = inputs[wire] or self._resolve_input(wire)
+                pending[i][port] = pending[i].get(port, 0) + count
+                total += count
         batch_out = [0] * self.width
-        for path in self.topological_order():
-            port_counts = pending[path]
+        for i in self._order():
+            port_counts = pending[i]
             if not port_counts:
                 continue
-            state = self.states[path]
-            for port, emitted in enumerate(state.route_batch(port_counts)):
+            row = rows[i]
+            for port, emitted in enumerate(members[i].route_batch(port_counts)):
                 if emitted == 0:
                     continue
-                dest = self._edge(path, port)
-                if dest[0] == "out":
-                    batch_out[dest[1]] += emitted
+                j, dest = row[port] or self._resolve(i, port)
+                if j < 0:
+                    batch_out[dest] += emitted
                 else:
-                    _, succ, in_port = dest
-                    pending[succ][in_port] = pending[succ].get(in_port, 0) + emitted
+                    pending[j][dest] = pending[j].get(dest, 0) + emitted
         for wire, count in enumerate(batch_out):
             self.output_counts.increment(wire, count)
-        total = sum(input_counts)
         self.tokens_in.increment(total)
         self.tokens_out.increment(total)
         return batch_out
@@ -402,13 +434,10 @@ class CutNetwork:
         if spec.is_leaf:
             raise InvalidCutError("cannot split the balancer %s" % (spec,))
         children = split_child_states(self.wiring, spec, state.arrivals)
-        self.states.take(path)
-        new_paths = []
-        for child_state in children:
-            self.states.put(child_state.spec.path, child_state)
-            new_paths.append(child_state.spec.path)
+        del self.states[path]
+        self.states.update((child.spec.path, child) for child in children)
         self._invalidate()
-        return new_paths
+        return [child.spec.path for child in children]
 
     def merge_member(self, path: Path) -> Path:
         """Merge the children of ``path`` back into one component,
@@ -424,8 +453,8 @@ class CutNetwork:
             self.wiring, spec, [self.states[p] for p in child_paths]
         )
         for p in child_paths:
-            self.states.take(p)
-        self.states.put(path, merged)
+            del self.states[p]
+        self.states[path] = merged
         self._invalidate()
         return path
 
@@ -439,3 +468,12 @@ class CutNetwork:
                 if covering is None:
                     self.merge_member_recursive(child.path)
         return self.merge_member(path)
+
+    def adopt_states(self, states: Iterable[ComponentState]) -> None:
+        """Swap in ``states`` (a deployment's copied counters, say) for
+        the live members at their paths; the member set is unchanged."""
+        for state in states:
+            if state.spec.path not in self.states:
+                raise InvalidCutError("cannot adopt %s: not a live member" % (state.spec,))
+            self.states[state.spec.path] = state
+        self._invalidate()

@@ -100,17 +100,17 @@ class NodeHost(SimulatedProcess):
             return
         system = self.system
         path, port = message.owed
+        message.in_flight = False  # off the bus; owed until its component is found
+        state = self.components.get(path)
+        if state is None:
+            system.reroute_token(path, port, message)
+            return
         message.owed = None  # arrived: system._unowe, in this frame
-        message.in_flight = False
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.owed_delta(-1)
         if path in self.frozen:
             self.buffers.setdefault(path, []).append((port, message))
-            return
-        state = self.components.get(path)
-        if state is None:
-            system.reroute_token(path, port, message)
             return
         self.tokens_routed.increment()
         out_port = state.route_token(port)
@@ -130,15 +130,16 @@ class NodeHost(SimulatedProcess):
             raise ProtocolError("unknown message %r" % (message,))
         system = self.system
         path, items = message.path, message.items
+        state = self.components.get(path)
+        if state is None:
+            for port, token in items:
+                token.in_flight = False  # off the bus, still owed
+                system.reroute_token(path, port, token)
+            return
         for _port, token in items:
             system._unowe(token)
         if path in self.frozen:
             self.buffers.setdefault(path, []).extend(items)
-            return
-        state = self.components.get(path)
-        if state is None:
-            for port, token in items:
-                system.reroute_token(path, port, token)
             return
         self.tokens_routed.increment(len(items))
         for port, token in items:

@@ -552,9 +552,8 @@ class AdaptiveCountingSystem:
         """An offline :class:`CutNetwork` mirroring the live deployment
         (copied states), for metrics and verification."""
         network = CutNetwork(self.snapshot_cut(), wiring=self.wiring)
-        for path in list(network.states):
-            owner = self.directory.owner(path)
-            network.states.put(path, self.hosts[owner].components[path].copy())
+        hosts, owner = self.hosts, self.directory.owner
+        network.adopt_states([hosts[owner(p)].components[p].copy() for p in network.states])
         network.output_counts.reset(self.output_counts.snapshot())
         return network
 

@@ -140,6 +140,30 @@ class TestTokenSemantics:
         with pytest.raises(StructureError):
             net.feed_counts([-1] + [0] * 7)
 
+    @pytest.mark.parametrize(
+        "feed",
+        [
+            lambda net: net.feed_token(1.5),
+            lambda net: net.feed_token("1"),
+            lambda net: net.feed_token(None),
+            lambda net: net.feed_counts([1] * 7 + [0.5]),
+            lambda net: net.feed_counts([1] * 7 + [-1]),
+        ],
+        ids=["wire-1.5", "wire-str", "wire-None", "float-count-last", "negative-count-last"],
+    )
+    def test_bad_input_names_the_wire_and_moves_no_counter(self, tree8, feed):
+        """``0 <= 1.5 < w`` passed and a fractional wire resolved; a float
+        count died in ``balanced_counts`` after a member's counter moved."""
+        net, twin = CutNetwork(Cut.leaves(tree8)), CutNetwork(Cut.leaves(tree8))
+        for each in (net, twin):
+            each.feed_counts([2] * 8)
+        with pytest.raises(StructureError, match="wire"):
+            feed(net)
+        assert net.states == twin.states  # totals and arrivals of every member
+        assert net.tokens_in == net.tokens_out == 16
+        assert list(net.output_counts) == list(twin.output_counts)
+        assert net.feed_token(True) == twin.feed_token(1)  # operator.index allows it
+
     def test_token_conservation(self, tree8):
         net = CutNetwork(Cut.level(tree8, 1))
         net.feed_counts([3] * 8)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProtocolError, StepPropertyViolation, StructureError
+from repro.errors import ProtocolError, StructureError
 from repro.runtime.system import MAX_REROUTES, AdaptiveCountingSystem
 from repro.runtime.tokens import Token, TokenStats
 
@@ -56,15 +56,15 @@ class TestRerouteEdgeCases:
         system.run_until_quiescent()
         system.verify()
 
-    @pytest.mark.xfail(strict=True, raises=StepPropertyViolation)
-    def test_crash_with_tokens_in_flight_breaks_the_step_property(self):
-        """Known failure, same class as the one above (a crash with
-        tokens in flight) in twenty times fewer steps, with no merge and
-        no ``converge()`` in the loop: the root, reconstructed while its
-        tokens are on the bus, starts two wires late. Five tokens leave
-        as ``[0, 0, 1, 1, 1, 1, 1, 0]``; nothing is lost or dropped.
-        ``repro trace --nodes 1 --churn-every 1 --tokens 20`` shows it
-        from the command line."""
+    def test_crash_with_tokens_in_flight_keeps_the_step_property(self):
+        """Regression, same class as the one above (a crash with tokens
+        in flight) in twenty times fewer steps, with no merge and no
+        ``converge()`` in the loop. A token that reached the root's
+        stale home (a join had re-homed it) used to have its debt
+        settled by the host that did not have the component, so the
+        root, reconstructed during the retry wait, counted it as arrived
+        and started two wires late: ``[0, 0, 1, 1, 1, 1, 1, 0]``. The
+        debt is now settled at the component."""
         system = AdaptiveCountingSystem(width=8, seed=2, initial_nodes=1)
         system.converge()
         for injected in range(1, 6):
@@ -74,7 +74,7 @@ class TestRerouteEdgeCases:
             if injected in (3, 5):
                 system.crash_node()
         system.run_until_quiescent()
-        assert list(system.output_counts) == [0, 0, 1, 1, 1, 1, 1, 0]
+        assert list(system.output_counts) == [1, 1, 1, 1, 1, 0, 0, 0]
         assert system.token_stats.issued == system.token_stats.retired == 5
         assert system.token_stats.dropped == 0
         system.verify()

@@ -67,8 +67,9 @@ def test_calls_per_hop(system):
     hops = system.token_stats.total_hops.get() - hops_before
     system.verify()
     assert hops >= 500 * 10  # BITONIC[16] fully split: 10 balancers a token
-    # Parent commit: 38.5 Python calls, 31.8 C calls, 6 ledger calls a hop.
-    assert counts["call"] / hops <= 20
+    # Before PR 20: 38.5 Python calls, 31.8 C calls, 6 ledger calls a hop;
+    # 18.51 until ``ComponentState.total`` became the int it wrapped (17.31).
+    assert counts["call"] / hops <= 18
     assert counts["c_call"] / hops <= 24
     assert counts["ledger"] == 0
     assert system.live_tokens.walks == 0  # nothing reads the ledger on the hop

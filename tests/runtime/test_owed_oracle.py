@@ -10,7 +10,12 @@ tokens themselves now carry that state (``Token.owed``,
 ``_owe`` / ``_unowe`` / ``note_token_arrived`` on ledgers of its own —
 and :class:`ShadowedSystem` drives it from wrappers at exactly the
 points the parent did: dispatch, arrival, bounce, drop, and (through
-``_owe``'s move) reroute. After every membership operation of two seeded
+``_owe``'s move) reroute. One rule differs from the parent's, on purpose:
+an arrival takes the token off the bus at whichever host it reaches, but
+settles its debt only where the component (or its frozen buffer) is — a
+token that reached a stale home stays owed through its retry wait, or a
+``reconstruct()`` in that window would count it as arrived (ROADMAP item
+1(a)). After every membership operation of two seeded
 churn runs with tokens in flight the public readers must agree with the
 shadow, each crash report must count the disturbed tokens the shadow
 counts, and the invariant the deletion rests on must hold: *a token on
@@ -74,6 +79,7 @@ class ShadowedSystem(AdaptiveCountingSystem):
         self.shadow = ShadowLedgers()
         self.shadow_live = set()
         self.lost_in_buffers = 0
+        self.stale_arrivals = 0  # coverage: tokens that kept their debt at a stale home
         super().__init__(**kwargs)
         self.on_retire(self.shadow_live.discard)
 
@@ -109,13 +115,16 @@ class ShadowedSystem(AdaptiveCountingSystem):
         self.shadow_live.discard(token)
         super()._drop(token)
 
-    def arrived(self, message):  # the parent's _handle_one / _handle_tokens
+    def arrived(self, host, message):  # the parent's _handle_one / _handle_tokens
         for path, port, token in tokens_of(message):
             # The address the message travels to is the debt it carries.
             assert token.in_flight and token.owed == (path, port)
             assert self.shadow.key_of[token] == (path, port)
             self.shadow.note_token_arrived(path)
-            self.shadow._unowe(token)
+            if path in host.components:  # a stale home settles nothing
+                self.shadow._unowe(token)
+            else:
+                self.stale_arrivals += 1
 
     def crash_checked(self, node_id):
         host = self.hosts[node_id]
@@ -162,7 +171,7 @@ def shadowed_hosts(monkeypatch):
     original = NodeHost.handle_message
 
     def handle_message(host, message):
-        host.system.arrived(message)
+        host.system.arrived(host, message)
         original(host, message)
 
     monkeypatch.setattr(NodeHost, "handle_message", handle_message)
@@ -217,6 +226,7 @@ def churn(system, seed, operations=300, crashes_per_stabilize=1):
     assert not system.live_tokens and not system.shadow._owed.keys()
     # The run met the cases the wrappers stand at.
     assert system.bus.messages_dropped.get() and system.lost_in_buffers
+    assert system.stale_arrivals
     assert system.stats.splits and system.stats.merges
 
 
