@@ -26,7 +26,6 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chord.identifiers import IdentifierSpace
-from repro.core.atomics import GuardedMap
 from repro.errors import RingError
 from repro.obs import recorder as _obs
 from repro.sim.events import EventHandle, Simulator
@@ -101,7 +100,7 @@ class ProtocolNode(SimulatedProcess):
         #: of leaving it in the event heap as a dead no-op closure until
         #: its fire time — under churn workloads those dead timers used
         #: to dominate the queue (every successful RPC left one behind).
-        self._pending: GuardedMap[int, Tuple[Callable[[object], None], EventHandle]] = GuardedMap()
+        self._pending: Dict[int, Tuple[Callable[[object], None], EventHandle]] = {}
         self._call_ids = itertools.count()
 
     # ------------------------------------------------------------------
@@ -133,7 +132,7 @@ class ProtocolNode(SimulatedProcess):
         def expire(_undelivered: object = None) -> None:
             if not self.alive:
                 return  # a dead node's timers must not mutate its state
-            entry = self._pending.take(call_id)
+            entry = self._pending.pop(call_id, None)
             if entry is not None:
                 # Undeliverable path: the timer is still armed; cancel
                 # it so it never fires as a dead event (a no-op when we
@@ -146,14 +145,14 @@ class ProtocolNode(SimulatedProcess):
                     on_timeout()
 
         timer = self.network.sim.schedule(RPC_TIMEOUT, expire)
-        self._pending.put(call_id, (on_reply, timer))
+        self._pending[call_id] = (on_reply, timer)
         self.network.bus.send(target, rpc, kind="chord", on_undeliverable=expire)
 
     def handle_message(self, message) -> None:
         if not self.alive:
             return
         if isinstance(message, _Reply):
-            entry = self._pending.take(message.call_id)
+            entry = self._pending.pop(message.call_id, None)
             if entry is not None:
                 on_reply, timer = entry
                 self.network.sim.cancel(timer)
@@ -444,9 +443,9 @@ class ChordProtocolNetwork:
         # A dead node's timeout guards can never act (the alive check
         # above would no-op them anyway); cancel them so they leave the
         # event heap immediately instead of firing as dead events.
-        for _handler, timer in node._pending.values():
+        while node._pending:
+            _call_id, (_handler, timer) = node._pending.popitem()
             self.sim.cancel(timer)
-        node._pending.reset()
         self.bus.unregister(node_id)
 
     # ------------------------------------------------------------------

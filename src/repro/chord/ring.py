@@ -16,7 +16,6 @@ from bisect import bisect_left, insort
 from typing import Dict, Iterator, List, Optional
 
 from repro.chord.identifiers import IdentifierSpace
-from repro.core.atomics import AtomicCounter
 from repro.errors import MembershipError, RingError
 
 
@@ -46,7 +45,7 @@ class ChordRing:
         self.rng = random.Random(seed)
         self._ids: List[int] = []
         self._nodes: Dict[int, ChordNode] = {}
-        self._join_counter = AtomicCounter()
+        self._join_counter = 0
         #: Bumped on every membership change (see :attr:`version`).
         self._version = 0
 
@@ -102,9 +101,9 @@ class ChordRing:
             self.space.check(node_id)
             if node_id in self._nodes:
                 raise MembershipError("node id %#x already on the ring" % node_id)
-        joined = self._join_counter.fetch_increment()
         if name is None:
-            name = "node-%d" % joined
+            name = "node-%d" % self._join_counter
+        self._join_counter += 1
         node = ChordNode(node_id, name)
         insort(self._ids, node_id)
         self._nodes[node_id] = node

@@ -1,18 +1,31 @@
 """Counter facades: one named call site per shared counter update.
 
-Shared counter state — ``self.count += 1``, ``self.output_counts[w] +=
-1``, toggled bits, keyed in-flight ledgers — routes through the small
-facades in this module instead of raw ints and dicts: one named
-operation (``increment``, ``fetch_increment``, ``flip``,
-``post``/``settle``, ``put``/``take``) per update. The simulator is
-single-threaded — a node handles one message at a time — so the facades
-(:class:`AtomicCounter`, :class:`PerWireCounters`, :class:`ToggleBit`,
-:class:`TokenLedger`, :class:`GuardedMap`) are plain Python with no
-synchronization: byte-identical arithmetic to the raw-int code they
-replaced, and cheap enough for the simulator's hot path.
+The simulator is single-threaded — a node handles one message at a
+time — so a shared counter there is an ``int``, a toggle an ``int``
+flipped with ``^ 1`` and a keyed table a ``dict``, and most of them
+are exactly that. What is left in this module is the benchmark's
+contract until ROADMAP 3(i) lets ``perf/`` (frozen since PR 11) stop
+naming it:
+
+* :class:`AtomicCounter` — ``perf/trace.py`` wraps ``increment`` as a
+  boundary and ``perf/workloads.py`` reads ``.get()`` on nine of them:
+  ``Simulator.events_run``, ``MessageBus.messages_sent`` /
+  ``messages_delivered`` / ``messages_dropped`` and ``TokenStats``'
+  ``issued`` / ``retired`` / ``dropped`` / ``total_hops`` /
+  ``total_reroutes``;
+* :class:`PerWireCounters` — ``increment`` is a traced boundary;
+* :class:`TokenLedger` — ``post`` / ``settle`` are traced boundaries
+  and ``perf/probes.py`` times the pair.
+
+All three are plain Python with no synchronization, byte-identical
+arithmetic to the raw ints and dicts they wrap, and implement the
+arithmetic/comparison protocol (``int(c)``, ``c == 5``, ``c - other``,
+iteration for the per-wire family), so read sites — step-property
+checks, benchmarks, tests — treat them as the numbers they wrap.
 
 Two thread-safe primitives live beside them, for the one place OS
-threads do run (:mod:`repro.threads`, the contrast experiment):
+threads do run (:mod:`repro.threads`, the contrast experiment; both are
+timed by ``perf/probes.py``):
 
 * :class:`LockedAtomicCounter` wraps every mutation *and every read* of
   an :class:`AtomicCounter` in a ``threading.Lock``. Read paths route
@@ -23,12 +36,6 @@ threads do run (:mod:`repro.threads`, the contrast experiment):
   single C-level fetch-and-add (``next()`` on ``itertools.count``) that
   the GIL makes atomic. On free-threaded builds (PEP 703) it degrades
   to an internal lock.
-
-The facades deliberately implement the arithmetic/comparison protocol
-(``int(c)``, ``c == 5``, ``c - other``, iteration for the per-wire
-family), so read sites — step-property checks, benchmarks, tests —
-keep treating them as the numbers they wrap. Mutation, however, only
-happens through the named methods.
 """
 
 from __future__ import annotations
@@ -53,7 +60,6 @@ from typing import (
 )
 
 K = TypeVar("K", bound=Hashable)
-V = TypeVar("V")
 
 Number = Union[int, float]
 
@@ -311,32 +317,6 @@ class PerWireCounters:
         return "%s(%r)" % (type(self).__name__, self._values)
 
 
-class ToggleBit:
-    """A balancer's toggle: ``flip()`` returns the prior bit and
-    toggles. ``wire = toggle.flip()`` is exactly the old
-    ``bit = toggles[i] % 2; toggles[i] += 1`` pair."""
-
-    __slots__ = ("_bit",)
-
-    def __init__(self, initial: int = 0) -> None:
-        self._bit = int(initial) & 1
-
-    def flip(self) -> int:
-        """Toggle; return the bit *before* the flip."""
-        bit = self._bit
-        self._bit = bit ^ 1
-        return bit
-
-    def read(self) -> int:
-        return self._bit
-
-    def set(self, bit: int) -> None:
-        self._bit = int(bit) & 1
-
-    def __repr__(self) -> str:
-        return "%s(%d)" % (type(self).__name__, self._bit)
-
-
 def _gil_enabled() -> bool:
     """Whether this interpreter runs with the GIL (always true before
     the free-threaded builds of 3.13; ``sys._is_gil_enabled`` after)."""
@@ -354,17 +334,17 @@ class ThreadSafeToggle:
     so concurrent flips each observe a distinct tick — a genuine
     fetch-and-add with no lock, no matter how many threads contend
     (the cybozu ``Balancer2x2::get`` = ``fetch_add(&value, 1) % 2``
-    pattern). The flip sequence is bit-identical to
-    :class:`ToggleBit`: the i-th flip returns ``(initial + i) % 2``.
+    pattern). The i-th flip returns ``(initial + i) & 1``, the sequence
+    of a plain ``bit ^= 1`` toggle.
 
     On free-threaded builds (PEP 703, no GIL) a shared C iterator is no
     longer atomic, so the constructor detects that and routes flips
     through an internal lock instead — same semantics, locked speed.
 
-    Deliberately not a :class:`ToggleBit` subclass: the tick counter
-    only supports ``flip()`` (a toggle you could ``set`` or ``read``
-    mid-flight would need the lock the whole point is to avoid).
-    Quiescent state lives in the retirement counters, not here.
+    The tick counter only supports ``flip()`` (a toggle you could
+    ``set`` or ``read`` mid-flight would need the lock the whole point
+    is to avoid). Quiescent state lives in the retirement counters, not
+    here.
     """
 
     __slots__ = ("_ticks", "_lock")
@@ -505,95 +485,6 @@ class TokenLedger(Generic[K]):
         return "%s(%r)" % (type(self).__name__, self._entries)
 
 
-class GuardedMap(Generic[K, V]):
-    """A keyed object map whose mutations are two named operations:
-    ``put`` (insert/replace) and ``take`` (remove-and-return). Used for
-    pending-RPC continuations, the directory's edge tables and the bus's
-    busy-until map, in place of raw ``d[k] = v`` / ``d.pop(k)`` pairs.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, initial: Optional[Mapping[K, V]] = None) -> None:
-        self._entries: Dict[K, V] = dict(initial) if initial else {}
-
-    # -- named mutations ------------------------------------------------
-    def put(self, key: K, value: V) -> None:
-        self._entries[key] = value
-
-    def take(self, key: K, default: Optional[V] = None) -> Optional[V]:
-        """Remove ``key``; return its value (or ``default``)."""
-        return self._entries.pop(key, default)
-
-    def ensure(self, key: K, factory: Callable[[], V]) -> V:
-        """Return ``key``'s value, creating it via ``factory`` first if
-        absent (an explicit ``setdefault``)."""
-        try:
-            return self._entries[key]
-        except KeyError:
-            value = factory()
-            self._entries[key] = value
-            return value
-
-    def reset(self, initial: Optional[Mapping[K, V]] = None) -> None:
-        self._entries = dict(initial) if initial else {}
-
-    def reader(self) -> Callable[..., Any]:
-        """A bound, C-level read callable (``dict.get``) for hot paths;
-        see :meth:`TokenLedger.reader`. Never use it to mutate."""
-        return self._entries.get
-
-    # -- mapping facade -------------------------------------------------
-    def get(self, key: K, default: Optional[V] = None) -> Optional[V]:
-        return self._entries.get(key, default)
-
-    def snapshot(self) -> Dict[K, V]:
-        return dict(self._entries)
-
-    def keys(self) -> Iterable[K]:
-        return self._entries.keys()
-
-    def values(self) -> Iterable[V]:
-        return self._entries.values()
-
-    def items(self) -> Iterable[Tuple[K, V]]:
-        return self._entries.items()
-
-    def __getitem__(self, key: K) -> V:
-        return self._entries[key]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._entries
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GuardedMap):
-            return self.snapshot() == other.snapshot()
-        if isinstance(other, dict):
-            return self.snapshot() == other
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __hash__(self) -> int:
-        return object.__hash__(self)
-
-    def __repr__(self) -> str:
-        return "%s(%r)" % (type(self).__name__, self._entries)
-
-
 def _as_number(other: Any) -> Number:
     if isinstance(other, AtomicCounter):
         # get(), not _value: a locked counter must be read under its lock.
@@ -607,10 +498,8 @@ def _as_number(other: Any) -> Number:
 
 __all__ = [
     "AtomicCounter",
-    "GuardedMap",
     "LockedAtomicCounter",
     "PerWireCounters",
     "ThreadSafeToggle",
-    "ToggleBit",
     "TokenLedger",
 ]

@@ -15,7 +15,7 @@ import random
 from operator import index as as_index
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.atomics import AtomicCounter, PerWireCounters
+from repro.core.atomics import PerWireCounters
 from repro.core.components import ComponentState, TokenTrace, balanced_counts
 from repro.core.decomposition import ComponentSpec, DecompositionTree
 from repro.core.splitmerge import merge_child_states, split_child_states
@@ -215,8 +215,8 @@ class CutNetwork:
         self.wiring = wiring if wiring is not None else Wiring(cut.tree, convention)
         self.states = {spec.path: ComponentState(spec) for spec in cut.members()}
         self.output_counts = PerWireCounters(self.width)
-        self.tokens_in = AtomicCounter()
-        self.tokens_out = AtomicCounter()
+        self.tokens_in = 0
+        self.tokens_out = 0
         self._invalidate()
 
     # ------------------------------------------------------------------
@@ -353,7 +353,7 @@ class CutNetwork:
             raise StructureError("input wire %d out of range" % wire)
         members, _, rows, inputs = self._table or self._compile()
         i, port = inputs[wire] or self._resolve_input(wire)
-        self.tokens_in.increment()
+        self.tokens_in += 1
         while i >= 0:
             state = members[i]
             if trace is not None:
@@ -361,7 +361,7 @@ class CutNetwork:
             out_port = state.route_token(port)
             i, port = rows[i][out_port] or self._resolve(i, out_port)
         value = self.output_counts.fetch_increment(port) * self.width + port
-        self.tokens_out.increment()
+        self.tokens_out += 1
         if trace is not None:
             trace.output_wire = port
             trace.value = value
@@ -411,8 +411,8 @@ class CutNetwork:
                     pending[j][dest] = pending[j].get(dest, 0) + emitted
         for wire, count in enumerate(batch_out):
             self.output_counts.increment(wire, count)
-        self.tokens_in.increment(total)
-        self.tokens_out.increment(total)
+        self.tokens_in += total
+        self.tokens_out += total
         return batch_out
 
     def verify_step_property(self) -> None:

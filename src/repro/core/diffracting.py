@@ -17,7 +17,7 @@ exactly the contrast the paper draws in Section 1.3.
 
 from __future__ import annotations
 
-from repro.core.atomics import AtomicCounter, PerWireCounters, ToggleBit
+from repro.core.atomics import PerWireCounters
 from repro.errors import StructureError
 
 
@@ -31,9 +31,9 @@ class CountingTree:
         self.num_leaves = 1 << depth
         # Toggles stored as a heap-shaped array: node 1 is the root,
         # node n has children 2n and 2n+1.
-        self._toggles = [ToggleBit() for _ in range(self.num_leaves)]
+        self._toggles = [0] * self.num_leaves
         self.leaf_counts = PerWireCounters(self.num_leaves)
-        self.tokens = AtomicCounter()
+        self.tokens = 0
 
     def next_value(self) -> int:
         """Route one token from the root; return its counter value.
@@ -46,12 +46,13 @@ class CountingTree:
         """
         node = 1
         for _ in range(self.depth):
-            bit = self._toggles[node].flip()
+            bit = self._toggles[node]
+            self._toggles[node] = bit ^ 1
             node = 2 * node + bit
         position = node - self.num_leaves
         label = self._bit_reverse(position)
         value = self.leaf_counts.fetch_increment(label) * self.num_leaves + label
-        self.tokens.increment()
+        self.tokens += 1
         return value
 
     def _bit_reverse(self, position: int) -> int:
@@ -71,10 +72,11 @@ class CentralCounter:
     """The trivial baseline: one counter on one node, zero parallelism."""
 
     def __init__(self):
-        self.tokens = AtomicCounter()
+        self.tokens = 0
 
     def next_value(self) -> int:
-        return self.tokens.fetch_increment()
+        self.tokens += 1
+        return self.tokens - 1
 
     @property
     def width(self) -> int:

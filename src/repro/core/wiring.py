@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from repro.core.decomposition import ComponentKind, ComponentSpec, DecompositionTree
-from repro.errors import StructureError
+from repro.errors import ProtocolError, StructureError
 
 # Child-index constants, matching ComponentSpec.child_kinds() order.
 B_TOP, B_BOT = 0, 1
@@ -161,17 +161,67 @@ class WiringBase:
             port = ref.port
         return spec, port
 
+    def ascend_input(self, spec, port: int, ancestor):
+        """Climb from (``spec``, input ``port``) toward the ancestor at
+        path ``ancestor`` while the port is one of the parent's own
+        inputs. Returns where the climb stopped: at the ancestor (and
+        its port), or below it at the first port a sibling feeds."""
+        while spec.path != ancestor:
+            parent = self.tree.parent(spec)
+            source = self.parent_input_source(parent, spec.path[-1], port)
+            if source is None:
+                break
+            spec, port = parent, source
+        return spec, port
+
+    def resolve_input(self, spec, port: int, member_paths):
+        """Where (``spec``, input ``port``) lives under the cut
+        ``member_paths`` — every stale-address question is this one.
+
+        Returns ``("member", spec2, port2)``: ``spec`` itself, the
+        member it was merged into (the port climbs through the input
+        wiring) or the member it was split into (the port descends).
+        Returns ``("missing", spec, port)`` when no member is on that
+        path — a crash hole, whole or partial, awaiting stabilisation;
+        callers defer and retry rather than treating that as a
+        structural error. A port inside a merged subtree that a sibling
+        feeds has no address in the merged member: no token can be on
+        that wire (the merge drained it), so finding one raises.
+        """
+        try:
+            member, in_port = self.descend_input(spec, port, member_paths)
+        except StructureError:
+            pass  # nothing live at or below ``spec``: merged, or a hole
+        else:
+            return ("member", member, in_port)
+        path = spec.path
+        for depth in range(len(path)):
+            covering = path[:depth]
+            if covering in member_paths:
+                member, in_port = self.ascend_input(spec, port, covering)
+                if member.path != covering:
+                    raise ProtocolError(
+                        "%s input %d is an internal wire of the merged "
+                        "subtree %r" % (spec, port, covering)
+                    )
+                return ("member", member, in_port)
+        return ("missing", spec, port)
+
+    def is_input_boundary(self, spec, ancestor=()) -> bool:
+        """Whether some input port of ``spec`` is one of the inputs of
+        the ancestor at path ``ancestor`` (by default the network's)."""
+        return any(
+            self.ascend_input(spec, port, ancestor)[0].path == ancestor
+            for port in range(spec.width)
+        )
+
     def resolve_output(self, spec, port: int, member_paths):
         """Destination of (cut member ``spec``, output ``port``).
 
-        Returns ``("member", spec2, port2)`` for an internal wire,
-        ``("out", j)`` when the wire is network output ``j``, or
-        ``("missing", spec2, port2)`` when the receiving subtree has no
-        member in ``member_paths`` — a crash hole awaiting stabilisation;
-        callers defer and retry rather than treating that as a
-        structural error. Walks up through ancestors while the port maps
-        to the parent boundary, then descends into the sibling subtree
-        to the receiving member.
+        Returns ``("out", j)`` when the wire is network output ``j``,
+        else what :meth:`resolve_input` says of the sibling input the
+        wire enters. Walks up through ancestors while the port maps to
+        the parent boundary.
         """
         current, p = spec, port
         while True:
@@ -182,12 +232,7 @@ class WiringBase:
             if isinstance(dest, BoundaryRef):
                 current, p = parent, dest.port
                 continue
-            sibling = parent.child(dest.child)
-            try:
-                member, in_port = self.descend_input(sibling, dest.port, member_paths)
-            except StructureError:
-                return ("missing", sibling, dest.port)
-            return ("member", member, in_port)
+            return self.resolve_input(parent.child(dest.child), dest.port, member_paths)
 
     def resolve_network_input(self, wire: int, member_paths):
         """The cut member (and its port) receiving network input ``wire``."""
@@ -329,20 +374,3 @@ class Wiring(WiringBase):
         else:
             parity = 0 if to_top_merger else 1
         return half + 2 * slot + parity
-
-    def is_input_boundary(self, spec: ComponentSpec) -> bool:
-        """Whether ``spec`` receives at least one network input wire.
-
-        A component is on the input boundary iff every ancestor edge is
-        a BITONIC-top/bottom (or MIX-top/bottom) input passthrough —
-        i.e. the path uses only child indices 0 and 1 with BITONIC
-        parents all the way down, since only BITONIC children receive
-        parent inputs directly in a BITONIC decomposition.
-        """
-        spec_path = spec.path
-        parent = self.tree.root
-        for index in spec_path:
-            if parent.kind is not ComponentKind.BITONIC or index not in (B_TOP, B_BOT):
-                return False
-            parent = parent.child(index)
-        return True

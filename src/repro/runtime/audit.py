@@ -26,10 +26,11 @@ Guarantees (mirrored in the bench):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.core.components import ComponentState, balanced_count_at
+from repro.core.components import ComponentState
 
 Path = Tuple[int, ...]
 
@@ -56,21 +57,10 @@ class StateAuditor:
     def expected_state(self, path: Path) -> ComponentState:
         """The state a component must have at quiescence, derived purely
         from its in-neighbours and the client injection ledger."""
-        system = self.system
-        spec = system.tree.node(tuple(path))
-        arrivals: Dict[int, int] = {}
-        for port in range(spec.width):
-            source = system.stabilizer.input_source(spec, port)
-            if source[0] == "net":
-                count = system.injected_per_wire[source[1]]
-            else:
-                _, emitter_path, out_port = source
-                owner = system.directory.owner(emitter_path)
-                emitter = system.hosts[owner].components[emitter_path]
-                count = balanced_count_at(0, emitter.total, emitter.width, out_port)
-            if count:
-                arrivals[port] = count
-        return ComponentState(spec, sum(arrivals.values()), arrivals)
+        nothing = Counter()  # at quiescence nothing is owed or pending
+        return self.system.stabilizer.state_from_sources(
+            tuple(path), nothing, nothing, query_cost=0
+        )
 
     def audit(self, repair: bool = True) -> AuditReport:
         """Check every live component; optionally repair mismatches.

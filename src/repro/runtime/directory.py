@@ -15,7 +15,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.chord.hashing import name_to_point
 from repro.chord.ring import ChordRing
-from repro.core.atomics import GuardedMap
 from repro.core.cut import Cut
 from repro.core.decomposition import ComponentSpec, DecompositionTree
 from repro.errors import ComponentNotFound, ProtocolError
@@ -48,9 +47,9 @@ class ComponentDirectory:
         #: never an owner, and depends on the live set only through the
         #: descent that ends at its destination; :meth:`_changed` holds
         #: the drop rule.
-        self._edges: GuardedMap[EdgeKey, Tuple] = GuardedMap()
+        self._edges: Dict[EdgeKey, Tuple] = {}
         #: destination path -> the edge keys resolved to it.
-        self._edges_to: GuardedMap[Path, Set[EdgeKey]] = GuardedMap()
+        self._edges_to: Dict[Path, Set[EdgeKey]] = {}
         #: path -> number of live paths strictly below it.
         self._live_below: Dict[Path, int] = {}
 
@@ -120,8 +119,8 @@ class ComponentDirectory:
                 self._drop_edges_to(dest)
 
     def _drop_edges_to(self, dest: Path) -> None:
-        for key in self._edges_to.take(dest, ()):
-            self._edges.take(key)
+        for key in self._edges_to.pop(dest, ()):
+            self._edges.pop(key, None)
 
     @property
     def generation(self) -> int:
@@ -148,15 +147,15 @@ class ComponentDirectory:
     def edge_reader(self) -> "Callable[[EdgeKey], Optional[Tuple]]":
         """The per-hop probe of the edge table (one ``dict.get``), valid
         for the directory's lifetime like :meth:`owner_reader`."""
-        return self._edges.reader()
+        return self._edges.get
 
     def remember_edge(self, key: EdgeKey, resolved: Tuple) -> None:
         """Record an ``"out"`` or ``"member"`` resolution made under
         the current live set (a ``"missing"`` crash hole is the caller's
         to retry, never to remember)."""
-        self._edges.put(key, resolved)
+        self._edges[key] = resolved
         if resolved[0] == "member":
-            self._edges_to.ensure(resolved[1], set).add(key)
+            self._edges_to.setdefault(resolved[1], set()).add(key)
 
     def live_paths(self) -> FrozenSet[Path]:
         memo = self._live_memo

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chord.ring import ChordNode
-from repro.core.atomics import AtomicCounter
 from repro.core.components import ComponentState
 from repro.errors import ProtocolError
 from repro.obs import recorder as _obs
@@ -48,7 +47,7 @@ class NodeHost(SimulatedProcess):
         self._edge_of = system.directory.edge_reader()
         self.cache_hits = 0
         self.cache_misses = 0
-        self.tokens_routed = AtomicCounter()
+        self.tokens_routed = 0
 
     @property
     def node_id(self) -> int:
@@ -112,7 +111,7 @@ class NodeHost(SimulatedProcess):
         if path in self.frozen:
             self.buffers.setdefault(path, []).append((port, message))
             return
-        self.tokens_routed.increment()
+        self.tokens_routed += 1
         out_port = state.route_token(port)
         dest = self._edge_of((path, out_port))
         if dest is None:
@@ -141,7 +140,7 @@ class NodeHost(SimulatedProcess):
         if path in self.frozen:
             self.buffers.setdefault(path, []).extend(items)
             return
-        self.tokens_routed.increment(len(items))
+        self.tokens_routed += len(items)
         for port, token in items:
             out_port = state.route_token(port)
             dest = self._edge(path, state, out_port)

@@ -46,9 +46,6 @@ class Reconfigurator:
 
     def __init__(self, system):
         self.system = system
-        #: (kind, width) -> child indices fed by the parent's own inputs;
-        #: a pure function of the fixed wiring, filled on first use.
-        self._input_fed_cache: Dict[Tuple, frozenset] = {}
 
     # ------------------------------------------------------------------
     # split
@@ -92,43 +89,15 @@ class Reconfigurator:
     # ------------------------------------------------------------------
     # merge
     # ------------------------------------------------------------------
-    def _input_fed_children(self, parent) -> frozenset:
-        """Child indices that receive some of the parent's own inputs."""
-        cache = self._input_fed_cache
-        key = (parent.kind, parent.width)
-        fed = cache.get(key)
-        if fed is None:
-            wiring = self.system.wiring
-            fed = frozenset(
-                wiring.parent_input_dest(parent, port).child
-                for port in range(parent.width)
-            )
-            cache[key] = fed
-        return fed
-
     def input_boundary(self, path: Path, subtree: List[Path]) -> List[Path]:
-        """The subtree members that receive tokens from outside it.
-
-        A member is externally fed iff every step of its path below
-        ``path`` descends into an input-fed child of its parent (for the
-        bitonic tree these are exactly the top/bottom indices 0 and 1;
-        the predicate is computed from the wiring so the merge protocol
-        works for any recursive structure).
-        """
-        depth = len(path)
-        root = self.system.tree.node(path)
-        boundary = []
-        for member in subtree:
-            spec = root
-            fed = True
-            for index in member[depth:]:
-                if index not in self._input_fed_children(spec):
-                    fed = False
-                    break
-                spec = spec.child(index)
-            if fed:
-                boundary.append(member)
-        return boundary
+        """The subtree members that receive tokens from outside it:
+        those with an input port that climbs the input wiring to
+        ``path`` (for the bitonic tree, exactly the top/bottom indices
+        0 and 1 all the way; asked of the wiring so the merge protocol
+        works for any recursive structure)."""
+        tree, wiring = self.system.tree, self.system.wiring
+        path = tuple(path)
+        return [m for m in subtree if wiring.is_input_boundary(tree.node(m), path)]
 
     def merge(self, path: Path, initiator: NodeHost) -> Path:
         """Merge the live subtree below ``path`` back into one component."""
@@ -174,8 +143,12 @@ class Reconfigurator:
             host.split_registry.difference_update(moot)
         system.stats.merges += 1
         # Phase 4: re-address buffered boundary tokens to the parent.
+        # ``path`` is live again, so the wiring resolves each one to it
+        # (and raises for a token that was not externally fed).
         for member, port, token in buffered:
-            parent_port = self._port_at_ancestor(member, port, path)
+            _, _, parent_port = system.wiring.resolve_input(
+                system.tree.node(member), port, system.directory.live_paths()
+            )
             system.send_token(path, parent_port, token)
         return path
 
@@ -187,19 +160,3 @@ class Reconfigurator:
             return states[spec.path]
         child_states = [self._fold(child, states) for child in spec.children()]
         return merge_child_states(self.system.wiring, spec, child_states)
-
-    def _port_at_ancestor(self, member: Path, port: int, ancestor: Path) -> int:
-        """Map an externally-fed member's input port up to the ancestor's."""
-        system = self.system
-        spec = system.tree.node(member)
-        current_port = port
-        while spec.path != ancestor:
-            parent = system.tree.parent(spec)
-            source = system.wiring.parent_input_source(parent, spec.path[-1], current_port)
-            if source is None:
-                raise ProtocolError(
-                    "buffered token at %r port %d is not externally fed"
-                    % (member, port)
-                )
-            spec, current_port = parent, source
-        return current_port

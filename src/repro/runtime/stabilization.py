@@ -52,28 +52,21 @@ class Stabilizer:
         network input, else ``("member", path, out_port)`` naming the
         live emitter."""
         system = self.system
-        tree = system.tree
-        wiring = system.wiring
-        current, q = spec, port
-        while True:
-            parent = tree.parent(current)
-            if parent is None:
-                return ("net", q)
-            source_port = wiring.parent_input_source(parent, current.path[-1], q)
-            if source_port is not None:
-                current, q = parent, source_port
-                continue
-            sibling_index, out_port = self._crossing_source(parent, current.path[-1], q)
-            emitter = parent.child(sibling_index)
-            # Descend to the live member actually emitting this wire.
-            live = system.directory.live_paths()
-            while emitter.path not in live:
-                if emitter.is_leaf:
-                    raise ProtocolError(
-                        "no live emitter found for %s port %d" % (spec, port)
-                    )
-                emitter, out_port = self._boundary_output_source(emitter, out_port)
-            return ("member", emitter.path, out_port)
+        current, q = system.wiring.ascend_input(spec, port, ())
+        parent = system.tree.parent(current)
+        if parent is None:
+            return ("net", q)
+        sibling_index, out_port = self._crossing_source(parent, current.path[-1], q)
+        emitter = parent.child(sibling_index)
+        # Descend to the live member actually emitting this wire.
+        live = system.directory.live_paths()
+        while emitter.path not in live:
+            if emitter.is_leaf:
+                raise ProtocolError(
+                    "no live emitter found for %s port %d" % (spec, port)
+                )
+            emitter, out_port = self._boundary_output_source(emitter, out_port)
+        return ("member", emitter.path, out_port)
 
     def _inverse_wiring(self, parent: ComponentSpec) -> Tuple[dict, dict]:
         inverse = self._inverse.get(parent.path)
@@ -128,27 +121,35 @@ class Stabilizer:
         is one the component could actually have reached.
         """
         system = self.system
-        spec = system.tree.node(tuple(path))
-        owed = system.owed_by_port(spec.path)
+        path = tuple(path)
+        return self.state_from_sources(
+            path, system.owed_by_port(path), system._inject_pending, query_cost=2
+        )
+
+    def state_from_sources(self, path: Path, owed, pending, query_cost: int):
+        """The state of ``path`` that its sources account for: per input
+        port, what the in-neighbour's counter (or, for a network input,
+        the injection ledger less the ``pending`` lookups on that wire)
+        says was emitted toward it, less the ``owed`` not yet arrived.
+        Each neighbour read is charged ``query_cost`` control messages.
+        """
+        system = self.system
+        spec = system.tree.node(path)
         arrivals = {}
         for port in range(spec.width):
             source = self.input_source(spec, port)
             if source[0] == "net":
-                count = (
-                    system.injected_per_wire[source[1]]
-                    - system._inject_pending[source[1]]
-                )
+                count = system.injected_per_wire[source[1]] - pending[source[1]]
             else:
                 _, emitter_path, out_port = source
                 owner = system.directory.owner(emitter_path)
                 emitter = system.hosts[owner].components[emitter_path]
                 count = balanced_count_at(0, emitter.total, emitter.width, out_port)
-                system.stats.control_messages += 2  # query + reply
+                system.stats.control_messages += query_cost
             count -= owed[port]
             if count > 0:
                 arrivals[port] = count
-        total = sum(arrivals.values())
-        return ComponentState(spec, total, arrivals)
+        return ComponentState(spec, sum(arrivals.values()), arrivals)
 
     def stabilize(self) -> List[Path]:
         """Recreate every directory-lost component; returns their paths.

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chord.hashing import name_to_point
 from repro.chord.ring import ChordRing
-from repro.core.atomics import AtomicCounter, PerWireCounters, TokenLedger
+from repro.core.atomics import PerWireCounters, TokenLedger
 from repro.core.diffracting import CountingTree
 from repro.core.network import BalancingNetwork
 from repro.errors import ProtocolError
@@ -42,7 +42,7 @@ class _Deployment:
         self.bus = MessageBus(self.sim, latency or ConstantLatency(1.0), service_time)
         self.rng = random.Random(seed + 1)
         self.token_stats = TokenStats()
-        self._token_counter = AtomicCounter()
+        self._token_counter = 0
         self._processes: Dict[int, "_ObjectHost"] = {}
         for _ in range(num_nodes):
             node = self.ring.join()
@@ -54,7 +54,8 @@ class _Deployment:
         return self.ring.successor(name_to_point(name, self.ring.space)).node_id
 
     def new_token(self, entry_wire: int) -> Token:
-        token = Token(self._token_counter.fetch_increment(), entry_wire, self.sim.now)
+        token = Token(self._token_counter, entry_wire, self.sim.now)
+        self._token_counter += 1
         self.token_stats.issued.increment()
         return token
 
@@ -164,7 +165,7 @@ class CentralCounterDeployment(_Deployment):
     def __init__(self, num_nodes: int, **kwargs):
         super().__init__(num_nodes, **kwargs)
         self._home = self.object_home("central-counter")
-        self._count = AtomicCounter()
+        self._count = 0
 
     @property
     def num_objects(self) -> int:
@@ -177,7 +178,8 @@ class CentralCounterDeployment(_Deployment):
         return token
 
     def handle(self, token) -> None:
-        self.retire(token, 0, self._count.fetch_increment())
+        self.retire(token, 0, self._count)
+        self._count += 1
 
 
 class CountingTreeDeployment(_Deployment):
@@ -215,7 +217,9 @@ class CountingTreeDeployment(_Deployment):
             value = self.tree.leaf_counts.fetch_increment(label) * self.tree.num_leaves + label
             self.retire(token, label, value)
             return
-        bit = self.tree._toggles[tree_node].flip()
+        toggles = self.tree._toggles
+        bit = toggles[tree_node]
+        toggles[tree_node] = bit ^ 1
         child = 2 * tree_node + bit
         token.hops += 1
         self.bus.send(self._node_home(child), (token, child, level + 1), kind="token")

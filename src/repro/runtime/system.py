@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.chord.ring import ChordNode, ChordRing
-from repro.core.atomics import AtomicCounter, PerWireCounters
+from repro.core.atomics import PerWireCounters
 from repro.core.components import ComponentState, balanced_count_at
 from repro.core.cut import Cut, CutNetwork
 from repro.core.decomposition import ComponentSpec, DecompositionTree
@@ -134,7 +134,7 @@ class AdaptiveCountingSystem:
         # retry, per network wire: counted in ``injected_per_wire`` but
         # not yet owed to any component.
         self._inject_pending = PerWireCounters(width)
-        self._token_counter = AtomicCounter()
+        self._token_counter = 0
         self._next_wire = 0
         self._retire_callbacks: List[Callable[[Token], None]] = []
         self.combiner = (
@@ -245,7 +245,8 @@ class AdaptiveCountingSystem:
             self._next_wire = (self._next_wire + 1) % self.width
         if from_node is None and self._live_nodes:
             from_node = self.rng.choice(self._live_nodes)
-        token = Token(self._token_counter.fetch_increment(), wire, self.sim.now)
+        token = Token(self._token_counter, wire, self.sim.now)
+        self._token_counter += 1
         self.token_stats.issued.increment()
         self.live_tokens.add(token)
         self.injected_per_wire.increment(wire)
@@ -400,49 +401,23 @@ class AdaptiveCountingSystem:
     def reroute_token(self, path: Path, port: int, token: Token) -> None:
         """Re-resolve a token addressed to a component that is gone.
 
-        The component was merged into an ancestor (re-address upward
-        through the input wiring), split into descendants (descend), is
-        temporarily missing after a crash (retry until recovery restores
-        it), or is live again at a new home (re-send).
+        :meth:`WiringBase.resolve_input` says where the address lives
+        now: merged into an ancestor or split into descendants (re-send
+        there), live again at a new home, or in a crash hole, whole or
+        partial (retry until the owner map or recovery catches up).
         """
         path = tuple(path)
-        covering = self.directory.covering_member(path)
-        if covering == path:
-            self._retry(path, port, token)  # moved homes; re-resolve
+        found, spec, in_port = self.wiring.resolve_input(
+            self.tree.node(path), port, self.directory.live_paths()
+        )
+        if found == "missing" or spec.path == path:
+            self._retry(path, port, token)
             return
-        if covering is not None:
-            token.reroutes += 1
-            obs = _obs.ACTIVE
-            if obs.enabled:
-                obs.token_rerouted(self.sim.now, token)
-            spec = self.tree.node(path)
-            current_port = port
-            while spec.path != covering:
-                parent = self.tree.parent(spec)
-                source = self.wiring.parent_input_source(
-                    parent, spec.path[-1], current_port
-                )
-                if source is None:
-                    raise ProtocolError(
-                        "in-flight token on an internal wire of a merged "
-                        "subtree (%r port %d)" % (path, port)
-                    )
-                spec, current_port = parent, source
-            self.send_token(covering, current_port, token)
-            return
-        descendants = self.directory.live_descendants(path)
-        if descendants:
-            token.reroutes += 1
-            obs = _obs.ACTIVE
-            if obs.enabled:
-                obs.token_rerouted(self.sim.now, token)
-            member, member_port = self.wiring.descend_input(
-                self.tree.node(path), port, self.directory.live_paths()
-            )
-            self.send_token(member.path, member_port, token)
-            return
-        # Crash hole: wait for stabilisation.
-        self._retry(path, port, token)
+        token.reroutes += 1
+        obs = _obs.ACTIVE
+        if obs.enabled:
+            obs.token_rerouted(self.sim.now, token)
+        self.send_token(spec.path, in_port, token)
 
     def retire_token(
         self, token: Token, state: ComponentState, out_port: int, wire: int

@@ -230,7 +230,7 @@ class Simulator:
         self._handles_reused = 0
         self._sequence = itertools.count()
         #: Cancelled entries still sitting in buckets (lazy deletion).
-        self._cancelled = AtomicCounter()
+        self._cancelled = 0
         #: Remaining ``max_events`` slots of the innermost bounded run,
         #: or None when unbounded; shared with the bus's inline path so
         #: the bound stays exact (see :meth:`claim_inline_slot`).
@@ -360,14 +360,14 @@ class Simulator:
             return False
         handle.cancelled = True
         handle.callback = None  # free captured state now, not at fire time
-        self._cancelled.increment()
+        self._cancelled += 1
         return True
 
     @property
     def pending(self) -> int:
         """Number of *live* events still queued (cancelled excluded)."""
         queued = sum(len(bucket) for bucket in self._buckets.values())  # type: ignore[arg-type]
-        return queued - self._cancelled.get()
+        return queued - self._cancelled
 
     def pool_stats(self) -> Dict[str, int]:
         """Handle-freelist traffic: constructed, recycled, and idle."""
@@ -414,11 +414,11 @@ class Simulator:
             if self._fifo:
                 while bucket and bucket[0].cancelled:  # type: ignore[index, attr-defined]
                     bucket.popleft()  # type: ignore[attr-defined]
-                    self._cancelled.decrement()
+                    self._cancelled -= 1
             else:
                 while bucket and bucket[0][1].cancelled:  # type: ignore[index]
                     heappop(bucket)  # type: ignore[arg-type]
-                    self._cancelled.decrement()
+                    self._cancelled -= 1
             if bucket:
                 return False
             self._retire_bucket(head, bucket)
@@ -446,7 +446,7 @@ class Simulator:
             if not bucket:
                 self._retire_bucket(time, bucket)
             if handle.cancelled:
-                self._cancelled.decrement()
+                self._cancelled -= 1
                 continue
             callback = handle.callback
             handle.callback = None
@@ -492,7 +492,6 @@ class Simulator:
         handle_pool = self._handle_pool
         bucket_pool = self._bucket_pool
         events_run = self.events_run
-        drop_cancelled = self._cancelled.decrement
         started = events_run.get()
         outer_budget = self._budget
         self._budget = max_events
@@ -527,7 +526,7 @@ class Simulator:
                     del buckets[time]
                     bucket_pool.append(bucket)
                 if cancelled:
-                    drop_cancelled()
+                    self._cancelled -= 1
                     continue
                 callback = handle.callback
                 handle.callback = None

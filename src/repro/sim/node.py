@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional
 
-from repro.core.atomics import AtomicCounter, GuardedMap, TokenLedger
+from repro.core.atomics import AtomicCounter, TokenLedger
 from repro.errors import SimulationError
 from repro.obs import recorder as _obs
 from repro.sim.events import Simulator
@@ -118,7 +118,7 @@ class Envelope:
             busy = bus._busy_of(to_address)
             finish = (busy if busy is not None and busy > now else now) + bus.service_time
             if finish != now:
-                bus._busy_until.put(to_address, finish)
+                bus._busy_until[to_address] = finish
             # else: an idle destination with zero service cost stays
             # "busy until now", which any existing entry already implies.
             if obs.enabled:
@@ -171,7 +171,7 @@ class MessageBus:
         self.latency = latency or ConstantLatency(1.0)
         self.service_time = service_time
         self._processes: Dict[Hashable, SimulatedProcess] = {}
-        self._busy_until: GuardedMap[Hashable, float] = GuardedMap()
+        self._busy_until: Dict[Hashable, float] = {}
         #: Monotonic per-address registration count. A message captures
         #: the destination's epoch at send time; if the address was
         #: unregistered and re-registered while the message was in
@@ -179,10 +179,10 @@ class MessageBus:
         #: to the old one (the classic re-registration ABA hazard).
         self._epochs: TokenLedger[Hashable] = TokenLedger()
         #: Hoisted lock-free readers (C-level ``dict.get``) for the two
-        #: per-message lookups; neither ledger is ever reset(), so the
-        #: readers stay valid for the bus's lifetime.
+        #: per-message lookups; neither map is ever reset or rebound, so
+        #: the readers stay valid for the bus's lifetime.
         self._epoch_of = self._epochs.reader()
-        self._busy_of = self._busy_until.reader()
+        self._busy_of = self._busy_until.get
         self.messages_sent = AtomicCounter()
         self.messages_delivered = AtomicCounter()
         self.messages_dropped = AtomicCounter()
@@ -248,7 +248,7 @@ class MessageBus:
         # The epoch entry deliberately survives: it must keep growing
         # across re-registrations of the same address.
         self._processes.pop(address, None)
-        self._busy_until.take(address)
+        self._busy_until.pop(address, None)
 
     def is_registered(self, address: Hashable) -> bool:
         return address in self._processes

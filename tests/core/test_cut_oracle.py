@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.core.atomics import AtomicCounter, GuardedMap, PerWireCounters
+from repro.core.atomics import AtomicCounter, PerWireCounters
 from repro.core.components import ComponentState, TokenTrace
 from repro.core.cut import Cut, CutNetwork
 from repro.core.decomposition import DecompositionTree
@@ -47,9 +47,9 @@ class PathKeyedCutNetwork:
         self.tree = cut.tree
         self.width = cut.tree.width
         self.wiring = wiring if wiring is not None else Wiring(cut.tree, convention)
-        self.states: GuardedMap[Path, ComponentState] = GuardedMap(
-            {spec.path: ComponentState(spec) for spec in cut.members()}
-        )
+        self.states: Dict[Path, ComponentState] = {
+            spec.path: ComponentState(spec) for spec in cut.members()
+        }
         self.output_counts = PerWireCounters(self.width)
         self.tokens_in = AtomicCounter()
         self.tokens_out = AtomicCounter()
@@ -185,10 +185,10 @@ class PathKeyedCutNetwork:
         if spec.is_leaf:
             raise InvalidCutError("cannot split the balancer %s" % (spec,))
         children = split_child_states(self.wiring, spec, state.arrivals)
-        self.states.take(path)
+        del self.states[path]
         new_paths = []
         for child_state in children:
-            self.states.put(child_state.spec.path, child_state)
+            self.states[child_state.spec.path] = child_state
             new_paths.append(child_state.spec.path)
         self._invalidate()
         return new_paths
@@ -205,8 +205,8 @@ class PathKeyedCutNetwork:
             self.wiring, spec, [self.states[p] for p in child_paths]
         )
         for p in child_paths:
-            self.states.take(p)
-        self.states.put(path, merged)
+            del self.states[p]
+        self.states[path] = merged
         self._invalidate()
         return path
 
@@ -222,9 +222,9 @@ class PathKeyedCutNetwork:
 
     def adopt_states(self, states) -> None:
         """What ``snapshot_network()`` did at the parent, reaching in:
-        ``network.states.put(path, copy)``, the edge dicts left alone."""
+        ``network.states[path] = copy``, the edge dicts left alone."""
         for state in states:
-            self.states.put(state.spec.path, state)
+            self.states[state.spec.path] = state
 
 
 def both(new, ref, call):
@@ -240,7 +240,7 @@ def both(new, ref, call):
 
 
 def assert_same_state(new, ref):
-    assert new.states == ref.states.snapshot()  # every member's total and arrivals
+    assert new.states == ref.states  # every member's total and arrivals
     assert list(new.output_counts) == list(ref.output_counts)
     assert new.tokens_in == ref.tokens_in and new.tokens_out == ref.tokens_out
 

@@ -2,9 +2,29 @@
 
 import pytest
 
-from repro.errors import ProtocolError, StructureError
+from repro.errors import ProtocolError, StepPropertyViolation
 from repro.runtime.system import MAX_REROUTES, AdaptiveCountingSystem
 from repro.runtime.tokens import Token, TokenStats
+
+
+def crash_and_converge_under_traffic(seed):
+    """The width-64 recipe of ROADMAP item 1: 120 rounds of 64 tokens
+    with crashes, joins and ``converge()`` while they are in flight.
+    CI's informational step prints its outcome on seeds 0-5."""
+    system = AdaptiveCountingSystem(width=64, seed=seed, initial_nodes=300)
+    system.converge()
+    for iteration in range(120):
+        system.advance(1.0)
+        for _ in range(64):
+            system.inject_token()
+        if iteration % 3 == 0:
+            system.crash_node()
+        if iteration % 5 == 0:
+            system.add_node()
+        if iteration % 7 == 0:
+            system.converge()
+    system.run_until_quiescent()
+    return system
 
 
 class TestTokenStats:
@@ -35,25 +55,54 @@ class TestRerouteEdgeCases:
         assert system.token_stats.retired == 10
         system.verify()
 
-    @pytest.mark.xfail(strict=True, raises=StructureError)
-    def test_converge_with_tokens_in_flight_after_a_crash(self):
-        """Known limit (perf/README.md): adapting while tokens are in
-        flight toward a crash hole makes ``reroute_token`` raise "input
-        resolution fell through a leaf" from ``Wiring.descend_input``.
-        The fix flips this test; the recipe is the README's."""
-        system = AdaptiveCountingSystem(width=64, seed=0, initial_nodes=300)
-        system.converge()
-        for iteration in range(120):  # raises at iteration 84 today
-            system.advance(1.0)
-            for _ in range(64):
-                system.inject_token()
-            if iteration % 3 == 0:
-                system.crash_node()
-            if iteration % 5 == 0:
-                system.add_node()
-            if iteration % 7 == 0:
-                system.converge()
+    def test_reroute_into_a_partial_hole_waits_for_stabilisation(self):
+        """Regression (ROADMAP 1(b)): the root is split and the node
+        hosting ``(0,)``, ``(1,)`` and ``(5,)`` crashes, so a token
+        addressed to the root descends into a subtree with survivors
+        *and* a hole. That used to raise "input resolution fell through
+        a leaf"; it is a hole like any other: wait, then recover."""
+        system = AdaptiveCountingSystem(
+            width=8, seed=1, initial_nodes=6, auto_stabilize=False
+        )
+        system.reconfig.split(())
+        system.crash_node(system.directory.owner((0,)))
+        assert sorted(system.directory.live_paths()) == [(2,), (3,), (4,)]
+        tokens = [Token(port, port, system.sim.now) for port in range(8)]
+        for port, token in enumerate(tokens):  # as inject_token would
+            system.token_stats.issued.increment()
+            system.live_tokens.add(token)
+            system.injected_per_wire.increment(port)
+            system.reroute_token((), port, token)
+        assert [token.reroutes for token in tokens] == [1] * 8
+        assert system.sim.pending == 8  # each in its retry wait
+        system.stabilize()
         system.run_until_quiescent()
+        assert sorted(token.value for token in tokens) == list(range(8))
+        assert list(system.output_counts) == [1] * 8
+        system.verify()
+
+    def test_reroute_from_a_merged_away_address(self):
+        """An address inside a whole component climbs the input wiring
+        to it, in one reroute; a port only a sibling feeds has no
+        address there — no token can be on that wire, so one that is
+        raises."""
+        system = AdaptiveCountingSystem(width=8, seed=1)
+        token = Token(0, 6, system.sim.now)
+        system.live_tokens.add(token)
+        system.reroute_token((1,), 2, token)  # bottom half, its port 2
+        assert token.reroutes == 1 and token.owed == ((), 6)
+        with pytest.raises(ProtocolError, match="internal wire"):
+            system.reroute_token((2,), 0, token)  # a merger's input
+
+    @pytest.mark.xfail(strict=True, raises=StepPropertyViolation)
+    def test_converge_with_tokens_in_flight_after_a_crash(self):
+        """Known limit (ROADMAP 1(c)): crashes *and* ``converge()`` with
+        tokens in flight. Nothing raises and nothing is lost any more —
+        all 120 iterations run and every token retires — but the
+        quiescent outputs are imbalanced by 2 (``x[7]=119, x[8]=121``).
+        The fix flips this test."""
+        system = crash_and_converge_under_traffic(seed=0)
+        assert system.token_stats.retired == system.token_stats.issued == 7680
         system.verify()
 
     def test_crash_with_tokens_in_flight_keeps_the_step_property(self):

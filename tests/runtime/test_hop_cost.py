@@ -68,8 +68,10 @@ def test_calls_per_hop(system):
     system.verify()
     assert hops >= 500 * 10  # BITONIC[16] fully split: 10 balancers a token
     # Before PR 20: 38.5 Python calls, 31.8 C calls, 6 ledger calls a hop;
-    # 18.51 until ``ComponentState.total`` became the int it wrapped (17.31).
-    assert counts["call"] / hops <= 18
+    # 18.51 until ``ComponentState.total`` became the int it wrapped
+    # (17.31); 16.21 since ``NodeHost.tokens_routed`` (one call a hop)
+    # and ``_token_counter`` (one a token) are ints too.
+    assert counts["call"] / hops <= 17
     assert counts["c_call"] / hops <= 24
     assert counts["ledger"] == 0
     assert system.live_tokens.walks == 0  # nothing reads the ledger on the hop

@@ -174,7 +174,7 @@ class ClosureMessageBus(MessageBus):
                 return
             start = max(self.simulator.now, self._busy_until.get(to_address, 0.0))
             finish = start + self.service_time
-            self._busy_until.put(to_address, finish)
+            self._busy_until[to_address] = finish
 
             def process_it():
                 current = addressee()
