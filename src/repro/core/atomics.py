@@ -218,8 +218,10 @@ class LockedAtomicCounter(AtomicCounter):
             return super().increment(amount)
 
     def fetch_increment(self, amount: int = 1) -> int:
-        with self._lock:
-            return super().fetch_increment(amount)
+        with self._lock:  # one frame: every threaded token retires here
+            value = self._value
+            self._value = value + amount
+            return value
 
     def decrement(self, amount: int = 1) -> int:
         with self._lock:
@@ -362,6 +364,12 @@ class ThreadSafeToggle:
             return next(self._ticks) & 1
         with lock:
             return next(self._ticks) & 1
+
+    def ticker(self) -> Callable[[], int]:
+        """A drawer to hoist into a hot path (cf. :meth:`TokenLedger.reader`):
+        each call is one flip, and the low bit of what it returns is
+        :meth:`flip`'s bit. Under the GIL, the C-level ``count.__next__``."""
+        return self._ticks.__next__ if self._lock is None else self.flip
 
     def __repr__(self) -> str:
         return "%s()" % type(self).__name__

@@ -35,16 +35,15 @@ def balanced_counts(start: int, count: int, width: int) -> List[int]:
     The counter starts at state ``start`` (the wire the next token exits
     on) and emits tokens on wires ``start, start+1, ... mod width``.
     Wire ``j`` receives ``count // width`` tokens plus one extra if it is
-    among the first ``count % width`` wires at or after ``start``.
+    among the first ``count % width`` wires at or after ``start``: the
+    row "extras first", rotated to begin at ``start``.
     """
     if count < 0:
         raise StructureError("token count must be nonnegative, got %d" % count)
     base, rem = divmod(count, width)
-    counts = [base] * width
-    start %= width
-    for offset in range(rem):
-        counts[(start + offset) % width] += 1
-    return counts
+    row = [base + 1] * rem + [base] * (width - rem)
+    split = width - start % width
+    return row[split:] + row[:split]
 
 
 def balanced_count_at(start: int, count: int, width: int, wire: int) -> int:
@@ -117,18 +116,32 @@ class ComponentState:
         corresponding :meth:`route_token` calls in any order (the counter
         is arrival-order insensitive), but O(width + ports).
         """
-        count = 0
+        arrived = [0] * self.spec.width
         for port, n in port_counts.items():
             self._check_port(port)
             if n < 0:
                 raise StructureError("negative token count on port %d" % port)
-            count += n
-        counts = balanced_counts(self.total % self.width, count, self.width)
-        self.total += count
-        for port, n in port_counts.items():
+            arrived[port] = n
+        return self.route_counts(arrived)
+
+    def route_counts(self, arrived: List[int]) -> List[int]:
+        """:meth:`route_batch` dense and unchecked: ``arrived[port]`` in,
+        tokens per output wire out (:func:`balanced_counts` from ``x``,
+        inline: a member's share of a batch is this one frame)."""
+        width = self.spec.width
+        total = self.total
+        count = sum(arrived)
+        self.total = total + count
+        arrivals = self.arrivals
+        for port, n in enumerate(arrived):
             if n:
-                self.arrivals[port] = self.arrivals.get(port, 0) + n
-        return counts
+                arrivals[port] = arrivals.get(port, 0) + n
+        base, rem = divmod(count, width)
+        if not rem:  # every wire alike: half the batches a balancer-sized member sees
+            return [base] * width
+        row = [base + 1] * rem + [base] * (width - rem)
+        split = width - total % width
+        return row[split:] + row[:split]
 
     def arrived_total(self) -> int:
         """Sum of per-port arrivals (== ``total`` at quiescence)."""

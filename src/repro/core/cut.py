@@ -16,7 +16,7 @@ from operator import index as as_index
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.atomics import PerWireCounters
-from repro.core.components import ComponentState, TokenTrace, balanced_counts
+from repro.core.components import ComponentState, TokenTrace
 from repro.core.decomposition import ComponentSpec, DecompositionTree
 from repro.core.splitmerge import merge_child_states, split_child_states
 from repro.core.verification import check_step_property
@@ -382,7 +382,9 @@ class CutNetwork:
                 "expected %d input counts, got %d" % (self.width, len(input_counts))
             )
         members, _, rows, inputs = self._table or self._compile()
-        pending: List[Dict[int, int]] = [{} for _ in members]
+        # Tokens waiting per member, dense by input port, allocated when the
+        # member's first token of the batch arrives.
+        pending: List[Optional[List[int]]] = [None] * len(members)
         total = 0
         for wire, count in enumerate(input_counts):
             try:
@@ -393,22 +395,26 @@ class CutNetwork:
                 raise StructureError("token count on wire %d is not an integer >= 0" % wire)
             if count:
                 i, port = inputs[wire] or self._resolve_input(wire)
-                pending[i][port] = pending[i].get(port, 0) + count
+                if pending[i] is None:
+                    pending[i] = [0] * len(rows[i])
+                pending[i][port] += count
                 total += count
         batch_out = [0] * self.width
         for i in self._order():
-            port_counts = pending[i]
-            if not port_counts:
+            arrived = pending[i]
+            if arrived is None:
                 continue
             row = rows[i]
-            for port, emitted in enumerate(members[i].route_batch(port_counts)):
+            for port, emitted in enumerate(members[i].route_counts(arrived)):
                 if emitted == 0:
                     continue
                 j, dest = row[port] or self._resolve(i, port)
                 if j < 0:
                     batch_out[dest] += emitted
                 else:
-                    pending[j][dest] = pending[j].get(dest, 0) + emitted
+                    if pending[j] is None:
+                        pending[j] = [0] * len(rows[j])
+                    pending[j][dest] += emitted
         for wire, count in enumerate(batch_out):
             self.output_counts.increment(wire, count)
         self.tokens_in += total

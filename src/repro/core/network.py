@@ -13,31 +13,28 @@ of Aspnes-Herlihy-Shavit (a balancing network counts only if replacing
 every balancer by a max-up comparator yields a sorting network).
 
 Topology construction is shared between execution backends through
-:func:`compile_topology`: the layered wiring compiles once into a flat
-``table[layer][wire] -> (balancer, next_top, next_bottom)`` array
-layout (the shape of cybozu's ``CountingNetwork4/8``), which the
-simulator-facing :class:`BalancingNetwork` walks with plain-int
-toggles and the shared-memory backend (:mod:`repro.threads`) walks
-with genuinely atomic ones.
+:func:`compile_topology`: the layered wiring is validated once and
+compiles into a flat ``table[layer][wire] -> (balancer, next_top,
+next_bottom)`` array layout (the shape of cybozu's
+``CountingNetwork4/8``), which the simulator-facing
+:class:`BalancingNetwork` walks with plain-int toggles and the
+shared-memory backend (:mod:`repro.threads`) walks with genuinely
+atomic ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index as as_index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.atomics import PerWireCounters
-from repro.core.components import balanced_counts
 from repro.errors import StructureError
 
 Layer = List[Tuple[int, int]]
 
-#: One routing-table entry: ``(balancer_index, top_wire, bottom_wire)``.
-#: In a :class:`CompiledTopology`'s per-layer tables the balancer index
-#: is *layer-local* (it indexes that layer's toggle array); the
-#: flattened tables of :meth:`CompiledTopology.flat_tables` use the
-#: *global* balancer index instead (one toggle array for the whole
-#: network — the layout a shared-memory backend wants).
+#: One routing-table entry: ``(balancer_index, top_wire, bottom_wire)``,
+#: the balancer index *layer-local* (it indexes that layer's toggle array).
 RouteEntry = Tuple[int, int, int]
 
 RoutingTable = List[Optional[RouteEntry]]
@@ -50,9 +47,10 @@ class CompiledTopology:
     Both execution backends consume this: :class:`BalancingNetwork`
     adopts the per-layer ``routing`` tables (layer-local balancer
     indices, matching its per-layer toggle arrays), while
-    :mod:`repro.threads` flattens them to global balancer indices via
-    :meth:`flat_tables`. Compiling is the *only* way topology state is
-    produced, so the two backends can never disagree about the wiring.
+    :mod:`repro.threads` builds the same rows from ``layers`` with each
+    balancer's tick drawer in place of its index. Compiling is the *only*
+    way topology state is produced, so the two backends can never
+    disagree about the wiring.
     """
 
     width: int
@@ -60,8 +58,6 @@ class CompiledTopology:
     output_order: Tuple[int, ...]
     #: ``routing[layer][wire]`` -> layer-local :data:`RouteEntry` or None.
     routing: Tuple[Tuple[Optional[RouteEntry], ...], ...]
-    #: Global balancer index of each layer's first balancer.
-    layer_offsets: Tuple[int, ...]
     num_balancers: int
 
     @property
@@ -82,23 +78,6 @@ class CompiledTopology:
         balancer indices)."""
         return [list(table) for table in self.routing]
 
-    def flat_tables(self) -> List[RoutingTable]:
-        """Routing tables re-indexed with *global* balancer indices.
-
-        ``flat_tables()[layer][wire]`` is ``(balancer, next_top,
-        next_bottom)`` where ``balancer`` indexes one flat array of
-        ``num_balancers`` toggles — the cybozu ``network_[layer][wire]``
-        layout consumed by the threads backend.
-        """
-        tables: List[RoutingTable] = []
-        for offset, table in zip(self.layer_offsets, self.routing):
-            flat: RoutingTable = [
-                None if entry is None else (offset + entry[0], entry[1], entry[2])
-                for entry in table
-            ]
-            tables.append(flat)
-        return tables
-
 
 def compile_topology(
     width: int, layers: Sequence[Layer], output_order: Sequence[int]
@@ -117,8 +96,6 @@ def compile_topology(
         if any(not 0 <= wire < width for wire in used):
             raise StructureError("wire id out of range in layer")
     routing: List[Tuple[Optional[RouteEntry], ...]] = []
-    offsets: List[int] = []
-    num_balancers = 0
     for layer in layers:
         table: RoutingTable = [None] * width
         for index, (top, bottom) in enumerate(layer):
@@ -126,15 +103,12 @@ def compile_topology(
             table[top] = entry
             table[bottom] = entry
         routing.append(tuple(table))
-        offsets.append(num_balancers)
-        num_balancers += len(layer)
     return CompiledTopology(
         width=width,
         layers=tuple(tuple(pair for pair in layer) for layer in layers),
         output_order=tuple(output_order),
         routing=tuple(routing),
-        layer_offsets=tuple(offsets),
-        num_balancers=num_balancers,
+        num_balancers=sum(len(layer) for layer in layers),
     )
 
 
@@ -210,25 +184,32 @@ class BalancingNetwork:
     # ------------------------------------------------------------------
     def feed_counts(self, input_counts: Sequence[int]) -> List[int]:
         """Inject ``input_counts[i]`` tokens on input ``i``; returns this
-        batch's per-output counts (cumulative in ``output_counts``)."""
+        batch's per-output counts (cumulative in ``output_counts``).
+        A balancer's share is ``balanced_counts`` at width 2, inline: of
+        its arrivals ``top`` takes the larger half on an even toggle, the
+        smaller on an odd one, and ``bottom`` the rest."""
         if len(input_counts) != self.width:
             raise StructureError(
                 "expected %d input counts, got %d" % (self.width, len(input_counts))
             )
-        for wire, count in enumerate(input_counts):
-            if count < 0:
-                raise StructureError(
-                    "negative input count %d on wire %d" % (count, wire)
-                )
-        on_wire = list(input_counts)
+        try:
+            on_wire = list(map(as_index, input_counts))
+        except TypeError:
+            raise StructureError("input counts must be integers, got %r" % (input_counts,)) from None
+        if min(on_wire, default=0) < 0:
+            wire = next(wire for wire, count in enumerate(on_wire) if count < 0)
+            raise StructureError(
+                "negative input count %d on wire %d" % (on_wire[wire], wire)
+            )
         for layer, toggles in zip(self.layers, self._toggles):
             for index, (top, bottom) in enumerate(layer):
                 arriving = on_wire[top] + on_wire[bottom]
                 if not arriving:
                     continue  # balancer untouched: state and wires unchanged
-                out_top, out_bottom = balanced_counts(toggles[index] % 2, arriving, 2)
-                toggles[index] += arriving
-                on_wire[top], on_wire[bottom] = out_top, out_bottom
+                toggle = toggles[index]
+                toggles[index] = toggle + arriving
+                on_wire[top] = up = (arriving + (~toggle & 1)) >> 1
+                on_wire[bottom] = arriving - up
         batch = [on_wire[wire] for wire in self.output_order]
         for j, count in enumerate(batch):
             self.output_counts.increment(j, count)

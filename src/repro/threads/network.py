@@ -1,11 +1,11 @@
 """An in-process counting network driven by OS threads.
 
-:class:`ThreadedCountingNetwork` consumes the flat
-``table[layer][wire] -> (balancer, next_top, next_bottom)`` layout
-compiled by :func:`repro.core.network.compile_topology` — the cybozu
-``CountingNetwork4/8`` shape — with one :class:`ThreadSafeToggle` per
-balancer (a GIL-atomic fetch-and-add) and one independently locked
-retirement counter per output wire.
+:class:`ThreadedCountingNetwork` walks the flat
+``rows[layer][wire] -> (balancer, next_top, next_bottom)`` layout — the
+cybozu ``CountingNetwork4/8`` shape — built from the layers
+:func:`repro.core.network.compile_topology` validated, with one
+:class:`ThreadSafeToggle` per balancer (a GIL-atomic fetch-and-add) and
+one independently locked retirement counter per output wire.
 
 The retirement counters follow the exemplar's numbering: output ``j``'s
 counter starts at ``j`` and every retirement fetch-adds ``width``, so
@@ -25,10 +25,10 @@ to the lock table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.atomics import LockedAtomicCounter, ThreadSafeToggle
-from repro.core.network import CompiledTopology, RoutingTable
+from repro.core.network import CompiledTopology
 from repro.errors import StructureError
 
 
@@ -64,8 +64,11 @@ def _step_counts(total: int, width: int) -> List[int]:
 def values_form_range(values: Iterable[int], total: int) -> bool:
     """Whether the handed-out values are exactly ``{0 .. total-1}`` —
     every rank issued once, none skipped, none duplicated."""
-    seen = list(values)
-    return len(seen) == total and set(seen) == set(range(total))
+    try:
+        seen = sorted(values)  # the only copy: a benchmark repeat hands in 555 555 ranks
+    except TypeError:
+        return False
+    return len(seen) == total and all(v == i for i, v in enumerate(seen))
 
 
 class ThreadedCountingNetwork:
@@ -81,15 +84,20 @@ class ThreadedCountingNetwork:
     def __init__(self, topology: CompiledTopology) -> None:
         self.width = topology.width
         self.topology = topology
-        # Flat layout, global balancer indices — read-only after init.
-        self._tables: List[RoutingTable] = topology.flat_tables()
         self._position: Dict[int, int] = topology.position()
-        # One atomic toggle per balancer, one striped (independently
-        # locked) retirement counter per output, initialised to the
-        # output index so ranks interleave across outputs.
-        self._balancers: List[ThreadSafeToggle] = [
-            ThreadSafeToggle() for _ in range(topology.num_balancers)
+        # Read-only after init: ``rows[layer][wire]`` is ``(draw, next_top,
+        # next_bottom)`` or None — the cybozu ``network_[layer][wire]``
+        # layout with, in place of the balancer's index, the tick drawer
+        # of its own atomic toggle.
+        self._rows: List[List[Optional[Tuple[Callable[[], int], int, int]]]] = [
+            [None] * self.width for _ in topology.layers
         ]
+        for row, layer in zip(self._rows, topology.layers):
+            for top, bottom in layer:
+                row[top] = row[bottom] = (ThreadSafeToggle().ticker(), top, bottom)
+        # One striped (independently locked) retirement counter per
+        # output, initialised to the output index so ranks interleave
+        # across outputs.
         self._outputs: List[LockedAtomicCounter] = [
             LockedAtomicCounter(j) for j in range(topology.width)
         ]
@@ -99,14 +107,12 @@ class ThreadedCountingNetwork:
         return the unique rank the reached output hands out."""
         if not 0 <= wire < self.width:
             raise StructureError("input wire %d out of range" % wire)
-        balancers = self._balancers
         current = wire
-        for table in self._tables:
-            entry = table[current]
-            if entry is None:
-                continue
-            index, top, bottom = entry
-            current = top if balancers[index].flip() == 0 else bottom
+        for row in self._rows:
+            entry = row[current]
+            if entry is not None:
+                draw, top, bottom = entry
+                current = bottom if draw() & 1 else top
         return self._outputs[self._position[current]].fetch_increment(self.width)
 
     def counts(self) -> List[int]:

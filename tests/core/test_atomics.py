@@ -98,6 +98,18 @@ class TestThreadSafeToggle:
         flips = [subject.flip() for _ in range(64)]
         assert flips == [(initial + i) & 1 for i in range(64)]
 
+    @pytest.mark.parametrize("initial", [0, 1])
+    def test_ticker_draws_the_flip_sequence(self, toggle, initial):
+        """What ``ThreadedCountingNetwork`` hoists into its rows: the low
+        bit of each draw is the bit ``flip()`` would have returned, and the
+        two share the one tick counter."""
+        subject = toggle(initial)
+        draw = subject.ticker()
+        bits = [draw() & 1 if i % 3 else subject.flip() for i in range(64)]
+        assert bits == [(initial + i) & 1 for i in range(64)]
+        # Lock-free under the GIL means no Python frame at all.
+        assert (type(draw).__name__ == "method-wrapper") == atomics._gil_enabled()
+
     def test_contended_flips_split_exactly_in_half(self, toggle):
         subject = toggle()
         seen = [[] for _ in range(THREADS)]

@@ -1,5 +1,7 @@
 """Tests for the single-counter component model (paper Section 2.2)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.components import (
@@ -15,6 +17,18 @@ from repro.errors import StructureError
 @pytest.fixture
 def spec8():
     return DecompositionTree(8).root
+
+
+def loop_balanced_counts(start, count, width):
+    """``balanced_counts`` as it stood until the batch step was written
+    in closed form: one ``+= 1`` per extra token. The reference the
+    rotation, the dense step and ``feed_counts`` are held to."""
+    base, rem = divmod(count, width)
+    counts = [base] * width
+    start %= width
+    for offset in range(rem):
+        counts[(start + offset) % width] += 1
+    return counts
 
 
 class TestBalancedCounts:
@@ -40,6 +54,28 @@ class TestBalancedCounts:
                 full = balanced_counts(start, count, 5)
                 for wire in range(5):
                     assert balanced_count_at(start, count, 5, wire) == full[wire]
+
+    def test_closed_form_and_dense_step_equal_the_loop(self):
+        """Every ``start < width <= 8`` and ``count <= 3 * width``, and the
+        same cases shifted by whole laps of 2**40 tokens."""
+        for width in range(1, 9):
+            for start in range(width):
+                for small in range(3 * width + 1):
+                    for count in (small, small + 2**40 * width):
+                        expected = loop_balanced_counts(start, count, width)
+                        assert balanced_counts(start, count, width) == expected
+                        assert balanced_counts(start + 3 * width, count, width) == expected
+                        # The dense step from counter value ``start``, the
+                        # tokens spread over the ports from the last one on.
+                        arrived = loop_balanced_counts(width - 1, count, width)
+                        state = ComponentState(
+                            SimpleNamespace(width=width), start + 5 * width, {width - 1: 7}
+                        )
+                        assert state.route_counts(arrived) == expected
+                        assert state.total == start + 5 * width + count
+                        tally = {port: n for port, n in enumerate(arrived) if n}
+                        tally[width - 1] = tally.get(width - 1, 0) + 7
+                        assert state.arrivals == tally
 
     def test_balanced_sum(self):
         for total in range(20):

@@ -29,8 +29,21 @@ from repro.core.decomposition import DecompositionTree
 from repro.core.splitmerge import merge_child_states, split_child_states
 from repro.core.wiring import MergerConvention, Wiring
 from repro.errors import InvalidCutError, ReproError, StructureError
+from tests.core.test_components import loop_balanced_counts
 
 Path = Tuple[int, ...]
+
+
+def loop_route_batch(state: ComponentState, port_counts: Dict[int, int]) -> List[int]:
+    """``ComponentState.route_batch`` as the walk below called it before
+    the dense step: sparse ports in, the ``+= 1`` loop for the extras."""
+    count = sum(port_counts.values())
+    counts = loop_balanced_counts(state.total % state.width, count, state.width)
+    state.total += count
+    for port, n in port_counts.items():
+        if n:
+            state.arrivals[port] = state.arrivals.get(port, 0) + n
+    return counts
 
 
 class PathKeyedCutNetwork:
@@ -160,7 +173,7 @@ class PathKeyedCutNetwork:
             if not port_counts:
                 continue
             state = self.states[path]
-            for port, emitted in enumerate(state.route_batch(port_counts)):
+            for port, emitted in enumerate(loop_route_batch(state, port_counts)):
                 if emitted == 0:
                     continue
                 dest = self._edge(path, port)
@@ -284,9 +297,15 @@ def run_script(width, convention, seed, operations=300):
             both(new, ref, traced)
             seen.add("traced")
         elif roll < 0.60:
-            counts = [rng.randrange(4) for _ in range(width)]
+            shape = rng.choice(["dense", "sparse", "huge"])
+            if shape == "dense":
+                counts = [rng.randrange(4) for _ in range(width)]
+            else:  # most wires 0; 2**40 and up runs every member's counter far past its width
+                counts = [0] * width
+                for wire in rng.sample(range(width), rng.randrange(1, 3)):
+                    counts[wire] = rng.randrange(1, 4) + (2**40 if shape == "huge" else 0)
             both(new, ref, lambda net: net.feed_counts(counts))
-            seen.add("counts")
+            seen.add("counts " + shape)
         elif roll < 0.75:
             splittable = [p for p in sorted(ref.states) if not ref.states[p].spec.is_leaf]
             if splittable:
@@ -321,7 +340,8 @@ def run_script(width, convention, seed, operations=300):
 @pytest.mark.parametrize("width", [4, 8, 16, 32])
 def test_table_walk_agrees_with_the_path_keyed_walk(width, convention):
     seen = run_script(width, convention, seed=2005 + width)
-    expected = {"token", "traced", "counts", "split", "merge", "adopt"}
+    expected = {"token", "traced", "split", "merge", "adopt"}
+    expected |= {"counts dense", "counts sparse", "counts huge"}
     if width > 4:  # T_4 is one level deep: every internal node is mergeable
         expected |= {"merge recursive", "merge refused"}
     assert seen >= expected

@@ -121,23 +121,6 @@ class TestRebuildValidatesBeforeSwapping:
 
 
 class TestCompiledTopology:
-    def test_flat_tables_use_global_balancer_indices(self):
-        base = bitonic_network(8)
-        topology = base.topology
-        flat = topology.flat_tables()
-        seen = set()
-        for layer_index, table in enumerate(flat):
-            offset = topology.layer_offsets[layer_index]
-            for wire, entry in enumerate(table):
-                if entry is None:
-                    continue
-                index, top, bottom = entry
-                assert wire in (top, bottom)
-                assert offset <= index < offset + len(topology.layers[layer_index])
-                seen.add(index)
-        # Every balancer appears, each under exactly one global index.
-        assert seen == set(range(topology.num_balancers))
-
     def test_network_and_topology_agree(self):
         base = bitonic_network(16)
         assert base.topology.depth == base.depth

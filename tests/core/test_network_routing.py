@@ -105,6 +105,42 @@ class TestRoutingTableEquivalence:
         for wire in list(range(8)) * 10:
             assert fast.feed_token(wire) == scan.feed_token_scan(wire)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: periodic_network(8),
+            lambda: bitonic_network(16),
+            # Wires 4 and 5 idle in the first layer, 0 and 1 in the second.
+            lambda: BalancingNetwork(6, [[(0, 1), (2, 3)], [(2, 4), (3, 5)], [(0, 5)]], [5, 3, 1, 0, 2, 4]),
+        ],
+        ids=["periodic8", "bitonic16", "idle-wires"],
+    )
+    @pytest.mark.parametrize("tokens_first", [0, 1], ids=["even-toggles", "odd-toggles"])
+    def test_inline_batch_kernel_matches_the_balanced_counts_reference(self, build, tokens_first):
+        """The inline split against ``balanced_counts(toggle % 2, n, 2)``
+        per balancer: dense, sparse and huge batches, from even and from
+        odd toggles; outputs, every toggle and the cumulative counts."""
+        new, old = build(), build()
+        width = new.width
+        rng = random.Random(width + tokens_first)
+        if tokens_first:  # one token a wire leaves the first layer's toggles odd
+            for net in (new, old):
+                for wire in range(0, width, 2):
+                    net.feed_token(wire)
+            assert any(toggle % 2 for layer in new._toggles for toggle in layer)
+        batches = [[rng.randrange(6) for _ in range(width)] for _ in range(10)]
+        for _ in range(10):  # sparse: most wires 0
+            sparse = [0] * width
+            sparse[rng.randrange(width)] = rng.randrange(1, 4)
+            batches.append(sparse)
+        batches.append([2**40 + rng.randrange(3) for _ in range(width)])
+        batches.append([2**41 + 1] + [0] * (width - 1))
+        batches.extend([rng.randrange(4) for _ in range(width)] for _ in range(5))
+        for batch in batches:
+            assert new.feed_counts(batch) == reference_feed_counts(old, batch)
+            assert new._toggles == old._toggles
+            assert new.output_counts == old.output_counts
+
 
 class TestFeedCountsValidation:
     def test_negative_count_rejected(self):
@@ -113,14 +149,32 @@ class TestFeedCountsValidation:
             net.feed_counts([1, -1, 0, 0])
 
     def test_rejected_batch_leaves_state_untouched(self):
+        """A float count used to die of ``range()``'s ``TypeError`` inside
+        ``balanced_counts``, a ``str`` of ``'<' not supported``; the inline
+        kernel would have moved a toggle before a fraction failed."""
         net = bitonic_network(4)
         net.feed_counts([1, 2, 3, 4])
         toggles = [list(t) for t in net._toggles]
         counts = list(net.output_counts)
-        with pytest.raises(StructureError):
-            net.feed_counts([5, 6, -7, 8])
-        assert net._toggles == toggles
-        assert net.output_counts == counts
+        for batch in (
+            [5, 6, -7, 8],
+            [2.0, 0, 0, 0],
+            [1, 1, 1, 0.5],
+            ["a", 0, 0, 0],
+            [1, None, 0, 0],
+            [1, 2, 3],
+        ):
+            with pytest.raises(StructureError):
+                net.feed_counts(batch)
+            assert net._toggles == toggles, batch
+            assert net.output_counts == counts, batch
+
+    def test_bool_counts_like_the_int_it_is(self):
+        """``operator.index`` allows it, as ``CutNetwork.feed_counts`` does."""
+        net, twin = bitonic_network(4), bitonic_network(4)
+        assert net.feed_counts([True, False, 2, True]) == twin.feed_counts([1, 0, 2, 1])
+        assert net._toggles == twin._toggles
+        assert net.output_counts == twin.output_counts
 
     def test_zero_batch_is_noop(self):
         net = bitonic_network(4)

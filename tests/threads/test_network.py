@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.core import atomics
 from repro.core.bitonic import bitonic_network
 from repro.core.network import BalancingNetwork
 from repro.errors import StructureError
@@ -103,6 +104,26 @@ class TestHammer:
         assert values_form_range(ranks, total)
         assert network.verify(total).ok
 
+    @pytest.mark.parametrize("gil", [True, False], ids=["native", "forced-lock"])
+    def test_four_threads_through_the_compiled_rows(self, monkeypatch, gil):
+        """The rows hold each balancer's tick drawer: ``count.__next__``
+        under the GIL, the toggle's locked ``flip`` on a free-threaded
+        build (forced here, since no GIL build takes it by itself)."""
+        if not gil:
+            monkeypatch.setattr(atomics, "_gil_enabled", lambda: False)
+        network = ThreadedCountingNetwork(bitonic_network(8).topology)
+        for row, layer in zip(network._rows, network.topology.layers):
+            # Both wires of a balancer read the one entry; an idle wire reads None.
+            assert [entry and entry[1:] for entry in row] == [
+                next((pair for pair in layer if wire in pair), None) for wire in range(8)
+            ]
+        draws = {entry[0] for row in network._rows for entry in row if entry}
+        assert len(draws) == network.topology.num_balancers  # a toggle each
+        assert all((type(draw).__name__ == "method-wrapper") == gil for draw in draws)
+        ranks = hammer(network, 4, OPS, [0, 3, 3, 6])
+        assert values_form_range(ranks, 4 * OPS)
+        assert network.verify(4 * OPS).ok
+
     def test_locked_counter_baseline_counts_exactly(self):
         baseline = LockedCounterBaseline()
         total = THREADS * OPS
@@ -126,3 +147,38 @@ class TestVerifyReport:
         assert not values_form_range([0, 1, 1, 3], 4)  # duplicate
         assert not values_form_range([0, 1, 2, 4], 4)  # gap
         assert not values_form_range([0, 1, 2], 4)  # short
+
+    @pytest.mark.parametrize(
+        "values, total",
+        [
+            ([3, 0, 2, 1], 4),
+            (iter([1, 0]), 2),
+            ([], 0),
+        ],
+        ids=["unordered", "iterator", "empty"],
+    )
+    def test_values_form_range_accepts_exactly_the_range(self, values, total):
+        assert values_form_range(values, total)
+
+    @pytest.mark.parametrize(
+        "values, total",
+        [
+            ([0, 1, 2, 2], 4),
+            ([0, 0, 1, 2, 3], 4),
+            ([0, 1, 3, 4], 4),
+            ([1, 2, 3, 4], 4),
+            ([-1, 0, 1, 2], 4),
+            ([0, 1, 2, 3, 4], 4),
+            ([0, 1, 2, 3], 5),
+            ([0], 0),
+            ([0, 1.5, 2, 3], 4),
+            ([0, 1, None, 3], 4),
+            ([0, "1", 2, 3], 4),
+        ],
+        ids=[
+            "duplicate-last", "duplicate-extra", "gap", "gap-at-zero", "below-range",
+            "above-range-long", "short", "total-zero", "fraction", "None", "str",
+        ],
+    )
+    def test_values_form_range_rejects(self, values, total):
+        assert not values_form_range(values, total)
