@@ -2,8 +2,10 @@
 
 Two scenarios: crashes at quiescent instants (recovery reconstructs the
 exact state from in-neighbours, nothing lost) and crashes with tokens in
-flight (queued tokens are lost; the output imbalance afterwards is
-bounded by the loss, the stabilisation guarantee).
+flight toward the lost components (they are disturbed, not lost:
+reconstruction subtracts what is still owed, so the outputs keep the
+step property — the contract ``verify()`` states whenever no token died
+in a crashed host's buffers).
 """
 
 from repro.runtime.system import AdaptiveCountingSystem
@@ -25,8 +27,8 @@ def test_crash_stabilization(report, benchmark):
                 round_index,
                 len(report_obj.lost_components),
                 system.stats.recoveries,
-                system.token_stats.issued,
-                system.token_stats.retired,
+                int(system.token_stats.issued),
+                int(system.token_stats.retired),
                 max(system.output_counts) - min(system.output_counts),
             )
         )
@@ -77,9 +79,10 @@ def test_crash_stabilization(report, benchmark):
                 imbalance,
             )
         )
-        assert imbalance <= lost + system_b.stats.disturbed_tokens + 1
+        assert lost == 0
+        system_b.verify()
     report(
-        "Section 3.4 - mid-traffic crashes: bounded damage",
+        "Section 3.4 - mid-traffic crashes: nothing lost, step property kept",
         [
             "round",
             "components lost",
@@ -89,9 +92,10 @@ def test_crash_stabilization(report, benchmark):
             "output imbalance",
         ],
         rows_b,
-        notes="Self-stabilisation restores a legal state: the residual output imbalance "
-        "never exceeds lost + disturbed tokens (+1) - disturbed tokens were in flight "
-        "toward the crashed components and each can displace one output slot.",
+        notes="Self-stabilisation restores a legal state: disturbed tokens were in flight "
+        "toward the crashed components and retry; reconstruction subtracts them as still "
+        "owed, so none is lost, none displaces an output slot, and the outputs keep the "
+        "step property (verify() after every round).",
     )
 
     def crash_and_recover():

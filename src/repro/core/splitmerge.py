@@ -24,17 +24,18 @@ children for a MIX parent). The merged per-port tallies are read back
 from the input-boundary children through the inverse of the local input
 wiring.
 
-Both directions are exact inverses on quiescent states, and both
-conserve tokens.
+Both directions conserve tokens and invert each other. Either one is
+invisible at the network's outputs only when :func:`transfer_is_exact`
+holds, which the runtime asks first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping
 
-from repro.core.components import ComponentState, balanced_counts
+from repro.core.components import ComponentState, balanced_count_at, balanced_counts
 from repro.core.decomposition import ComponentSpec
-from repro.core.wiring import BoundaryRef, PortRef, Wiring
+from repro.core.wiring import PortRef, Wiring
 from repro.errors import StructureError
 
 PortCounts = Dict[int, int]
@@ -83,12 +84,28 @@ def output_boundary_children(wiring: Wiring, parent: ComponentSpec) -> List[int]
     For BITONIC and MERGER parents these are the two MIX children; for a
     MIX parent, both children.
     """
-    indices = []
-    for index in range(parent.num_children()):
-        dest = wiring.child_output_dest(parent, index, 0)
-        if isinstance(dest, BoundaryRef):
-            indices.append(index)
-    return indices
+    return sorted(
+        {wiring.boundary_source(parent, port)[0] for port in range(parent.width)}
+    )
+
+
+def transfer_is_exact(
+    wiring: Wiring, parent: ComponentSpec, total: int, child_states: List[ComponentState]
+) -> bool:
+    """Whether ``child_states`` have emitted on ``parent``'s output ports
+    exactly what one counter of ``total`` tokens emitted there — the
+    condition for a split or merge to move no token that has left.
+    Always true of a BITONIC parent (Theorem 2.1); of a MERGER or MIX at
+    quiescence, but in general not mid-stream."""
+    width = parent.width
+    for port in range(width):
+        index, out_port = wiring.boundary_source(parent, port)
+        child = child_states[index]
+        if balanced_count_at(0, child.total, child.width, out_port) != balanced_count_at(
+            0, total, width, port
+        ):
+            return False
+    return True
 
 
 def merge_child_states(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 from repro.core.decomposition import ComponentKind, ComponentSpec, DecompositionTree
 from repro.errors import ProtocolError, StructureError
@@ -121,9 +121,9 @@ def _merger_to_mix(child: int, port: int, half: int) -> PortRef:
 class WiringBase:
     """Structure-independent port resolution over a decomposition tree.
 
-    Subclasses provide the three *local* maps — ``parent_input_dest``,
-    ``child_output_dest`` and ``parent_input_source`` — that describe
-    one tree node's internal wiring; this base class composes them up
+    Subclasses provide the two *local* maps — ``parent_input_dest`` and
+    ``child_output_dest`` — that describe one tree node's internal
+    wiring; this base class derives their inverses and composes them up
     and down the tree to resolve global wires for any cut. The bitonic
     rules live in :class:`Wiring`; the extension framework in
     :mod:`repro.ext` reuses this base for other recursive structures
@@ -132,6 +132,9 @@ class WiringBase:
 
     def __init__(self, tree):
         self.tree = tree
+        #: (kind, width) -> the inverses of that parent's two local maps.
+        #: Never invalidated: the wiring is a pure function of the tree.
+        self._inverses: dict = {}
 
     # -- local maps (subclass responsibility) ---------------------------
     def parent_input_dest(self, parent, port: int) -> "PortRef":  # pragma: no cover
@@ -140,8 +143,41 @@ class WiringBase:
     def child_output_dest(self, parent, child_index: int, port: int):  # pragma: no cover
         raise NotImplementedError
 
-    def parent_input_source(self, parent, child_index: int, port: int):  # pragma: no cover
-        raise NotImplementedError
+    # -- their inverses, derived -----------------------------------------
+    def _inverse(self, parent):
+        """``parent``'s two local maps read backwards, one scan of each
+        per (kind, width): the three dicts the lookups below index."""
+        key = (parent.kind, parent.width)
+        inverse = self._inverses.get(key)
+        if inverse is None:
+            inputs, siblings, outputs = {}, {}, {}
+            for port in range(parent.width):
+                ref = self.parent_input_dest(parent, port)
+                inputs[ref.child, ref.port] = port
+            for index, child in enumerate(parent.children()):
+                for out_port in range(child.width):
+                    dest = self.child_output_dest(parent, index, out_port)
+                    if isinstance(dest, PortRef):
+                        siblings[dest.child, dest.port] = (index, out_port)
+                    else:
+                        outputs[dest.port] = (index, out_port)
+            inverse = self._inverses[key] = (inputs, siblings, outputs)
+        return inverse
+
+    def parent_input_source(self, parent, child_index: int, port: int):
+        """The parent input port that feeds (``child_index``, ``port``),
+        or ``None`` if a sibling feeds it instead."""
+        return self._inverse(parent)[0].get((child_index, port))
+
+    def sibling_source(self, parent, child_index: int, port: int):
+        """The (sibling index, output port) that feeds (``child_index``,
+        input ``port``) inside ``parent``; ``KeyError`` if none does."""
+        return self._inverse(parent)[1][child_index, port]
+
+    def boundary_source(self, parent, port: int):
+        """The (child index, output port) that is ``parent``'s output
+        ``port``; ``KeyError`` for a port out of range."""
+        return self._inverse(parent)[2][port]
 
     # -- global resolution ----------------------------------------------
     def descend_input(self, spec, port: int, member_paths):
@@ -335,42 +371,3 @@ class Wiring(WiringBase):
             if child_index == XX_BOT:
                 return BoundaryRef(port=half + port)
         raise StructureError("invalid child index %d for %s" % (child_index, parent))
-
-    def parent_input_source(self, parent: ComponentSpec, child_index: int, port: int):
-        """Inverse of :meth:`parent_input_dest`: the parent input port
-        that feeds (``child_index``, ``port``), or ``None`` if that child
-        port is fed by a sibling instead.
-
-        Needed when a token addressed to a merged-away child must be
-        re-addressed to the live ancestor: only externally-fed child
-        ports (the input boundary) can carry such tokens.
-        """
-        k = parent.width
-        half = k // 2
-        if not 0 <= port < half:
-            raise StructureError(
-                "port %d out of range for child %d of %s" % (port, child_index, parent)
-            )
-        kind = parent.kind
-        if kind in (ComponentKind.BITONIC, ComponentKind.MIX):
-            input_children = (B_TOP, B_BOT) if kind is ComponentKind.BITONIC else (XX_TOP, XX_BOT)
-            if child_index == input_children[0]:
-                return port
-            if child_index == input_children[1]:
-                return half + port
-            return None
-        # MERGER parent: invert _merger_input.
-        if child_index not in (MM_TOP, MM_BOT):
-            return None
-        to_top_merger = child_index == MM_TOP
-        if port < half // 2:
-            # Fed from the x side (the parent's first half). Both
-            # conventions send even x to the top merger.
-            local = 2 * port + (0 if to_top_merger else 1)
-            return local
-        slot = port - half // 2
-        if self.convention is MergerConvention.AHS94:
-            parity = 1 if to_top_merger else 0  # odd y to the top merger
-        else:
-            parity = 0 if to_top_merger else 1
-        return half + 2 * slot + parity

@@ -129,20 +129,6 @@ class PeriodicWiring(WiringBase):
                 return BoundaryRef(port=half // 2 + port)
         raise StructureError("invalid child index %d for %s" % (child_index, parent))
 
-    def parent_input_source(self, parent: GenericSpec, child_index: int, port: int):
-        k = parent.width
-        if parent.kind == PERIODIC:
-            return port if child_index == 0 else None
-        if parent.kind == BLOCK:
-            return port if child_index == 0 else None
-        # REFLECT
-        quarter = k // 4
-        if child_index == 0:
-            return port if port < quarter else port + k // 2
-        if child_index == 1:
-            return port + quarter
-        raise StructureError("invalid child index %d for %s" % (child_index, parent))
-
 
 def periodic_tree(width: int) -> GenericTree:
     """The decomposition tree of ``PERIODIC[width]``."""

@@ -2,14 +2,14 @@
 
 The bitonic machinery in :mod:`repro.core` needs surprisingly little
 from the bitonic network specifically: a tree of components with widths
-and child lists, plus three local wiring maps per internal node. This
+and child lists, plus two local wiring maps per internal node. This
 module packages exactly that contract:
 
 * subclass :class:`RecursiveStructure` to declare the component kinds
   and their children;
 * subclass :class:`~repro.core.wiring.WiringBase` to declare the local
-  wiring (``parent_input_dest`` / ``child_output_dest`` /
-  ``parent_input_source``);
+  wiring (``parent_input_dest`` / ``child_output_dest``; their inverses
+  are derived);
 * everything else — :class:`~repro.core.cut.Cut` validation,
   :class:`~repro.core.cut.CutNetwork` execution with single-counter
   components, exact split/merge state transfer, and the effective

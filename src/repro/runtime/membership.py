@@ -31,11 +31,10 @@ class CrashReport:
 
     ``disturbed_tokens`` counts tokens that were in flight toward the
     lost components at crash time: they are *not* lost (they retry and
-    retire), but state reconstruction — which works from in-neighbour
-    emission counts — necessarily treats them as already processed, so
-    each one can displace one output slot. The self-stabilisation
-    guarantee is therefore: residual output imbalance <= lost +
-    disturbed (+1).
+    retire), and reconstruction subtracts them as still owed, so they
+    displace nothing. Only ``lost_buffered_tokens`` — tokens that died in
+    the crashed host's buffers — can break the step property; while
+    there are none, ``verify()`` holds the outputs to it exactly.
     """
 
     node_id: int

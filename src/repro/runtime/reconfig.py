@@ -1,5 +1,10 @@
 """The split and merge protocols of Section 2.2, over the simulator.
 
+Both wait for an exact point
+(:func:`repro.core.splitmerge.transfer_is_exact`): mid-stream a MIX[8]
+with 94 tokens in on each input half can have sent 96 and 92 out of its
+output halves, where its children would have sent 94 and 94.
+
 Splitting component ``c`` (initiated by its host ``v``):
 
 1. ``v`` freezes ``c`` — arriving tokens are buffered;
@@ -24,16 +29,17 @@ Merging ``c``'s subtree (initiated by the node that split ``c``):
    :func:`repro.core.splitmerge.merge_child_states` (the paper's
    recursive merge), the merged component is installed at ``h(c)``, the
    children are removed, and buffered boundary tokens are re-addressed
-   to ``c``'s input ports and forwarded.
+   to ``c``'s input ports and forwarded (or, if the fold is not exact,
+   the boundary thaws and forwards them to the members they came to).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.components import ComponentState
 from repro.core.decomposition import ComponentSpec
-from repro.core.splitmerge import merge_child_states, split_child_states
+from repro.core.splitmerge import merge_child_states, split_child_states, transfer_is_exact
 from repro.errors import ComponentNotFound, ProtocolError
 from repro.runtime.host import NodeHost
 from repro.staticcheck.cuts import validate_merge, validate_split
@@ -51,7 +57,8 @@ class Reconfigurator:
     # split
     # ------------------------------------------------------------------
     def split(self, path: Path) -> List[Path]:
-        """Split the live component at ``path``; returns the child paths."""
+        """Split the live component at ``path``; returns the child paths,
+        or ``[]`` (and changes nothing) if the transfer is not exact."""
         system = self.system
         path = tuple(path)
         owner = system.directory.owner(path)
@@ -63,8 +70,11 @@ class Reconfigurator:
         # front — target not live, not a component, or a balancer —
         # before any freeze or state transfer happens.
         validate_split(system.tree, system.directory.live_paths(), path)
+        spec = state.spec
+        children = split_child_states(system.wiring, spec, state.arrivals)
+        if state.total and not transfer_is_exact(system.wiring, spec, state.total, children):
+            return []
         host.freeze(path)
-        children = split_child_states(system.wiring, state.spec, state.arrivals)
         # One install + ack round trip per child, concurrently.
         system.stats.control_messages += 2 * len(children)
         system.advance(2 * system.control_latency)
@@ -80,7 +90,6 @@ class Reconfigurator:
         host.split_registry.add(path)
         system.stats.splits += 1
         # Forward the tokens buffered while frozen into the children.
-        spec = state.spec
         for port, token in host.drain_buffer(path):
             ref = system.wiring.parent_input_dest(spec, port)
             system.send_token(spec.child(ref.child).path, ref.port, token)
@@ -99,8 +108,9 @@ class Reconfigurator:
         path = tuple(path)
         return [m for m in subtree if wiring.is_input_boundary(tree.node(m), path)]
 
-    def merge(self, path: Path, initiator: NodeHost) -> Path:
-        """Merge the live subtree below ``path`` back into one component."""
+    def merge(self, path: Path, initiator: NodeHost) -> Optional[Path]:
+        """Merge the live subtree below ``path`` back into one component;
+        returns ``path``, or ``None`` if the fold is not exact."""
         system = self.system
         path = tuple(path)
         if system.directory.is_live(path):
@@ -123,15 +133,23 @@ class Reconfigurator:
         system.drain_paths(set(subtree))
         # Phase 3: collect states, fold bottom-up, install the parent.
         system.stats.control_messages += 2 * len(subtree)
+        hosts = {member: system.hosts[system.directory.owner(member)] for member in subtree}
+        merged = self._fold(
+            system.tree.node(path),
+            {member: host.components[member] for member, host in hosts.items()},
+        )
+        if merged is None:
+            for member in boundary:
+                hosts[member].unfreeze(member)
+                for port, token in hosts[member].drain_buffer(member):
+                    system.send_token(member, port, token)
+            return None
         buffered: List[Tuple[Path, int, object]] = []
-        states: Dict[Path, ComponentState] = {}
-        for member in subtree:
-            owner_host = system.hosts[system.directory.owner(member)]
+        for member, owner_host in hosts.items():
             for port, token in owner_host.drain_buffer(member):
                 buffered.append((member, port, token))
-            states[member] = owner_host.remove(member)
+            owner_host.remove(member)
             system.directory.unregister(member)
-        merged = self._fold(system.tree.node(path), states)
         system.advance(2 * system.control_latency)
         home = system.directory.home(path)
         system.hosts[home].install(merged)
@@ -154,9 +172,17 @@ class Reconfigurator:
 
     def _fold(
         self, spec: ComponentSpec, states: Dict[Path, ComponentState]
-    ) -> ComponentState:
-        """Recursively merge collected states up to ``spec``."""
+    ) -> Optional[ComponentState]:
+        """Recursively merge collected states up to ``spec``; ``None`` if
+        the transfer at some level is not exact."""
         if spec.path in states:
             return states[spec.path]
-        child_states = [self._fold(child, states) for child in spec.children()]
-        return merge_child_states(self.system.wiring, spec, child_states)
+        child_states = []
+        for child in spec.children():
+            state = self._fold(child, states)
+            if state is None:
+                return None
+            child_states.append(state)
+        merged = merge_child_states(self.system.wiring, spec, child_states)
+        exact = transfer_is_exact(self.system.wiring, spec, merged.total, child_states)
+        return merged if exact else None

@@ -45,7 +45,8 @@ class RulesEngine:
         return self._estimator.level_estimate(host.node_id)
 
     def evaluate(self, host: NodeHost) -> int:
-        """Apply both rules at ``host``; returns the number of actions."""
+        """Apply both rules at ``host``; returns the number of actions,
+        deferred splits and merges included."""
         level = self.node_level(host)
         host.last_level = level
         actions = 0
@@ -60,10 +61,10 @@ class RulesEngine:
                     and not state.spec.is_leaf
                     and path not in host.frozen
                 ):
-                    self.system.reconfig.split(path)
                     actions += 1
-                    progressed = True
-                    break  # the component map changed; rescan
+                    if self.system.reconfig.split(path):
+                        progressed = True
+                        break  # the component map changed; rescan
         # Merging rule: reconsider earlier splits.
         for path in sorted(host.split_registry, key=len, reverse=True):
             if len(path) >= level + self.hysteresis:

@@ -3,9 +3,8 @@
 When a node crashes, the components it hosted — and the tokens queued in
 them — are gone. Recovery restores the network to a *legal* state (one
 reachable by some execution), as self-stabilisation promises; it cannot
-resurrect the lost tokens, so the quiescent output distribution may
-afterwards be imbalanced by up to the number of lost tokens — the crash
-benchmark measures exactly this gap.
+resurrect the lost tokens, so the step property is promised only while
+none died in a crashed host's buffers (``verify()``; bench C2).
 
 Recovery actions, all local in the sense of the paper:
 
@@ -23,11 +22,10 @@ Recovery actions, all local in the sense of the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.components import ComponentState, balanced_count_at
 from repro.core.decomposition import ComponentSpec
-from repro.core.wiring import PortRef
 from repro.errors import ProtocolError
 
 Path = Tuple[int, ...]
@@ -38,11 +36,6 @@ class Stabilizer:
 
     def __init__(self, system):
         self.system = system
-        #: parent path -> the inverse of its ``child_output_dest``:
-        #: ``{(child, in port): (sibling, out port)}`` for internal
-        #: wires and ``{boundary out port: (child spec, out port)}``.
-        #: Never invalidated: the wiring is a pure function of the tree.
-        self._inverse: Dict[Path, Tuple[dict, dict]] = {}
 
     # ------------------------------------------------------------------
     # source tracing
@@ -52,11 +45,12 @@ class Stabilizer:
         network input, else ``("member", path, out_port)`` naming the
         live emitter."""
         system = self.system
-        current, q = system.wiring.ascend_input(spec, port, ())
+        wiring = system.wiring
+        current, q = wiring.ascend_input(spec, port, ())
         parent = system.tree.parent(current)
         if parent is None:
             return ("net", q)
-        sibling_index, out_port = self._crossing_source(parent, current.path[-1], q)
+        sibling_index, out_port = wiring.sibling_source(parent, current.path[-1], q)
         emitter = parent.child(sibling_index)
         # Descend to the live member actually emitting this wire.
         live = system.directory.live_paths()
@@ -65,43 +59,9 @@ class Stabilizer:
                 raise ProtocolError(
                     "no live emitter found for %s port %d" % (spec, port)
                 )
-            emitter, out_port = self._boundary_output_source(emitter, out_port)
+            index, out_port = wiring.boundary_source(emitter, out_port)
+            emitter = emitter.child(index)
         return ("member", emitter.path, out_port)
-
-    def _inverse_wiring(self, parent: ComponentSpec) -> Tuple[dict, dict]:
-        inverse = self._inverse.get(parent.path)
-        if inverse is None:
-            wiring = self.system.wiring
-            crossing, boundary = {}, {}
-            for index, child in enumerate(parent.children()):
-                for out_port in range(child.width):
-                    dest = wiring.child_output_dest(parent, index, out_port)
-                    if isinstance(dest, PortRef):
-                        crossing[dest.child, dest.port] = (index, out_port)
-                    else:
-                        boundary[dest.port] = (child, out_port)
-            inverse = self._inverse[parent.path] = (crossing, boundary)
-        return inverse
-
-    def _crossing_source(self, parent: ComponentSpec, child_index: int, port: int):
-        """Which sibling output feeds (``child_index``, ``port``) inside
-        ``parent`` (inverse of ``child_output_dest`` for internal wires)."""
-        try:
-            return self._inverse_wiring(parent)[0][child_index, port]
-        except KeyError:
-            raise ProtocolError(
-                "no sibling feeds child %d port %d of %s" % (child_index, port, parent)
-            ) from None
-
-    def _boundary_output_source(self, parent: ComponentSpec, port: int):
-        """Which child output becomes ``parent``'s boundary output ``port``
-        (inverse of ``child_output_dest`` for boundary wires)."""
-        try:
-            return self._inverse_wiring(parent)[1][port]
-        except KeyError:
-            raise ProtocolError(
-                "no child emits boundary port %d of %s" % (port, parent)
-            ) from None
 
     # ------------------------------------------------------------------
     # reconstruction

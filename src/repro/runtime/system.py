@@ -214,8 +214,10 @@ class AdaptiveCountingSystem:
         """Let every node apply the Section 3.2 rules until no node acts.
 
         Returns the number of evaluation rounds. Raises if the rules do
-        not reach a fixpoint within ``max_rounds`` (they always should:
-        level estimates are stable between membership changes).
+        not reach a fixpoint within ``max_rounds``. They always should:
+        level estimates are stable between membership changes, and a
+        split or merge deferred as inexact (only ever with tokens in
+        flight) is an action, so the next round starts at quiescence.
         """
         for round_index in range(max_rounds):
             actions = 0

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from repro.core.components import ComponentState
+from repro.core.components import ComponentState, balanced_counts
 from repro.core.cut import Cut, CutNetwork
-from repro.core.decomposition import DecompositionTree
+from repro.core.decomposition import ComponentKind, DecompositionTree
 from repro.core.splitmerge import (
     merge_child_states,
     output_boundary_children,
     split_child_states,
+    transfer_is_exact,
 )
-from repro.core.wiring import Wiring
+from repro.core.wiring import BoundaryRef, Wiring
 from repro.errors import StructureError
 
 
@@ -122,3 +123,91 @@ class TestMergeStates:
         children[0].total = 3  # emitted 3 tokens that never arrived
         with pytest.raises(StructureError):
             merge_child_states(wiring16, parent, children)
+
+
+def emitted_at_boundary(wiring, parent, child_states):
+    """What ``child_states`` have emitted on each of ``parent``'s output
+    ports, by the forward map: the predicate's oracle."""
+    emitted = [0] * parent.width
+    for index, state in enumerate(child_states):
+        for port, count in enumerate(balanced_counts(0, state.total, state.width)):
+            dest = wiring.child_output_dest(parent, index, port)
+            if isinstance(dest, BoundaryRef):
+                emitted[dest.port] += count
+    return emitted
+
+
+def random_arrivals(rng, parent):
+    return {port: rng.randint(0, 9) for port in range(parent.width) if rng.random() < 0.7}
+
+
+class TestTransferIsExact:
+    def test_rejects_the_mix_split_of_the_crash_recipe(self):
+        """The split that broke ROADMAP 1(c)'s seed 0: MIX[8] ``(1, 2,
+        3)`` of ``T_64`` had received 94 tokens on each input half (24 on
+        every odd port, 23 on every even one) and sent 96 and 92 out of
+        its output halves; its replayed children sent 94 and 94. Folding
+        those children back (a merge) is refused as well."""
+        tree = DecompositionTree(64)
+        wiring = Wiring(tree)
+        mix = tree.node((1, 2, 3))
+        assert (mix.kind, mix.width) == (ComponentKind.MIX, 8)
+        arrivals = {port: 24 if port % 2 else 23 for port in range(8)}
+        children = split_child_states(wiring, mix, arrivals)
+        assert emitted_at_boundary(wiring, mix, children) == [24, 24, 23, 23] * 2
+        assert not transfer_is_exact(wiring, mix, 188, children)
+        merged = merge_child_states(wiring, mix, children)
+        assert merged.total == 188
+        assert not transfer_is_exact(wiring, mix, merged.total, children)
+
+    def test_accepts_every_bitonic_split(self):
+        """A BITONIC component's children are a counting network
+        (Theorem 2.1), so its split is exact on any arrivals; a MIX[4]'s
+        mostly is not."""
+        rng = random.Random(4)
+        for width in (4, 8, 16, 32):
+            tree = DecompositionTree(width)
+            wiring = Wiring(tree)
+            bitonic = [
+                spec
+                for spec in tree.iter_preorder()
+                if spec.kind is ComponentKind.BITONIC and not spec.is_leaf
+            ]
+            for _ in range(100):
+                parent = rng.choice(bitonic)
+                arrivals = random_arrivals(rng, parent)
+                children = split_child_states(wiring, parent, arrivals)
+                assert transfer_is_exact(wiring, parent, sum(arrivals.values()), children)
+        tree = DecompositionTree(16)
+        wiring = Wiring(tree)
+        mix = tree.node((4, 0))
+        assert (mix.kind, mix.width) == (ComponentKind.MIX, 4)
+        inexact = 0
+        for _ in range(100):
+            arrivals = random_arrivals(rng, mix)
+            children = split_child_states(wiring, mix, arrivals)
+            inexact += not transfer_is_exact(wiring, mix, sum(arrivals.values()), children)
+        assert inexact > 50
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_agrees_with_the_forward_replay(self, width):
+        """Exact means: what the children emitted on the parent's
+        outputs, read through ``child_output_dest``, is the parent's
+        balanced distribution — for every kind of parent."""
+        rng = random.Random(width)
+        tree = DecompositionTree(width)
+        wiring = Wiring(tree)
+        parents = [spec for spec in tree.iter_preorder() if not spec.is_leaf]
+        verdicts = set()
+        for _ in range(300):
+            parent = rng.choice(parents)
+            arrivals = random_arrivals(rng, parent)
+            total = sum(arrivals.values())
+            children = split_child_states(wiring, parent, arrivals)
+            exact = emitted_at_boundary(wiring, parent, children) == balanced_counts(
+                0, total, parent.width
+            )
+            assert transfer_is_exact(wiring, parent, total, children) == exact
+            verdicts.add((parent.kind, exact))
+        assert (ComponentKind.MERGER, False) in verdicts
+        assert (ComponentKind.MIX, True) in verdicts

@@ -29,11 +29,10 @@ class TestCrashRecovery:
                 system.inject_token(rng.randrange(32))
             system.crash_node()  # mid-flight
             system.run_until_quiescent()
-        lost = system.token_stats.issued - system.token_stats.retired
-        # Only tokens physically queued at the crashed node can be lost.
-        assert lost <= system.stats.crashes * 10
-        imbalance = max(system.output_counts) - min(system.output_counts)
-        assert imbalance <= lost + system.stats.disturbed_tokens + 1
+        # Only tokens in a crashed host's buffers can be lost, and no
+        # host buffers anything between operations.
+        assert system.token_stats.issued - system.token_stats.retired == 0
+        system.verify()
 
     def test_crash_then_rules_still_converge(self):
         system = AdaptiveCountingSystem(width=64, seed=44, initial_nodes=35)

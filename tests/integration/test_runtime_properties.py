@@ -10,7 +10,6 @@ interleaving, this is where it surfaces.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.verification import has_step_property
 from repro.runtime.combining import CombiningConfig
 from repro.runtime.system import AdaptiveCountingSystem
 
@@ -28,7 +27,6 @@ class TestRuntimeProperties:
     @given(st.integers(0, 10_000), scripts())
     def test_invariants_hold_under_random_scripts(self, seed, script):
         system = AdaptiveCountingSystem(width=32, seed=seed, initial_nodes=4)
-        issued = 0
         for op in script:
             if op == "join":
                 system.add_node()
@@ -37,23 +35,16 @@ class TestRuntimeProperties:
             elif op == "burst":
                 for _ in range(6):
                     system.inject_token()
-                issued += 6
             elif op == "converge":
                 system.converge()
             elif op == "crash" and system.num_nodes > 3:
                 system.crash_node()
         system.converge()
         system.run_until_quiescent()
-        system.directory.check_consistent()
-        lost = system.token_stats.issued - system.token_stats.retired
-        # Only tokens physically at a crashed node can be lost.
-        assert lost >= 0
-        if system.stats.crashes == 0:
-            assert lost == 0
-            assert has_step_property(system.output_counts)
-        else:
-            imbalance = max(system.output_counts) - min(system.output_counts)
-            assert imbalance <= lost + system.stats.disturbed_tokens + 1
+        # Only tokens in a crashed host's buffers can be lost, and no
+        # host buffers anything between script steps.
+        assert system.token_stats.issued - system.token_stats.retired == 0
+        system.verify()
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), scripts(), st.floats(0.5, 4.0))
