@@ -23,19 +23,20 @@ arithmetic/comparison protocol (``int(c)``, ``c == 5``, ``c - other``,
 iteration for the per-wire family), so read sites — step-property
 checks, benchmarks, tests — treat them as the numbers they wrap.
 
-Two thread-safe primitives live beside them, for the one place OS
-threads do run (:mod:`repro.threads`, the contrast experiment; both are
-timed by ``perf/probes.py``):
+Thread-safe primitives live beside them, for the one place OS threads
+do run (:mod:`repro.threads`, the contrast experiment):
 
+* :class:`TickCounter`, a fetch-and-add that is one C-level ``next()``
+  on ``itertools.count`` under the GIL and locked without one: every
+  toggle and output counter of the threaded network.
+  :class:`ThreadSafeToggle`, one read mod 2, is timed by ``perf/probes.py``.
 * :class:`LockedAtomicCounter` wraps every mutation *and every read* of
   an :class:`AtomicCounter` in a ``threading.Lock``. Read paths route
   through ``get()`` precisely so the subclass can intercept them: a
   comparison against a locked counter acquires that counter's lock for
-  the read.
-* :class:`ThreadSafeToggle`, a balancer toggle whose ``flip()`` is a
-  single C-level fetch-and-add (``next()`` on ``itertools.count``) that
-  the GIL makes atomic. On free-threaded builds (PEP 703) it degrades
-  to an internal lock.
+  the read. It is the single lock of
+  :class:`repro.threads.LockedCounterBaseline`, and ``perf/probes.py``
+  times its ``fetch_increment``.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ class LockedAtomicCounter(AtomicCounter):
             return super().increment(amount)
 
     def fetch_increment(self, amount: int = 1) -> int:
-        with self._lock:  # one frame: every threaded token retires here
+        with self._lock:  # one frame: every LockedCounterBaseline rank is drawn here
             value = self._value
             self._value = value + amount
             return value
@@ -319,60 +320,77 @@ class PerWireCounters:
         return "%s(%r)" % (type(self).__name__, self._values)
 
 
+# Looked up once: a failed getattr (a caught AttributeError) costs ~1 us a counter.
+_GIL_CHECKER: Optional[Callable[[], bool]] = getattr(sys, "_is_gil_enabled", None)
+
+
 def _gil_enabled() -> bool:
     """Whether this interpreter runs with the GIL (always true before
     the free-threaded builds of 3.13; ``sys._is_gil_enabled`` after)."""
-    checker = getattr(sys, "_is_gil_enabled", None)
-    if checker is None:
-        return True
-    return bool(checker())
+    return _GIL_CHECKER is None or bool(_GIL_CHECKER())
 
 
-class ThreadSafeToggle:
-    """A lock-free balancer toggle for the shared-memory backend.
+class TickCounter:
+    """A fetch-and-add for the shared-memory backend: the i-th draw
+    returns ``start + i * step``.
 
-    ``flip()`` draws from an ``itertools.count``: ``next()`` on a C
-    iterator is one bytecode whose whole effect happens under the GIL,
-    so concurrent flips each observe a distinct tick — a genuine
-    fetch-and-add with no lock, no matter how many threads contend
-    (the cybozu ``Balancer2x2::get`` = ``fetch_add(&value, 1) % 2``
-    pattern). The i-th flip returns ``(initial + i) & 1``, the sequence
-    of a plain ``bit ^= 1`` toggle.
-
-    On free-threaded builds (PEP 703, no GIL) a shared C iterator is no
-    longer atomic, so the constructor detects that and routes flips
-    through an internal lock instead — same semantics, locked speed.
-
-    The tick counter only supports ``flip()`` (a toggle you could
-    ``set`` or ``read`` mid-flight would need the lock the whole point
-    is to avoid). Quiescent state lives in the retirement counters, not
-    here.
+    A draw is ``next()`` on an ``itertools.count``: one bytecode on a C
+    iterator whose whole effect happens under the GIL, so concurrent
+    draws each observe a distinct tick — a genuine fetch-and-add with no
+    lock, no matter how many threads contend (the cybozu
+    ``fetch_add``). On free-threaded builds (PEP 703, no GIL) a shared C
+    iterator is no longer atomic, so the constructor detects that and
+    routes every draw through an internal lock instead — same ticks,
+    locked speed. There is no ``get``: a counter you could read
+    mid-flight would need the lock the whole point is to avoid.
     """
 
     __slots__ = ("_ticks", "_lock")
 
-    def __init__(self, initial: int = 0) -> None:
-        self._ticks = itertools.count(int(initial) & 1)
+    def __init__(self, start: int = 0, step: int = 1) -> None:
+        self._ticks = itertools.count(start, step)
         self._lock: Optional[threading.Lock] = (
             None if _gil_enabled() else threading.Lock()
         )
 
+    def draw(self) -> int:
+        """Atomically advance; return the tick *before* the advance."""
+        lock = self._lock
+        if lock is None:
+            return next(self._ticks)
+        with lock:
+            return next(self._ticks)
+
+    def ticker(self) -> Callable[[], int]:
+        """:meth:`draw`, to hoist into a hot path: under the GIL the
+        C-level ``count.__next__`` itself, no Python frame."""
+        return self._ticks.__next__ if self._lock is None else self.draw
+
+    def __repr__(self) -> str:
+        return "%s()" % type(self).__name__
+
+
+class ThreadSafeToggle(TickCounter):
+    """A balancer toggle: a :class:`TickCounter` read mod 2.
+
+    The i-th flip returns ``(initial + i) & 1``, the sequence of a plain
+    ``bit ^= 1`` toggle (the cybozu ``Balancer2x2::get`` =
+    ``fetch_add(&value, 1) % 2`` pattern), and the low bit of each
+    :meth:`ticker` draw is the bit :meth:`flip` would have returned.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, initial: int = 0) -> None:
+        super().__init__(int(initial) & 1)
+
     def flip(self) -> int:
         """Atomically toggle; return the bit *before* the flip."""
-        lock = self._lock
+        lock = self._lock  # draw() inlined: a flip stays one frame
         if lock is None:
             return next(self._ticks) & 1
         with lock:
             return next(self._ticks) & 1
-
-    def ticker(self) -> Callable[[], int]:
-        """A drawer to hoist into a hot path (cf. :meth:`TokenLedger.reader`):
-        each call is one flip, and the low bit of what it returns is
-        :meth:`flip`'s bit. Under the GIL, the C-level ``count.__next__``."""
-        return self._ticks.__next__ if self._lock is None else self.flip
-
-    def __repr__(self) -> str:
-        return "%s()" % type(self).__name__
 
 
 class TokenLedger(Generic[K]):
@@ -509,5 +527,6 @@ __all__ = [
     "LockedAtomicCounter",
     "PerWireCounters",
     "ThreadSafeToggle",
+    "TickCounter",
     "TokenLedger",
 ]

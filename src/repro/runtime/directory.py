@@ -175,15 +175,6 @@ class ComponentDirectory:
     def spec(self, path: Path) -> ComponentSpec:
         return self.tree.node(tuple(path))
 
-    def covering_member(self, path: Path) -> Optional[Path]:
-        """The live member whose subtree contains ``path`` (an ancestor
-        or the path itself), if any."""
-        path = tuple(path)
-        for end in range(len(path), -1, -1):
-            if path[:end] in self._owner:
-                return path[:end]
-        return None
-
     def has_live_below(self, path: Path) -> bool:
         """Whether some live member lies strictly below ``path``: on a
         valid cut, whether ``path`` is split."""

@@ -4,8 +4,8 @@ Everything before this package ran inside the discrete-event simulator
 — one Python frame driving every token. Here the tokens are OS
 threads: each ``fetch_and_inc`` call walks the compiled flat routing
 tables of :mod:`repro.core.network` through genuinely atomic balancer
-toggles (:class:`repro.core.atomics.ThreadSafeToggle`) and retires on a
-per-output locked counter. A counting network exists to beat a
+toggles and retires on a per-output counter, each a
+:class:`repro.core.atomics.TickCounter`. A counting network exists to beat a
 centralized counter under contention, and the ``threads_contended`` /
 ``threads_single`` workloads of ``perf/`` measure exactly that against
 :class:`LockedCounterBaseline`. Under the GIL the network loses at

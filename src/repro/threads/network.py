@@ -1,11 +1,11 @@
 """An in-process counting network driven by OS threads.
 
 :class:`ThreadedCountingNetwork` walks the flat
-``rows[layer][wire] -> (balancer, next_top, next_bottom)`` layout — the
+``rows[layer][wire] -> (draw, (next_top, next_bottom))`` layout — the
 cybozu ``CountingNetwork4/8`` shape — built from the layers
 :func:`repro.core.network.compile_topology` validated, with one
-:class:`ThreadSafeToggle` per balancer (a GIL-atomic fetch-and-add) and
-one independently locked retirement counter per output wire.
+:class:`TickCounter` per balancer (its low bit the toggle) and one per
+output wire: each a GIL-atomic fetch-and-add, so a token takes no lock.
 
 The retirement counters follow the exemplar's numbering: output ``j``'s
 counter starts at ``j`` and every retirement fetch-adds ``width``, so
@@ -15,21 +15,23 @@ network balances. :meth:`ThreadedCountingNetwork.verify` checks that
 at quiescence (zero lost tokens plus the step property).
 
 Striping, as far as Python allows: C code aligns each output counter to
-its own cache line; here every output gets its *own object and its own
-lock* (a :class:`LockedAtomicCounter` each, never one lock over the
-whole array), so two threads retiring on different outputs contend on
-nothing — the same pressure-spreading the paper's width buys, applied
-to the lock table.
+its own cache line; here every output gets its *own* counter (never one
+over the whole array), so two threads retiring on different outputs
+contend on nothing. Under the GIL no drawer locks; on a free-threaded
+build every drawer, toggle and output alike, takes a lock of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
-from repro.core.atomics import LockedAtomicCounter, ThreadSafeToggle
+from repro.core.atomics import LockedAtomicCounter, TickCounter
 from repro.core.network import CompiledTopology
 from repro.errors import StructureError
+
+#: A ``rows[layer][wire]`` entry: a tick drawer and ``(next_top, next_bottom)``.
+Hop = Tuple[Callable[[], int], Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -82,24 +84,25 @@ class ThreadedCountingNetwork:
     """
 
     def __init__(self, topology: CompiledTopology) -> None:
-        self.width = topology.width
+        self.width = width = topology.width
         self.topology = topology
         self._position: Dict[int, int] = topology.position()
-        # Read-only after init: ``rows[layer][wire]`` is ``(draw, next_top,
-        # next_bottom)`` or None — the cybozu ``network_[layer][wire]``
-        # layout with, in place of the balancer's index, the tick drawer
-        # of its own atomic toggle.
-        self._rows: List[List[Optional[Tuple[Callable[[], int], int, int]]]] = [
-            [None] * self.width for _ in topology.layers
-        ]
-        for row, layer in zip(self._rows, topology.layers):
-            for top, bottom in layer:
-                row[top] = row[bottom] = (ThreadSafeToggle().ticker(), top, bottom)
-        # One striped (independently locked) retirement counter per
-        # output, initialised to the output index so ranks interleave
-        # across outputs.
-        self._outputs: List[LockedAtomicCounter] = [
-            LockedAtomicCounter(j) for j in range(topology.width)
+        # Read-only after init: ``rows[layer][wire]`` is ``(draw, (next_top,
+        # next_bottom))`` — the cybozu ``network_[layer][wire]`` layout
+        # with, in place of the balancer's index, the tick drawer of its
+        # own toggle (the low bit of a draw is the toggle's bit). An idle
+        # wire passes straight through (``int()`` is 0).
+        idle: List[Hop] = [(int, (wire, wire)) for wire in range(width)]
+        self._rows: List[List[Hop]] = []
+        for layer in topology.layers:
+            row = idle[:]
+            for pair in layer:
+                row[pair[0]] = row[pair[1]] = (TickCounter().ticker(), pair)
+            self._rows.append(row)
+        # ``outputs[wire]`` draws the ranks of the output ``wire`` feeds:
+        # output j's counter starts at j, so ranks interleave across outputs.
+        self._outputs: List[Callable[[], int]] = [
+            TickCounter(self._position[wire], width).ticker() for wire in range(width)
         ]
 
     def fetch_and_inc(self, wire: int) -> int:
@@ -107,22 +110,23 @@ class ThreadedCountingNetwork:
         return the unique rank the reached output hands out."""
         if not 0 <= wire < self.width:
             raise StructureError("input wire %d out of range" % wire)
-        current = wire
         for row in self._rows:
-            entry = row[current]
-            if entry is not None:
-                draw, top, bottom = entry
-                current = bottom if draw() & 1 else top
-        return self._outputs[self._position[current]].fetch_increment(self.width)
+            draw, pair = row[wire]
+            wire = pair[draw() & 1]
+        return self._outputs[wire]()
 
     def counts(self) -> List[int]:
-        """Tokens retired per output (counter value decoded back from
-        the ``j + n * width`` numbering). Exact only at quiescence."""
-        width = self.width
-        return [
-            (counter.get() - j) // width
-            for j, counter in enumerate(self._outputs)
-        ]
+        """Tokens retired per output, decoded from the ``j + n * width``
+        numbering. Call only at quiescence: a C ticker has no read but a
+        draw (copying or pickling one is deprecated), so each output's
+        next rank is drawn and the output re-seeded to hand it out next."""
+        width, outputs = self.width, self._outputs
+        per_output = [0] * width
+        for wire, j in self._position.items():
+            rank = outputs[wire]()
+            outputs[wire] = TickCounter(rank, width).ticker()
+            per_output[j] = (rank - j) // width
+        return per_output
 
     def verify(self, total: int) -> VerifyReport:
         """Check conservation and the step property at quiescence —

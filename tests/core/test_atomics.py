@@ -6,10 +6,11 @@
    committed scenario pins (``SCENARIO_FINGERPRINTS.json``, reproduced
    in ``tests/scenarios/test_library.py``) hold that claim; the
    semantics cases below hold the API.
-2. ``LockedAtomicCounter`` and ``ThreadSafeToggle`` — what
-   ``repro.threads`` is built from — really are safe under preemptive
-   threads: a hammer drives each from many threads and asserts exact
-   totals, on the GIL path and on the free-threaded (locked) path.
+2. ``TickCounter`` (every drawer of ``repro.threads``), its
+   ``ThreadSafeToggle`` and ``LockedAtomicCounter`` (the single-lock
+   baseline's) really are safe under preemptive threads: a hammer
+   drives each from many threads and asserts exact totals, on the GIL
+   path and on the free-threaded (locked) path.
 """
 
 import sys
@@ -23,6 +24,7 @@ from repro.core.atomics import (
     LockedAtomicCounter,
     PerWireCounters,
     ThreadSafeToggle,
+    TickCounter,
     TokenLedger,
 )
 
@@ -125,6 +127,30 @@ class TestThreadSafeToggle:
         bits = [bit for lane in seen for bit in lane]
         assert bits.count(0) == THREADS * OPS // 2
         assert bits.count(1) == THREADS * OPS // 2
+
+
+@pytest.mark.parametrize("gil", [True, False], ids=["native", "free-threaded"])
+def test_tick_counter_draws_start_plus_step_once_each(monkeypatch, gil):
+    """An output counter of the threaded network: ``start, start + step,
+    ...``, every tick drawn exactly once however the draws interleave."""
+    if not gil:
+        monkeypatch.setattr(atomics, "_gil_enabled", lambda: False)
+    counter = TickCounter(3, 16)
+    assert (counter._lock is None) == gil
+    draw = counter.ticker()
+    assert [draw() if i % 2 else counter.draw() for i in range(4)] == [3, 19, 35, 51]
+    seen = [[] for _ in range(THREADS)]
+    lanes = iter(seen)
+    lane_lock = threading.Lock()
+
+    def worker():
+        with lane_lock:
+            mine = next(lanes)
+        mine.extend(draw() for _ in range(OPS))
+
+    _hammer(worker)
+    ticks = sorted(tick for lane in seen for tick in lane)
+    assert ticks == list(range(67, 67 + 16 * THREADS * OPS, 16))
 
 
 class TestFacadeSemantics:

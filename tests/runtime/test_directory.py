@@ -62,12 +62,6 @@ class TestRegistration:
 
 
 class TestStructureQueries:
-    def test_covering_member(self, directory):
-        directory.register((0,), 1)
-        assert directory.covering_member((0, 3)) == (0,)
-        assert directory.covering_member((0,)) == (0,)
-        assert directory.covering_member((1,)) is None
-
     def test_live_descendants(self, directory):
         for i in range(6):
             directory.register((0, i), 1)

@@ -8,13 +8,15 @@ backend to the simulator backend token for token (same compiled
 topology, same balancer semantics, same exits).
 """
 
+import itertools
+import sys
 import threading
 
 import pytest
 
 from repro.core import atomics
 from repro.core.bitonic import bitonic_network
-from repro.core.network import BalancingNetwork
+from repro.core.network import BalancingNetwork, compile_topology
 from repro.errors import StructureError
 from repro.threads.network import (
     LockedCounterBaseline,
@@ -24,6 +26,7 @@ from repro.threads.network import (
 
 THREADS = 8
 OPS = 2000
+LOCK_TYPE = type(threading.Lock())
 
 
 def hammer(target, threads, ops, entry_wires):
@@ -106,23 +109,55 @@ class TestHammer:
 
     @pytest.mark.parametrize("gil", [True, False], ids=["native", "forced-lock"])
     def test_four_threads_through_the_compiled_rows(self, monkeypatch, gil):
-        """The rows hold each balancer's tick drawer: ``count.__next__``
-        under the GIL, the toggle's locked ``flip`` on a free-threaded
-        build (forced here, since no GIL build takes it by itself)."""
+        """Each row entry is a balancer's tick drawer and its wire pair,
+        and each output wire has a rank drawer of its own: the C-level
+        ``count.__next__`` under the GIL, a ``TickCounter``'s locked
+        ``draw`` on a free-threaded build (forced here, since no GIL
+        build takes it by itself)."""
         if not gil:
             monkeypatch.setattr(atomics, "_gil_enabled", lambda: False)
         network = ThreadedCountingNetwork(bitonic_network(8).topology)
         for row, layer in zip(network._rows, network.topology.layers):
-            # Both wires of a balancer read the one entry; an idle wire reads None.
-            assert [entry and entry[1:] for entry in row] == [
-                next((pair for pair in layer if wire in pair), None) for wire in range(8)
+            # Both wires of a balancer read the one pair; BITONIC has no idle wire.
+            assert [pair for _, pair in row] == [
+                next(pair for pair in layer if wire in pair) for wire in range(8)
             ]
-        draws = {entry[0] for row in network._rows for entry in row if entry}
-        assert len(draws) == network.topology.num_balancers  # a toggle each
-        assert all((type(draw).__name__ == "method-wrapper") == gil for draw in draws)
+        toggles = {draw for row in network._rows for draw, _ in row}
+        assert len(toggles) == network.topology.num_balancers  # a toggle each
+        drawers = list(toggles) + network._outputs
+        owners = [draw.__self__ for draw in drawers]
+        if gil:
+            assert all(type(owner) is itertools.count for owner in owners)
+        else:
+            # Every drawer locks — the outputs, not only the toggles — and
+            # each takes a lock of its own (striped, never one lock).
+            assert all(type(draw).__name__ == "method" for draw in drawers)
+            locks = [owner._lock for owner in owners]
+            assert all(isinstance(lock, LOCK_TYPE) for lock in locks)
+            assert len({id(lock) for lock in locks}) == len(drawers)
+        assert len(set(map(id, owners))) == len(drawers)
         ranks = hammer(network, 4, OPS, [0, 3, 3, 6])
         assert values_form_range(ranks, 4 * OPS)
         assert network.verify(4 * OPS).ok
+
+    def test_eight_threads_with_every_drawer_locked(self, monkeypatch):
+        """The free-threaded construction path, forced, under the 8-thread hammer."""
+        monkeypatch.setattr(atomics, "_gil_enabled", lambda: False)
+        network = ThreadedCountingNetwork(bitonic_network(16).topology)
+        total = THREADS * OPS
+        ranks = hammer(network, THREADS, OPS, [tid * 2 for tid in range(THREADS)])
+        assert values_form_range(ranks, total)
+        assert network.verify(total).ok
+
+    def test_an_idle_wire_passes_straight_through(self):
+        # Not a counting network: one balancer a layer, so each layer
+        # leaves two wires idle.
+        network = ThreadedCountingNetwork(
+            compile_topology(4, [[(0, 1)], [(2, 3)]], [0, 1, 2, 3])
+        )
+        assert network._rows[0][2] == (int, (2, 2))
+        assert network._rows[1][0] == (int, (0, 0))
+        assert [network.fetch_and_inc(wire) for wire in (2, 0, 0, 3)] == [2, 0, 1, 3]
 
     def test_locked_counter_baseline_counts_exactly(self):
         baseline = LockedCounterBaseline()
@@ -130,6 +165,58 @@ class TestHammer:
         ranks = hammer(baseline, THREADS, OPS, [0] * THREADS)
         assert values_form_range(ranks, total)
         assert baseline.verify(total).ok
+
+
+@pytest.mark.skipif(not atomics._gil_enabled(), reason="the drawers lock without a GIL")
+def test_a_token_is_one_python_frame():
+    """Under the GIL, a ``fetch_and_inc`` on BITONIC[16] is its own frame
+    and nothing else: every toggle and the output counter are C-level
+    ``count.__next__``, which the profiler does not report. Counts, not
+    seconds, so the gate holds on any runner (before the output counter
+    became a ticker too: 2 Python calls and 1 C call a token)."""
+    network = ThreadedCountingNetwork(bitonic_network(16).topology)
+    fetch = network.fetch_and_inc
+    counts = {"call": 0, "c_call": 0}
+
+    def profiler(_frame, event, arg):
+        if event in counts and arg is not sys.setprofile:
+            counts[event] += 1
+
+    sys.setprofile(profiler)
+    try:
+        for index in range(160):
+            fetch(index % 16)
+    finally:
+        sys.setprofile(None)
+    assert counts == {"call": 160, "c_call": 0}
+    assert network.verify(160).ok
+
+
+class TestQuiescentRead:
+    """``counts()`` draws each output's next rank and re-seeds the output
+    there, since a C ticker has no other non-deprecated read: reading must
+    change nothing a client can see."""
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    @pytest.mark.parametrize("gil", [True, False], ids=["native", "forced-lock"])
+    @pytest.mark.parametrize(
+        "wires", [[0, 3, 5, 6], [4] * 4], ids=["spread", "skewed"]
+    )
+    def test_reading_twice_agrees_and_the_ranks_continue(self, monkeypatch, gil, wires):
+        if not gil:
+            monkeypatch.setattr(atomics, "_gil_enabled", lambda: False)
+        network = ThreadedCountingNetwork(bitonic_network(8).topology)
+        total = 4 * OPS
+        ranks = hammer(network, 4, OPS, wires)
+        counts, report = network.counts(), network.verify(total)
+        assert network.counts() == counts
+        assert network.verify(total) == report
+        assert report.ok
+        # Ranks handed out after the reads continue the sequence: no gap
+        # where a read drew, no repeat of a rank handed out before.
+        ranks += hammer(network, 4, OPS // 4, wires)
+        assert values_form_range(ranks, total + OPS)
+        assert network.verify(total + OPS).ok
 
 
 class TestVerifyReport:
