@@ -240,18 +240,20 @@ class CutNetwork:
 
     def _compile(self) -> tuple:
         """Number the live members ``0..n-1`` in pre-order (O(members), no
-        wiring call) as ``(members, index, rows, inputs)``: ``rows[i][out_port]``
+        wiring call) as ``(members, index, rows, inputs, steps)``: ``rows[i][out_port]``
         is ``(j, in_port)`` for the next member, ``(-1, out_wire)`` for a network
-        output, ``None`` until a token first needs it; ``inputs[wire]`` likewise."""
+        output, ``None`` until a token first needs it; ``inputs[wire]`` likewise;
+        ``steps[i]`` is ``(members[i], its width, rows[i])``, what a hop reads."""
         index = {path: i for i, path in enumerate(sorted(self.states))}
         members = [self.states[path] for path in index]
         rows = [[None] * state.spec.width for state in members]
-        table = self._table = (members, index, rows, [None] * self.width)
+        steps = [(state, len(row), row) for state, row in zip(members, rows)]
+        table = self._table = (members, index, rows, [None] * self.width, steps)
         return table
 
     def _resolve(self, i: int, port: int) -> Tuple[int, int]:
         """Fill ``rows[i][port]`` through the wiring, on first use."""
-        members, index, rows, _ = self._table or self._compile()
+        members, index, rows = (self._table or self._compile())[:3]
         kind, *dest = self.wiring.resolve_output(members[i].spec, port, index)
         entry = rows[i][port] = (
             (-1, dest[0]) if kind == "out" else (index[dest[0].path], dest[1])
@@ -260,20 +262,20 @@ class CutNetwork:
 
     def _resolve_input(self, wire: int) -> Tuple[int, int]:
         """Fill ``inputs[wire]`` through the wiring, on first use."""
-        _, index, _, inputs = self._table or self._compile()
+        _, index, _, inputs, _ = self._table or self._compile()
         spec, port = self.wiring.resolve_network_input(wire, index)
         entry = inputs[wire] = (index[spec.path], port)
         return entry
 
     def _edge(self, path: Path, port: int) -> Tuple:
         """Destination of (member, output port), in paths."""
-        members, index, rows, _ = self._table or self._compile()
+        members, index, rows = (self._table or self._compile())[:3]
         i = index[path]
         j, dest = rows[i][port] or self._resolve(i, port)
         return ("out", dest) if j < 0 else ("member", members[j].spec.path, dest)
 
     def _input(self, wire: int) -> Tuple[Path, int]:
-        members, _, _, inputs = self._table or self._compile()
+        members, _, _, inputs, _ = self._table or self._compile()
         i, port = inputs[wire] or self._resolve_input(wire)
         return members[i].spec.path, port
 
@@ -351,15 +353,20 @@ class CutNetwork:
             raise StructureError("input wire %r is not an integer" % (wire,)) from None
         if not 0 <= wire < self.width:
             raise StructureError("input wire %d out of range" % wire)
-        members, _, rows, inputs = self._table or self._compile()
+        _, _, _, inputs, steps = self._table or self._compile()
         i, port = inputs[wire] or self._resolve_input(wire)
         self.tokens_in += 1
         while i >= 0:
-            state = members[i]
+            # ComponentState.route_token inline: the table's ports need no check.
+            state, width, row = steps[i]
             if trace is not None:
                 trace.hops.append(state.spec)
-            out_port = state.route_token(port)
-            i, port = rows[i][out_port] or self._resolve(i, out_port)
+            total = state.total
+            state.total = total + 1
+            arrivals = state.arrivals
+            arrivals[port] = arrivals.get(port, 0) + 1
+            out_port = total % width
+            i, port = row[out_port] or self._resolve(i, out_port)
         value = self.output_counts.fetch_increment(port) * self.width + port
         self.tokens_out += 1
         if trace is not None:
@@ -381,7 +388,7 @@ class CutNetwork:
             raise StructureError(
                 "expected %d input counts, got %d" % (self.width, len(input_counts))
             )
-        members, _, rows, inputs = self._table or self._compile()
+        members, _, rows, inputs, _ = self._table or self._compile()
         # Tokens waiting per member, dense by input port, allocated when the
         # member's first token of the batch arrives.
         pending: List[Optional[List[int]]] = [None] * len(members)

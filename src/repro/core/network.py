@@ -16,10 +16,12 @@ Topology construction is shared between execution backends through
 :func:`compile_topology`: the layered wiring is validated once and
 compiles into a flat ``table[layer][wire] -> (balancer, next_top,
 next_bottom)`` array layout (the shape of cybozu's
-``CountingNetwork4/8``), which the simulator-facing
-:class:`BalancingNetwork` walks with plain-int toggles and the
-shared-memory backend (:mod:`repro.threads`) walks with genuinely
-atomic ones.
+``CountingNetwork4/8``). Both backends walk it as rows of the same
+shape: :class:`BalancingNetwork` as ``hops[layer][wire] = (toggles,
+index, (top, bottom))`` over its plain-int toggle lists, the
+shared-memory backend (:mod:`repro.threads`) as ``(draw, (top,
+bottom))`` over genuinely atomic drawers. Either way a layer is one row
+read, one toggle step and ``pair[toggle & 1]``.
 """
 
 from __future__ import annotations
@@ -39,14 +41,17 @@ RouteEntry = Tuple[int, int, int]
 
 RoutingTable = List[Optional[RouteEntry]]
 
+#: One hop row entry: ``(toggles, index, (top_wire, bottom_wire))``.
+Hop = Tuple[List[int], int, Tuple[int, int]]
+
 
 @dataclass(frozen=True)
 class CompiledTopology:
     """One validated, compiled network topology.
 
     Both execution backends consume this: :class:`BalancingNetwork`
-    adopts the per-layer ``routing`` tables (layer-local balancer
-    indices, matching its per-layer toggle arrays), while
+    builds its hop rows from the per-layer ``routing`` tables (layer-local
+    balancer indices, matching its per-layer toggle arrays), while
     :mod:`repro.threads` builds the same rows from ``layers`` with each
     balancer's tick drawer in place of its index. Compiling is the *only*
     way topology state is produced, so the two backends can never
@@ -72,11 +77,6 @@ class CompiledTopology:
         """The layers as the nested lists :class:`BalancingNetwork`
         historically exposes (``net.layers``)."""
         return [[(top, bottom) for top, bottom in layer] for layer in self.layers]
-
-    def mutable_routing(self) -> List[RoutingTable]:
-        """Per-layer routing tables as mutable lists (layer-local
-        balancer indices)."""
-        return [list(table) for table in self.routing]
 
 
 def compile_topology(
@@ -130,23 +130,20 @@ class BalancingNetwork:
     def _adopt(self, topology: CompiledTopology) -> None:
         """Swap in a compiled topology and fresh toggles, together.
 
-        Routing tables, the layer list, the output permutation, and the
-        balancer toggles are all derived from one another; replacing a
-        subset (rebuilding routing after a split/merge while keeping the
-        old toggle arrays, say) silently desynchronizes
-        :meth:`feed_token` from :meth:`feed_token_scan`. This is the
-        single point where any of them changes.
+        The layer list, the output permutation, the balancer toggles and
+        the hop rows :meth:`feed_token` walks are all derived from one
+        another; replacing a subset (rebuilding routing after a
+        split/merge while keeping the old toggle arrays, say) silently
+        desynchronizes :meth:`feed_token` from :meth:`feed_counts`. This
+        is the single point where any of them changes.
         """
         self.layers = topology.mutable_layers()
         self.output_order = list(topology.output_order)
         self.topology = topology
         self._position = topology.position()
-        # Per-layer routing tables: ``table[wire]`` is the balancer
-        # touching ``wire`` in that layer (or None), so routing one
-        # token is O(depth) instead of a scan over every balancer.
-        self._routing: List[RoutingTable] = topology.mutable_routing()
         # One toggle per balancer: tokens seen so far.
         self._toggles = [[0] * len(layer) for layer in self.layers]
+        self._hops: Optional[List[List[Hop]]] = None
 
     @property
     def depth(self) -> int:
@@ -160,6 +157,7 @@ class BalancingNetwork:
     def reset(self) -> None:
         """Return every toggle and counter to the initial state."""
         self._toggles = [[0] * len(layer) for layer in self.layers]
+        self._hops = None  # the rows hold the old toggle lists
         self.output_counts.reset()
 
     def rebuild(self, layers: Sequence[Layer], output_order: Optional[Sequence[int]] = None) -> None:
@@ -167,12 +165,11 @@ class BalancingNetwork:
 
         Validates and compiles the new wiring first — an invalid
         topology raises :class:`StructureError` and leaves the network
-        untouched — then swaps layers, routing tables, the output
-        permutation, *and* fresh zeroed toggles in one step. Rebuilding
-        routing while preserving stale toggle state is exactly the
-        drift :meth:`feed_token` vs :meth:`feed_token_scan` cannot
-        detect, so no piecemeal mutation path exists. The cumulative
-        ``output_counts`` are preserved: the network keeps retiring
+        untouched — then swaps layers, hop rows, the output
+        permutation, *and* fresh zeroed toggles in one step. Routing
+        rebuilt over stale toggles still agrees with itself, so no check
+        would see the drift; no piecemeal mutation path exists. The
+        cumulative ``output_counts`` are preserved: the network keeps retiring
         into the same ``width`` output positions.
         """
         if output_order is None:
@@ -218,46 +215,33 @@ class BalancingNetwork:
     # ------------------------------------------------------------------
     # token semantics
     # ------------------------------------------------------------------
+    def _compile_hops(self) -> List[List[Hop]]:
+        """``hops[layer][wire]``: the toggle list and index of the balancer
+        on ``wire`` and its ``(top, bottom)``; an idle wire passes through
+        on a spare counter no state reader sees."""
+        spare = [0]
+        self._hops = [
+            [(spare, 0, (wire, wire)) if entry is None else (toggles, entry[0], entry[1:])
+             for wire, entry in enumerate(table)]
+            for toggles, table in zip(self._toggles, self.topology.routing)
+        ]
+        return self._hops
+
     def feed_token(self, wire: int) -> int:
         """Route a single token entering on input ``wire``; returns the
         network output position it leaves on.
 
-        Uses the precomputed per-wire routing tables: one O(1) lookup
-        per layer rather than a scan over the layer's balancers.
+        One hop row a layer: read the balancer's toggle, step it, and
+        leave on ``(top, bottom)[toggle & 1]``.
         """
         if not 0 <= wire < self.width:
             raise StructureError("input wire %d out of range" % wire)
-        current = wire
-        for table, toggles in zip(self._routing, self._toggles):
-            entry = table[current]
-            if entry is None:
-                continue
-            index, top, bottom = entry
-            current = top if toggles[index] % 2 == 0 else bottom
-            toggles[index] += 1
-        position = self._position[current]
-        self.output_counts.increment(position)
-        return position
-
-    def feed_token_scan(self, wire: int) -> int:
-        """Reference implementation of :meth:`feed_token` that finds the
-        balancer touching the current wire by scanning every balancer of
-        every layer (O(width * depth) per token). Kept as the oracle for
-        the routing-table property tests and the ``token_routing``
-        benchmark's before/after comparison; behaviour is bit-identical
-        to :meth:`feed_token`.
-        """
-        if not 0 <= wire < self.width:
-            raise StructureError("input wire %d out of range" % wire)
-        current = wire
-        for layer, toggles in zip(self.layers, self._toggles):
-            for index, (top, bottom) in enumerate(layer):
-                if current in (top, bottom):
-                    exit_top = toggles[index] % 2 == 0
-                    toggles[index] += 1
-                    current = top if exit_top else bottom
-                    break
-        position = self._position[current]
+        for row in self._hops or self._compile_hops():
+            toggles, index, pair = row[wire]
+            toggle = toggles[index]
+            toggles[index] = toggle + 1
+            wire = pair[toggle & 1]
+        position = self._position[wire]
         self.output_counts.increment(position)
         return position
 

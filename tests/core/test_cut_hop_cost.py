@@ -1,15 +1,20 @@
-"""A ``CutNetwork`` hop costs a counter step and a list read — as counts.
+"""A static token costs its walker's frame and a counter call — as counts.
 
-Theorem 3.6 fixes the hop count (21 through the leaf cut of ``T_64``),
-so calls per hop are the whole cost model. Once every edge a token
-needs is in the hop table, a hop is ``ComponentState.route_token`` — the
-one place the mod-``k`` step is written, and the only Python frame —
-plus two list reads; ``feed_token`` and the three per-token counters are
-paid once a token. ``sys.setprofile`` event counts repeat exactly on any
-runner (``tests/runtime/test_hop_cost.py`` holds the simulated hop the
-same way). Before the table a leaf-cut token made 89 Python and 43 C
-calls for its 21 hops (mixed cut, 10.3 hops: 46.4 and 21.7); it makes 25
-and 22 (14.3 and 11.3).
+Theorem 3.6 fixes a ``CutNetwork`` token's hop count (21 through the leaf
+cut of ``T_64``), and ``BITONIC[64]`` is 21 layers deep, so what a hop
+costs is the whole cost model. Both walkers run every hop in their own
+loop: a ``CutNetwork`` hop is the mod-``k`` step and the ``arrivals``
+tally on a ``(state, width, row)`` tuple, a ``BalancingNetwork`` layer a
+``(toggles, index, (top, bottom))`` row, a toggle step and
+``pair[toggle & 1]``. Neither makes a Python call a hop: a token is
+``feed_token`` plus the output counter's call, however many hops it
+takes. ``sys.setprofile`` event counts repeat exactly on any runner
+(``tests/runtime/test_hop_cost.py`` holds the simulated hop the same
+way). Before the hop table a leaf-cut token made 89 Python and 43 C
+calls for its 21 hops (mixed cut, 10.3 hops: 46.4 and 21.7); with the
+table and a ``ComponentState.route_token`` frame a hop, 23 and 22 (12.7
+and 11.7 for 10.7 hops); now 2 and 22 (2 and 11.7), the C calls being
+``arrivals.get`` a hop and ``operator.index`` a token.
 """
 
 import random
@@ -17,6 +22,7 @@ import sys
 
 import pytest
 
+from repro.core.bitonic import bitonic_network
 from repro.core.cut import Cut, CutNetwork
 from repro.core.decomposition import DecompositionTree
 from repro.core.wiring import WiringBase
@@ -70,9 +76,33 @@ def test_calls_per_token(shape, least_hops, most_hops):
         sys.setprofile(None)
     hops = (sum(state.total for state in network.states.values()) - hops_before) / TOKENS
     assert least_hops <= hops <= most_hops
-    # route_token a hop; feed_token, tokens_in, output_counts, tokens_out a token.
-    assert counts["call"] / TOKENS <= hops + 6
+    # feed_token and output_counts.fetch_increment a token, none a hop.
+    assert counts["call"] / TOKENS <= 3
     # arrivals.get a hop; operator.index a token.
     assert counts["c_call"] / TOKENS <= hops + 3
     assert counts["wiring"] == 0  # a warm edge is never resolved again
     network.verify_step_property()
+
+
+def test_network_calls_per_token():
+    network = bitonic_network(WIDTH)
+    network.feed_token(0)  # warm: compiles the hop rows
+    counts = {"call": 0, "c_call": 0}
+
+    def profiler(_frame, event, _arg):
+        if event in counts:
+            counts[event] += 1
+
+    wires = random.Random(7).choices(range(WIDTH), k=TOKENS)
+    feed_token = network.feed_token
+    sys.setprofile(profiler)
+    try:
+        for wire in wires:
+            feed_token(wire)
+    finally:
+        sys.setprofile(None)
+    assert network.depth == 21
+    # feed_token and output_counts.increment a token, none of 21 layers.
+    assert counts["call"] / TOKENS <= 2
+    assert counts["c_call"] <= 1  # sys.setprofile(None) itself
+    assert sum(network.output_counts) == TOKENS + 1

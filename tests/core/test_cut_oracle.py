@@ -345,3 +345,61 @@ def test_table_walk_agrees_with_the_path_keyed_walk(width, convention):
     if width > 4:  # T_4 is one level deep: every internal node is mergeable
         expected |= {"merge recursive", "merge refused"}
     assert seen >= expected
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_tokens_between_reconfigurations_walk_the_live_members(width):
+    """Each reconfiguration drops the hop steps (they hold the member
+    states); a burst of tokens straight after it, with no batch or wiring
+    read in between to rebuild the table first, walks the new members."""
+    rng = random.Random(27 + width)
+    tree = DecompositionTree(width)
+    cut = Cut.random(tree, rng, 0.5)
+    new, ref = CutNetwork(cut), PathKeyedCutNetwork(cut)
+    seen = set()
+    for _ in range(60):
+        for _ in range(rng.randrange(1, 2 * width)):
+            wire = rng.randrange(width)
+            both(new, ref, lambda net: net.feed_token(wire))
+        operation = rng.choice(["split", "merge", "merge recursive", "adopt"])
+        splittable = [p for p in sorted(ref.states) if not ref.states[p].spec.is_leaf]
+        above = internal_paths_above_members(ref)
+        mergeable = [
+            p for p in above if all(c.path in ref.states for c in tree.node(p).children())
+        ]
+        if operation == "split" and splittable:
+            path = rng.choice(splittable)
+            both(new, ref, lambda net: net.split_member(path))
+        elif operation == "merge" and mergeable:
+            path = rng.choice(mergeable)
+            both(new, ref, lambda net: net.merge_member(path))
+        elif operation == "merge recursive" and above:
+            path = rng.choice(above)
+            both(new, ref, lambda net: net.merge_member_recursive(path))
+        elif operation == "adopt":
+            both(new, ref, lambda net: net.adopt_states(
+                [net.states[path].copy() for path in sorted(net.states)]
+            ))
+        else:
+            continue
+        seen.add(operation)
+        assert_same_state(new, ref)
+    assert seen == {"split", "merge", "merge recursive", "adopt"}
+
+
+@pytest.mark.parametrize("width", [8, 32])
+def test_a_traced_token_is_the_untraced_token(width):
+    """``trace=`` records in the same loop: same result, same state, and
+    the hops the path-keyed walk records."""
+    rng = random.Random(width)
+    cut = Cut.random(DecompositionTree(width), rng, 0.5)
+    traced, plain, ref = CutNetwork(cut), CutNetwork(cut), PathKeyedCutNetwork(cut)
+    for _ in range(20 * width):
+        wire = rng.randrange(width)
+        trace, ref_trace = TokenTrace(input_wire=wire), TokenTrace(input_wire=wire)
+        result = traced.feed_token(wire, trace=trace)
+        assert result == plain.feed_token(wire) == ref.feed_token(wire, ref_trace)
+        assert (trace.output_wire, trace.value) == result
+        assert trace.hops == ref_trace.hops
+        assert_same_state(traced, plain)
+    assert_same_state(traced, ref)

@@ -3,7 +3,7 @@
 The bug class this pins (ISSUE 8): after a split/merge the network's
 layers were conceptually replaceable, but routing tables, the position
 map and the toggle arrays are *derived* state — rebuilding one while
-preserving another lets ``feed_token`` (table-driven) and
+preserving another lets ``feed_token`` (row-driven) and
 ``feed_token_scan`` (the scanning oracle) route the same token
 differently. ``BalancingNetwork.rebuild`` is the only mutation path:
 it validates first (a bad topology leaves the network untouched) and
@@ -11,6 +11,7 @@ swaps everything, including fresh toggles, in one step.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.network import (
     parallel_layers,
 )
 from repro.errors import StructureError
+from tests.core.test_network_routing import feed_token_scan
 
 
 def shifted(layers, offset):
@@ -59,7 +61,7 @@ class TestRebuildKeepsTableAndScanInLockstep:
         def burst():
             wires = [rng.randrange(width) for _ in range(rng.randrange(40, 120))]
             table_out = drain(tabled, tabled.feed_token, wires)
-            scan_out = drain(scanned, scanned.feed_token_scan, wires)
+            scan_out = drain(scanned, partial(feed_token_scan, scanned), wires)
             assert table_out == scan_out
             assert tabled.output_counts == scanned.output_counts
 

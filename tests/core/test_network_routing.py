@@ -1,5 +1,6 @@
-"""Property tests pinning the routing-table fast path to the old
-balancer-scan semantics, and the new ``feed_counts`` input validation."""
+"""Property tests pinning the hop-row fast path to the old balancer-scan
+semantics (:func:`feed_token_scan`, the oracle), and the ``feed_counts``
+input validation."""
 
 import random
 
@@ -13,8 +14,14 @@ from repro.errors import StructureError
 
 
 def random_network(rng, width):
-    """A random layered network: each layer pairs up a random subset of
-    wires (including layers that leave some wires untouched)."""
+    """A builder of one random layered network (:func:`random_topology`)."""
+    layers, order = random_topology(rng, width)
+    return lambda: BalancingNetwork(width, layers, order)
+
+
+def random_topology(rng, width):
+    """Random ``(layers, output_order)``: each layer pairs up a random
+    subset of wires (including layers that leave some wires untouched)."""
     layers = []
     for _ in range(rng.randrange(1, 8)):
         wires = list(range(width))
@@ -27,7 +34,27 @@ def random_network(rng, width):
         layers.append(layer)
     order = list(range(width))
     rng.shuffle(order)
-    return lambda: BalancingNetwork(width, layers, order)
+    return layers, order
+
+
+def feed_token_scan(net, wire):
+    """``BalancingNetwork.feed_token`` by scanning every balancer of every
+    layer for the one touching the current wire (O(width * depth) a
+    token), on the same toggles and counters: the oracle the hop rows
+    must match bit for bit."""
+    if not 0 <= wire < net.width:
+        raise StructureError("input wire %d out of range" % wire)
+    current = wire
+    for layer, toggles in zip(net.layers, net._toggles):
+        for index, (top, bottom) in enumerate(layer):
+            if current in (top, bottom):
+                exit_top = toggles[index] % 2 == 0
+                toggles[index] += 1
+                current = top if exit_top else bottom
+                break
+    position = net.output_order.index(current)
+    net.output_counts.increment(position)
+    return position
 
 
 def reference_feed_counts(net, input_counts):
@@ -54,7 +81,7 @@ class TestRoutingTableEquivalence:
         rng = random.Random(width)
         wires = [rng.randrange(width) for _ in range(20 * width)]
         assert [fast.feed_token(w) for w in wires] == [
-            scan.feed_token_scan(w) for w in wires
+            feed_token_scan(scan, w) for w in wires
         ]
         assert fast._toggles == scan._toggles
         assert fast.output_counts == scan.output_counts
@@ -67,7 +94,7 @@ class TestRoutingTableEquivalence:
             fast, scan = build(), build()
             wires = [rng.randrange(width) for _ in range(100)]
             assert [fast.feed_token(w) for w in wires] == [
-                scan.feed_token_scan(w) for w in wires
+                feed_token_scan(scan, w) for w in wires
             ], "trial %d diverged" % trial
             assert fast._toggles == scan._toggles
             assert fast.output_counts == scan.output_counts
@@ -95,15 +122,59 @@ class TestRoutingTableEquivalence:
         for i in range(200):
             wire = rng.randrange(8)
             routed = (
-                mixed.feed_token(wire) if i % 2 else mixed.feed_token_scan(wire)
+                mixed.feed_token(wire) if i % 2 else feed_token_scan(mixed, wire)
             )
-            assert routed == pure.feed_token_scan(wire)
+            assert routed == feed_token_scan(pure, wire)
 
     def test_periodic_network_equivalence(self):
         fast = periodic_network(8)
         scan = periodic_network(8)
         for wire in list(range(8)) * 10:
-            assert fast.feed_token(wire) == scan.feed_token_scan(wire)
+            assert fast.feed_token(wire) == feed_token_scan(scan, wire)
+
+    def test_rows_follow_feed_counts_reset_and_rebuild(self):
+        """The hop rows hold the toggle lists themselves, so batches step
+        the state tokens read, and ``reset`` / ``rebuild`` (which rebind
+        them) drop the rows. Against the scan oracle after every step:
+        the outputs, every toggle, and no trace of the idle wires' spare
+        counter in ``_toggles``."""
+        rng = random.Random(27)
+        seen = set()
+
+        def topology(width):
+            layers, order = random_topology(rng, width)
+            return layers + [[(0, 1)]], order  # the last layer leaves wires 2.. idle
+
+        for trial in range(40):
+            width = rng.choice([4, 6, 8, 16])
+            layers, order = topology(width)
+            fast = BalancingNetwork(width, layers, order)
+            scan = BalancingNetwork(width, layers, order)
+            for _ in range(12):
+                roll = rng.random()
+                if roll < 0.45:
+                    wires = [rng.randrange(width) for _ in range(rng.randrange(1, 30))]
+                    assert [fast.feed_token(w) for w in wires] == [
+                        feed_token_scan(scan, w) for w in wires
+                    ], "trial %d diverged" % trial
+                    seen.add("tokens")
+                elif roll < 0.65:
+                    batch = [rng.randrange(4) for _ in range(width)]
+                    assert fast.feed_counts(batch) == scan.feed_counts(batch)
+                    seen.add("counts")
+                elif roll < 0.8:
+                    fast.reset()
+                    scan.reset()
+                    seen.add("reset")
+                else:
+                    layers, order = topology(width)
+                    fast.rebuild(layers, order)
+                    scan.rebuild(layers, order)
+                    seen.add("rebuild")
+                assert fast._toggles == scan._toggles
+                assert [len(toggles) for toggles in fast._toggles] == [len(layer) for layer in layers]
+                assert fast.output_counts == scan.output_counts
+        assert seen == {"tokens", "counts", "reset", "rebuild"}
 
     @pytest.mark.parametrize(
         "build",
