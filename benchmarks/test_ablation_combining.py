@@ -19,12 +19,12 @@ def run(window):
         width=64, seed=44, initial_nodes=30, combining=config, service_time=0.05
     )
     system.converge()
-    before = system.bus.messages_sent
+    before = system.bus.messages_sent.get()  # the number, not the live counter
     tokens = [system.inject_token() for _ in range(TOKENS)]
     system.run_until_quiescent()
     assert sorted(t.value for t in tokens) == list(range(TOKENS))
     system.verify()
-    messages = system.bus.messages_sent - before
+    messages = system.bus.messages_sent.get() - before
     mean_batch = system.combiner.stats.mean_batch if system.combiner else 1.0
     return messages, system.token_stats.mean_latency, mean_batch
 

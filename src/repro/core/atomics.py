@@ -12,10 +12,12 @@ naming it:
   ``Simulator.events_run``, ``MessageBus.messages_sent`` /
   ``messages_delivered`` / ``messages_dropped`` and ``TokenStats``'
   ``issued`` / ``retired`` / ``dropped`` / ``total_hops`` /
-  ``total_reroutes``;
+  ``total_reroutes``; the simulated hop adds to the first three through
+  the ``value`` slot, with no call;
 * :class:`PerWireCounters` — ``increment`` is a traced boundary;
-* :class:`TokenLedger` — ``post`` / ``settle`` are traced boundaries
-  and ``perf/probes.py`` times the pair.
+* :class:`TokenLedger` — ``post`` / ``settle`` are traced boundaries,
+  ``perf/probes.py`` times the pair and ``runtime/static_deploy.py``
+  keeps one.
 
 All three are plain Python with no synchronization, byte-identical
 arithmetic to the raw ints and dicts they wrap, and implement the
@@ -72,37 +74,40 @@ class AtomicCounter:
     ``fetch_increment`` returns the *prior* value (the classic
     fetch-and-add, which is how counting networks hand out values).
     The counter compares and does arithmetic like the int it wraps.
+    A single-threaded hot path may bump the public ``value`` slot
+    directly (``c.value += 1``), as the simulated hop does, and skip the
+    method frame; a :class:`LockedAtomicCounter` must not be used so.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("value",)
 
     def __init__(self, initial: int = 0) -> None:
-        self._value = int(initial)
+        self.value = int(initial)
 
     # -- named mutations ------------------------------------------------
     def increment(self, amount: int = 1) -> int:
         """Add ``amount``; return the new value."""
-        value = self._value + amount
-        self._value = value
+        value = self.value + amount
+        self.value = value
         return value
 
     def fetch_increment(self, amount: int = 1) -> int:
         """Add ``amount``; return the value *before* the add."""
-        value = self._value
-        self._value = value + amount
+        value = self.value
+        self.value = value + amount
         return value
 
     def decrement(self, amount: int = 1) -> int:
         """Subtract ``amount``; return the new value."""
-        value = self._value - amount
-        self._value = value
+        value = self.value - amount
+        self.value = value
         return value
 
     def get(self) -> int:
-        return self._value
+        return self.value
 
     def set(self, value: int) -> None:
-        self._value = int(value)
+        self.value = int(value)
 
     # -- int facade -----------------------------------------------------
     # Every read dunder routes through get() so that LockedAtomicCounter
@@ -189,7 +194,7 @@ class AtomicCounter:
         return self
 
     def __neg__(self) -> int:
-        return -self._value
+        return -self.value
 
     def __hash__(self) -> int:
         # Identity hash: the value mutates, so value-hashing would
@@ -197,7 +202,7 @@ class AtomicCounter:
         return object.__hash__(self)
 
     def __repr__(self) -> str:
-        return "%s(%d)" % (type(self).__name__, self._value)
+        return "%s(%d)" % (type(self).__name__, self.value)
 
 
 class LockedAtomicCounter(AtomicCounter):
@@ -220,8 +225,8 @@ class LockedAtomicCounter(AtomicCounter):
 
     def fetch_increment(self, amount: int = 1) -> int:
         with self._lock:  # one frame: every LockedCounterBaseline rank is drawn here
-            value = self._value
-            self._value = value + amount
+            value = self.value
+            self.value = value + amount
             return value
 
     def decrement(self, amount: int = 1) -> int:

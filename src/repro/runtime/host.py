@@ -92,8 +92,8 @@ class NodeHost(SimulatedProcess):
     def handle_message(self, message) -> None:
         """A token arrived — it is its own message and names the input
         it is owed to. The single token that dominates uncombined
-        traffic is handled in this frame; a batch goes to
-        :meth:`_handle_batch`."""
+        traffic is handled in this frame, the component's step included;
+        a batch goes to :meth:`_handle_batch`."""
         if message.__class__ is not Token:
             self._handle_batch(message)
             return
@@ -108,11 +108,19 @@ class NodeHost(SimulatedProcess):
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.owed_delta(-1)
-        if path in self.frozen:
+        frozen = self.frozen
+        if frozen and path in frozen:
             self.buffers.setdefault(path, []).append((port, message))
             return
         self.tokens_routed += 1
-        out_port = state.route_token(port)
+        # ComponentState.route_token, inline (as CutNetwork.feed_token
+        # steps its members): the port came off the wiring, so it needs
+        # no range check.
+        total = state.total
+        state.total = total + 1
+        arrivals = state.arrivals
+        arrivals[port] = arrivals.get(port, 0) + 1
+        out_port = total % state.spec.width
         dest = self._edge_of((path, out_port))
         if dest is None:
             self.cache_misses += 1

@@ -104,6 +104,9 @@ class AdaptiveCountingSystem:
         self.rng = random.Random(seed + 1)
         self.sim = Simulator()
         self.bus = MessageBus(self.sim, latency or ConstantLatency(1.0), service_time)
+        #: ``bus.send`` and ``_undelivered``, bound once for the hop.
+        self._send = self.bus.send
+        self._on_undelivered = self._undelivered
         self.control_latency = 1.0
         self.step_multiplier = step_multiplier
         self.auto_stabilize = auto_stabilize
@@ -320,7 +323,7 @@ class AdaptiveCountingSystem:
         token.in_flight = True
         if obs.enabled:
             obs.token_hop(self.sim.now, token, path, port, 1)
-        self.bus.send(owner, token, "token", self._undelivered)
+        self._send(owner, token, "token", self._on_undelivered)
 
     def dispatch_batch(self, path: Path, items) -> None:
         """Ship a batch of (port, token) pairs — each already owed to
@@ -338,7 +341,7 @@ class AdaptiveCountingSystem:
             if obs.enabled:
                 obs.token_hop(self.sim.now, token, path, port, len(items))
         message = items[0][1] if len(items) == 1 else BatchTokenMsg(path, tuple(items))
-        self.bus.send(owner, message, "token", self._undelivered)
+        self._send(owner, message, "token", self._on_undelivered)
 
     def _undelivered(self, message) -> None:
         """The bus dropped a token message (its owner is gone): every

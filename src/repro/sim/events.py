@@ -15,10 +15,14 @@ heap, bit for bit:
 
 * with no :class:`SchedulePolicy` installed (the default), buckets are
   ``deque``\\ s in scheduling order — FIFO within a timestamp is exactly
-  the old ``(time, seq)`` order;
+  the old ``(time, seq)`` order. A timestamp that holds one event
+  stores the bare :class:`EventHandle` instead (a steady stream opens a
+  new timestamp for nearly every message); a second event at that
+  timestamp moves both into a pooled deque, in order;
 * with a policy installed, buckets are small per-timestamp heaps of
   ``(key, handle)`` pairs, so ties break by the policy's injective key
   exactly as they did in the global ``(time, key, handle)`` heap.
+  Keyed buckets are never bare.
 
 A bucket is retired the moment its last entry is popped, so no bucket
 in the dict is ever empty. Lemma (order unchanged, FIFO and keyed): a
@@ -39,9 +43,11 @@ as dead no-op closures until their fire time.
 
 ``schedule_pooled``/``schedule_at_pooled`` are the fire-and-forget
 variants for callers that never cancel (the message bus's delivery
-trampoline): they return nothing and draw their handles from a
-simulator-owned freelist — a fired pooled handle goes straight back to
-the freelist instead of the allocator. Pooling is safe *because* the
+trampoline, which schedules both of its stages at absolute times):
+they return nothing and draw their handles from a simulator-owned
+freelist — a fired pooled handle goes straight back to the freelist
+instead of the allocator; ``schedule_at_pooled`` pops the freelist and
+does the FIFO insert in its own frame. Pooling is safe *because* the
 handle is unobservable: no caller can hold a stale reference across a
 reuse, so the cancel-after-fire ABA hazard cannot arise. ``pool_stats``
 reports the freelist's traffic for the ``repro.obs`` gauges.
@@ -85,7 +91,7 @@ from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import inf, isfinite
 from random import Random
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.atomics import AtomicCounter
 from repro.errors import SimulationError
@@ -198,8 +204,8 @@ class EventHandle:
         return self.callback is not None and not self.cancelled
 
 
-#: FIFO-mode bucket: handles in scheduling order.
-_FifoBucket = Deque[EventHandle]
+#: FIFO-mode bucket: handles in scheduling order, or a lone bare handle.
+_FifoBucket = Union[EventHandle, Deque[EventHandle]]
 #: Policy-mode bucket: a heapq list of (tie-break key, handle).
 _KeyedBucket = List[Tuple[int, EventHandle]]
 
@@ -214,7 +220,8 @@ class Simulator:
 
     def __init__(self, policy: Optional[SchedulePolicy] = None):
         #: Calendar buckets: timestamp -> same-timestamp events, never
-        #: empty (a bucket retires with its last entry).
+        #: empty (a bucket retires with its last entry); in FIFO mode a
+        #: lone event is its bare handle.
         self._buckets: Dict[float, object] = {}
         #: One heap entry per distinct pending timestamp (the bucket
         #: anchors); kept in lockstep with ``_buckets``.
@@ -252,17 +259,23 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def _enqueue_fifo(self, time: float, handle: EventHandle) -> None:
-        """Insert into the bucket for ``time`` (creating the bucket and
-        its heap anchor if this timestamp is new) — FIFO mode, where the
-        sequence counter is never consumed."""
+        """Insert into the bucket for ``time`` — FIFO mode, where the
+        sequence counter is never consumed. A new timestamp stores the
+        bare handle and its heap anchor; a second event there moves both
+        into a deque (:meth:`schedule_at_pooled` restates this insert)."""
         buckets = self._buckets
         bucket = buckets.get(time)
         if bucket is None:
-            pool = self._bucket_pool
-            bucket = pool.pop() if pool else deque()
-            buckets[time] = bucket
+            buckets[time] = handle
             heappush(self._times, time)
-        bucket.append(handle)  # type: ignore[attr-defined]
+        elif bucket.__class__ is EventHandle:
+            pool = self._bucket_pool
+            queue = pool.pop() if pool else deque()
+            queue.append(bucket)
+            queue.append(handle)
+            buckets[time] = queue
+        else:
+            bucket.append(handle)  # type: ignore[union-attr]
 
     def _enqueue_keyed(self, time: float, handle: EventHandle) -> None:
         """Policy-mode insert: the bucket is a heap of (tie-break key,
@@ -299,26 +312,26 @@ class Simulator:
         self._enqueue(time, handle)
         return handle
 
-    def _acquire_handle(self, callback: Callable[[], None]) -> EventHandle:
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.callback = callback
-            self._handles_reused += 1
-        else:
-            handle = EventHandle(callback, pooled=True)
-            self._handles_created += 1
-        return handle
-
     def schedule_pooled(self, delay: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is returned, so
         the event cannot be cancelled — in exchange its handle comes
-        from (and returns to) the simulator's freelist. One call per
-        message: the freelist pop and the FIFO insert run in this frame."""
+        from (and returns to) the simulator's freelist."""
         if not 0 <= delay < inf:  # false for NaN too
             raise SimulationError(
                 "cannot schedule a negative or non-finite delay (delay=%r)" % delay
             )
+        self.schedule_at_pooled(self.now + delay, callback)
+
+    def schedule_at_pooled(self, time: float, callback: Callable[[], None]) -> None:
+        """Fire-and-forget :meth:`schedule_at` using the handle freelist.
+        One call per message stage: the freelist pop and the FIFO insert
+        (:meth:`_enqueue_fifo`'s) run in this frame."""
+        if not self.now <= time < inf:  # false for NaN too
+            if not isfinite(time):
+                raise SimulationError("cannot schedule at non-finite time %r" % time)
+            raise SimulationError(
+                "cannot schedule at %r, current time is %r" % (time, self.now)
+            )
         pool = self._handle_pool
         if pool:
             handle = pool.pop()
@@ -327,26 +340,22 @@ class Simulator:
         else:
             handle = EventHandle(callback, pooled=True)
             self._handles_created += 1
-        time = self.now + delay
         if not self._fifo:
             self._enqueue_keyed(time, handle)
             return
-        bucket = self._buckets.get(time)
+        buckets = self._buckets
+        bucket = buckets.get(time)
         if bucket is None:
-            spare = self._bucket_pool
-            bucket = self._buckets[time] = spare.pop() if spare else deque()
+            buckets[time] = handle
             heappush(self._times, time)
-        bucket.append(handle)  # type: ignore[attr-defined]
-
-    def schedule_at_pooled(self, time: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule_at` using the handle freelist."""
-        if not isfinite(time):
-            raise SimulationError("cannot schedule at non-finite time %r" % time)
-        if time < self.now:
-            raise SimulationError(
-                "cannot schedule at %r, current time is %r" % (time, self.now)
-            )
-        self._enqueue(time, self._acquire_handle(callback))
+        elif bucket.__class__ is EventHandle:
+            spare = self._bucket_pool
+            queue = spare.pop() if spare else deque()
+            queue.append(bucket)
+            queue.append(handle)
+            buckets[time] = queue
+        else:
+            bucket.append(handle)  # type: ignore[union-attr]
 
     def cancel(self, handle: EventHandle) -> bool:
         """Deschedule an event; returns whether it was still live.
@@ -366,7 +375,10 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of *live* events still queued (cancelled excluded)."""
-        queued = sum(len(bucket) for bucket in self._buckets.values())  # type: ignore[arg-type]
+        queued = sum(
+            1 if bucket.__class__ is EventHandle else len(bucket)  # type: ignore[arg-type]
+            for bucket in self._buckets.values()
+        )
         return queued - self._cancelled
 
     def pool_stats(self) -> Dict[str, int]:
@@ -381,10 +393,12 @@ class Simulator:
     # dispatch
     # ------------------------------------------------------------------
     def _retire_bucket(self, time: float, bucket: object) -> None:
-        """Drop the emptied head bucket and recycle its container."""
+        """Drop the emptied head bucket and recycle its container (a
+        bare handle has none)."""
         heappop(self._times)
         del self._buckets[time]
-        self._bucket_pool.append(bucket)
+        if bucket.__class__ is not EventHandle:
+            self._bucket_pool.append(bucket)
 
     def claim_inline_slot(self, time: float) -> bool:
         """Whether an event at ``time`` may run inline, skipping the queue.
@@ -411,23 +425,28 @@ class Simulator:
             # deletion, cleared here from the head) may be skipped.
             head = times[0]
             bucket = self._buckets[head]
-            if self._fifo:
-                while bucket and bucket[0].cancelled:  # type: ignore[index, attr-defined]
-                    bucket.popleft()  # type: ignore[attr-defined]
-                    self._cancelled -= 1
+            if bucket.__class__ is EventHandle:
+                if not bucket.cancelled:  # type: ignore[attr-defined]
+                    return False
+                self._cancelled -= 1
             else:
-                while bucket and bucket[0][1].cancelled:  # type: ignore[index]
-                    heappop(bucket)  # type: ignore[arg-type]
-                    self._cancelled -= 1
-            if bucket:
-                return False
+                if self._fifo:
+                    while bucket and bucket[0].cancelled:  # type: ignore[index, attr-defined]
+                        bucket.popleft()  # type: ignore[attr-defined]
+                        self._cancelled -= 1
+                else:
+                    while bucket and bucket[0][1].cancelled:  # type: ignore[index]
+                        heappop(bucket)  # type: ignore[arg-type]
+                        self._cancelled -= 1
+                if bucket:
+                    return False
             self._retire_bucket(head, bucket)
         budget = self._budget
         if budget is not None:
             if budget <= 0:
                 return False
             self._budget = budget - 1
-        self.events_run.increment()
+        self.events_run.value += 1
         obs = _obs.ACTIVE
         if obs.enabled:
             obs.event_executed(time)
@@ -439,11 +458,13 @@ class Simulator:
         while times:
             time = times[0]
             bucket = self._buckets[time]
-            if self._fifo:
+            if bucket.__class__ is EventHandle:
+                handle = bucket
+            elif self._fifo:
                 handle = bucket.popleft()  # type: ignore[attr-defined]
             else:
                 handle = heappop(bucket)[1]  # type: ignore[arg-type]
-            if not bucket:
+            if handle is bucket or not bucket:
                 self._retire_bucket(time, bucket)
             if handle.cancelled:
                 self._cancelled -= 1
@@ -453,7 +474,7 @@ class Simulator:
             if handle.pooled:
                 self._handle_pool.append(handle)
             self.now = time
-            self.events_run.increment()
+            self.events_run.value += 1
             obs = _obs.ACTIVE
             if obs.enabled:
                 obs.event_executed(time)
@@ -489,6 +510,7 @@ class Simulator:
         times = self._times
         buckets = self._buckets
         fifo = self._fifo
+        bare = EventHandle
         handle_pool = self._handle_pool
         bucket_pool = self._bucket_pool
         events_run = self.events_run
@@ -505,7 +527,10 @@ class Simulator:
                 bucket = buckets[time]
                 # Peek before charging: an exhausted budget must leave
                 # the event queued, and a cancelled head is uncounted.
-                handle = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
+                if bucket.__class__ is bare:
+                    handle = bucket
+                else:
+                    handle = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
                 cancelled = handle.cancelled
                 if not cancelled:
                     budget = self._budget  # re-read: inline deliveries consume it
@@ -517,14 +542,19 @@ class Simulator:
                                 else "too many events before time %r" % limit
                             )
                         self._budget = budget - 1
-                if fifo:
-                    bucket.popleft()  # type: ignore[attr-defined]
-                else:
-                    heappop(bucket)  # type: ignore[arg-type]
-                if not bucket:  # retire with the last entry (_retire_bucket)
+                # Retire with the last entry (_retire_bucket).
+                if handle is bucket:
                     heappop(times)
                     del buckets[time]
-                    bucket_pool.append(bucket)
+                else:
+                    if fifo:
+                        bucket.popleft()  # type: ignore[attr-defined]
+                    else:
+                        heappop(bucket)  # type: ignore[arg-type]
+                    if not bucket:
+                        heappop(times)
+                        del buckets[time]
+                        bucket_pool.append(bucket)
                 if cancelled:
                     self._cancelled -= 1
                     continue

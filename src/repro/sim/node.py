@@ -9,37 +9,43 @@ token stream (e.g. the one hosting the root component, or a central
 counter) becomes a measurable throughput bottleneck — the effect
 Section 2's motivating example is about.
 
-Delivery is driven by one slotted :class:`Envelope` record per message
-(it replaced three nested per-message closures): the bus schedules the
-envelope's ``arrive`` trampoline after network transit, and ``arrive``
-either queues ``deliver`` behind the destination's service queue or —
-when the destination is idle, costs no service time, and the delivery
-would provably be the very next event anyway — delivers in the same
-frame via :meth:`Simulator.claim_inline_slot`, skipping the queue
-round-trip without perturbing event order or accounting. A message
-whose destination is gone is handed back to the sender's
-``on_undeliverable`` callback, so one bound method serves every send;
-the bus keeps no per-message count (``in_flight`` reads the envelopes).
+Each registered address has one slotted :class:`Mailbox`: its process
+and the time its service queue frees up. Delivery is driven by one
+slotted :class:`Envelope` record per message (it replaced three nested
+per-message closures): ``send`` schedules the envelope's ``arrive``
+trampoline after network transit, and ``arrive`` either queues
+``deliver`` behind the destination's service queue or — when the
+destination is idle, costs no service time, and the delivery would
+provably be the very next event anyway — delivers in the same frame via
+:meth:`Simulator.claim_inline_slot`, skipping the queue round-trip
+without perturbing event order or accounting. Each side of a hop makes
+one mailbox probe. A message whose destination is gone is handed back
+to the sender's ``on_undeliverable`` callback, so one bound method
+serves every send; the bus keeps no per-message count (``in_flight``
+reads the envelopes).
 
 Envelope pooling
 ----------------
-Envelopes are drawn from a per-bus freelist and recycled the moment
-their delivery (or drop) completes, making the send→deliver hot path
-allocation-free in steady state. Recycling is safe because the delivery
-paths extract every field they need into locals *before* releasing, so
-an envelope re-acquired by a re-entrant send inside the message handler
-cannot corrupt the delivery in progress. Each release bumps the
-envelope's ``generation`` stamp; anything that holds an envelope
-reference across events must capture the stamp at hold time and treat a
-mismatch as "this is a different message now" — the same epoch-style
-ABA discipline the bus already applies to re-registered addresses.
+Envelopes are drawn from a per-bus freelist by ``send`` and put back by
+``arrive`` the moment their delivery (or drop) completes, making the
+send→deliver hot path allocation-free in steady state. Recycling is
+safe because ``arrive`` extracts every field it needs into locals
+*before* releasing, so an envelope re-acquired by a re-entrant send
+inside the message handler cannot corrupt the delivery in progress.
+Each release bumps the envelope's ``generation`` stamp; anything that
+holds an envelope reference across events must capture the stamp at
+hold time and treat a mismatch as "this is a different message now".
+Re-registered addresses get the same discipline from object identity:
+an envelope keeps the mailbox it was sent to, and a re-registration
+builds a new one, so mail for the old incarnation is never delivered to
+the new.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional
 
-from repro.core.atomics import AtomicCounter, TokenLedger
+from repro.core.atomics import AtomicCounter
 from repro.errors import SimulationError
 from repro.obs import recorder as _obs
 from repro.sim.events import Simulator
@@ -53,6 +59,19 @@ class SimulatedProcess:
         raise NotImplementedError
 
 
+class Mailbox:
+    """One registration of an address: the process, and the simulated
+    time its single-server service queue is busy until. Unregistering
+    drops it and registering again builds a new one, so the object's
+    identity is the incarnation."""
+
+    __slots__ = ("process", "busy_until")
+
+    def __init__(self, process: SimulatedProcess):
+        self.process = process
+        self.busy_until = 0.0
+
+
 class Envelope:
     """One in-flight message: destination, payload, and delivery state.
 
@@ -60,11 +79,13 @@ class Envelope:
     need; its bound methods ``arrive`` and ``deliver`` are the event
     callbacks (the *delivery trampoline*), so sending a message costs
     one envelope instead of three closures with captured cells.
-    Envelopes are pool-owned: construct them only through
-    :meth:`MessageBus._acquire_envelope` (the RSC307 lint enforces
-    this), and ``generation`` counts how many times this record has
-    been recycled — the ABA stamp for anything holding a reference
-    across events.
+    ``arrival`` is ``arrive``, bound once when the record is built.
+    ``mailbox`` is the addressee's mailbox at send time, or None if the
+    address was not registered then (whoever registers first may take
+    the mail). Envelopes are pool-owned: only :meth:`MessageBus.send`
+    builds them (the RSC307 lint enforces this), and ``generation``
+    counts how many times this record has been recycled — the ABA stamp
+    for anything holding a reference across events.
     """
 
     __slots__ = (
@@ -73,8 +94,9 @@ class Envelope:
         "message",
         "kind",
         "on_undeliverable",
-        "sent_epoch",
+        "mailbox",
         "generation",
+        "arrival",
     )
 
     def __init__(
@@ -84,65 +106,64 @@ class Envelope:
         message,
         kind: str,
         on_undeliverable: Optional[Callable[[object], None]],
-        sent_epoch: Optional[int],
+        mailbox: Optional[Mailbox],
     ):
         self.bus = bus
         self.to_address = to_address
         self.message = message
         self.kind = kind
         self.on_undeliverable = on_undeliverable
-        self.sent_epoch = sent_epoch
+        self.mailbox = mailbox
         self.generation = 0
+        self.arrival = self.arrive
 
     def arrive(self, queued: bool = False) -> None:
         """Network transit ended: take a service slot, then deliver.
 
-        One frame does the addressee check, the slot arithmetic and —
-        for an idle destination with zero service cost, when the
-        simulator certifies it is order- and accounting-identical — the
-        delivery itself. Otherwise :meth:`deliver` is scheduled for the
-        slot and re-enters here with ``queued`` set."""
+        One frame does the addressee check (one mailbox probe), the slot
+        arithmetic, the envelope's release and — for an idle destination
+        with zero service cost, when the simulator certifies it is
+        order- and accounting-identical — the delivery itself.
+        Otherwise :meth:`deliver` is scheduled for the slot and
+        re-enters here with ``queued`` set."""
         bus = self.bus
-        to_address = self.to_address
-        current = bus._processes.get(to_address)
-        if (
-            current is not None
-            and self.sent_epoch is not None
-            and bus._epoch_of(to_address) != self.sent_epoch
-        ):
-            current = None  # same address, different incarnation
+        mailbox = bus._mailboxes.get(self.to_address)
+        sent_to = self.mailbox
+        if sent_to is not None and mailbox is not sent_to:
+            mailbox = None  # unregistered, or a different incarnation
         simulator = bus.simulator
         now = simulator.now
         obs = _obs.ACTIVE
-        if current is not None and not queued:
-            busy = bus._busy_of(to_address)
-            finish = (busy if busy is not None and busy > now else now) + bus.service_time
-            if finish != now:
-                bus._busy_until[to_address] = finish
-            # else: an idle destination with zero service cost stays
-            # "busy until now", which any existing entry already implies.
+        if mailbox is not None and not queued:
+            busy = mailbox.busy_until
+            finish = (busy if busy > now else now) + bus.service_time
+            mailbox.busy_until = finish
             if obs.enabled:
                 obs.bus_queued(now, self.kind, finish - now)
             if finish != now or not simulator.claim_inline_slot(now):
                 simulator.schedule_at_pooled(finish, self.deliver)
                 return
         # Extract everything before releasing: the released envelope may
-        # be re-acquired by a send issued inside the handler below.
+        # be re-acquired by a send issued inside the handler below. The
+        # generation bump invalidates any stamp captured while it was
+        # live; a released envelope has no kind.
         kind = self.kind
         message = self.message
         on_undeliverable = self.on_undeliverable
-        bus._release_envelope(self)
-        if current is None:
-            bus.messages_dropped.increment()
+        self.generation += 1
+        self.message = self.on_undeliverable = self.kind = self.mailbox = None
+        bus._envelope_pool.append(self)
+        if mailbox is None:
+            bus.messages_dropped.value += 1
             if obs.enabled:
                 obs.bus_dropped(now, kind)
             if on_undeliverable is not None:
                 on_undeliverable(message)
             return
-        bus.messages_delivered.increment()
+        bus.messages_delivered.value += 1
         if obs.enabled:
             obs.bus_delivered(now, kind)
-        current.handle_message(message)
+        mailbox.process.handle_message(message)
 
     def deliver(self) -> None:
         """Service slot reached: hand the payload to the process (or
@@ -170,62 +191,18 @@ class MessageBus:
         self.simulator = simulator
         self.latency = latency or ConstantLatency(1.0)
         self.service_time = service_time
-        self._processes: Dict[Hashable, SimulatedProcess] = {}
-        self._busy_until: Dict[Hashable, float] = {}
-        #: Monotonic per-address registration count. A message captures
-        #: the destination's epoch at send time; if the address was
-        #: unregistered and re-registered while the message was in
-        #: flight, the new incarnation must not receive mail addressed
-        #: to the old one (the classic re-registration ABA hazard).
-        self._epochs: TokenLedger[Hashable] = TokenLedger()
-        #: Hoisted lock-free readers (C-level ``dict.get``) for the two
-        #: per-message lookups; neither map is ever reset or rebound, so
-        #: the readers stay valid for the bus's lifetime.
-        self._epoch_of = self._epochs.reader()
-        self._busy_of = self._busy_until.get
+        #: Registered address -> its current incarnation's mailbox.
+        self._mailboxes: Dict[Hashable, Mailbox] = {}
         self.messages_sent = AtomicCounter()
         self.messages_delivered = AtomicCounter()
         self.messages_dropped = AtomicCounter()
         #: Every envelope built (``in_flight`` reads their kinds), the
         #: freelist among them, and its traffic counters (sim-loop work
-        #: only — acquire in send, release at delivery/drop).
+        #: only — taken in ``send``, put back in ``arrive``).
         self._envelopes: List[Envelope] = []
         self._envelope_pool: List[Envelope] = []
         self._envelopes_created = 0
         self._envelopes_reused = 0
-
-    # ------------------------------------------------------------------
-    # envelope pool
-    # ------------------------------------------------------------------
-    def _acquire_envelope(
-        self,
-        to_address: Hashable,
-        message,
-        kind: str,
-        on_undeliverable: Optional[Callable[[object], None]],
-        sent_epoch: Optional[int],
-    ) -> Envelope:
-        pool = self._envelope_pool
-        if pool:
-            envelope = pool.pop()
-            envelope.to_address = to_address
-            envelope.message = message
-            envelope.kind = kind
-            envelope.on_undeliverable = on_undeliverable
-            envelope.sent_epoch = sent_epoch
-            self._envelopes_reused += 1
-            return envelope
-        self._envelopes_created += 1
-        envelope = Envelope(self, to_address, message, kind, on_undeliverable, sent_epoch)
-        self._envelopes.append(envelope)
-        return envelope
-
-    def _release_envelope(self, envelope: Envelope) -> None:
-        # The generation bump invalidates any stamp captured while the
-        # envelope was live; a released envelope has no kind.
-        envelope.generation += 1
-        envelope.message = envelope.on_undeliverable = envelope.kind = None
-        self._envelope_pool.append(envelope)
 
     def pool_stats(self) -> Dict[str, int]:
         """Envelope-freelist traffic: constructed, recycled, and idle."""
@@ -239,19 +216,15 @@ class MessageBus:
     # registration
     # ------------------------------------------------------------------
     def register(self, address: Hashable, process: SimulatedProcess) -> None:
-        if address in self._processes:
+        if address in self._mailboxes:
             raise SimulationError("address %r already registered" % (address,))
-        self._processes[address] = process
-        self._epochs.post(address)
+        self._mailboxes[address] = Mailbox(process)
 
     def unregister(self, address: Hashable) -> None:
-        # The epoch entry deliberately survives: it must keep growing
-        # across re-registrations of the same address.
-        self._processes.pop(address, None)
-        self._busy_until.pop(address, None)
+        self._mailboxes.pop(address, None)
 
     def is_registered(self, address: Hashable) -> bool:
-        return address in self._processes
+        return address in self._mailboxes
 
     # ------------------------------------------------------------------
     # messaging
@@ -275,23 +248,29 @@ class MessageBus:
         instead — this is how neighbours notice lost components, and
         why a sender can pass one bound method for every message.
         """
-        self.messages_sent.increment()
+        self.messages_sent.value += 1
+        simulator = self.simulator
         obs = _obs.ACTIVE
         if obs.enabled:
-            obs.bus_sent(self.simulator.now, kind)
-        # None when the destination is not registered yet: such mail may
-        # be picked up by whoever registers first (existing semantics —
-        # a registered address always has an epoch entry, so the hoisted
-        # raw reader is equivalent to the ledger get here).
-        sent_epoch = self._epoch_of(to_address) if to_address in self._processes else None
-        envelope = self._acquire_envelope(
-            to_address, message, kind, on_undeliverable, sent_epoch
-        )
+            obs.bus_sent(simulator.now, kind)
+        mailbox = self._mailboxes.get(to_address)
+        pool = self._envelope_pool
+        if pool:
+            envelope = pool.pop()
+            envelope.to_address = to_address
+            envelope.message = message
+            envelope.kind = kind
+            envelope.on_undeliverable = on_undeliverable
+            envelope.mailbox = mailbox
+            self._envelopes_reused += 1
+        else:
+            self._envelopes_created += 1
+            envelope = Envelope(self, to_address, message, kind, on_undeliverable, mailbox)
+            self._envelopes.append(envelope)
         transit = self.latency.sample()
         # Schedule-perturbation sanitizer hook: an installed policy may
         # stretch network transit by bounded jitter (0.0 by default).
-        simulator = self.simulator
         policy = simulator.policy
         if policy is not None:
             transit += policy.delivery_jitter()
-        simulator.schedule_pooled(transit, envelope.arrive)
+        simulator.schedule_at_pooled(simulator.now + transit, envelope.arrival)

@@ -13,12 +13,13 @@ built to collide timestamps hard.
 
 import itertools
 import random
+from collections import deque
 from heapq import heappop, heappush
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import PerturbedPolicy, Simulator
+from repro.sim.events import FifoPolicy, PerturbedPolicy, Simulator
 
 #: Discrete time grid — few distinct values, many collisions, which is
 #: exactly the regime the calendar queue reorganised storage for.
@@ -276,3 +277,70 @@ class TestWheelHeapEquivalence:
         assert granted >= 3  # the last event of each instant, at least
         # Popped plus inline-claimed events, counted alike on both sides.
         assert real[2] == reference[2] == reference[1] + granted
+
+
+class TestBareHandles:
+    """FIFO mode stores an instant's lone event as its bare handle; the
+    second event at that instant moves both into a deque, in order."""
+
+    def test_a_bare_handle_grows_into_a_deque(self):
+        sim = Simulator()
+        fired = []
+        first = sim.schedule_at(1.0, lambda: fired.append("first"))
+        assert sim._buckets[1.0] is first
+        sim.schedule_pooled(1.0, lambda: fired.append("second"))
+        sim.schedule_at_pooled(1.0, lambda: fired.append("third"))
+        bucket = sim._buckets[1.0]
+        assert isinstance(bucket, deque) and bucket[0] is first and len(bucket) == 3
+        sim.schedule_at(2.0, lambda: fired.append("later"))
+        sim.run_until_idle()
+        assert fired == ["first", "second", "third", "later"]
+        assert not sim._buckets and not sim._times
+        assert sim._bucket_pool == [bucket]  # only the deque is recycled
+
+    def test_claim_inline_slot_skips_a_cancelled_bare_head(self):
+        sim = Simulator()
+        sim.cancel(sim.schedule_at(0.0, lambda: None))
+        sim.schedule_at(1.0, lambda: None)
+        assert sim.pending == 1
+        assert sim.claim_inline_slot(0.0)
+        assert list(sim._buckets) == [1.0] and sim._times == [1.0]
+        assert sim.pending == 1 and int(sim.events_run) == 1
+        live = sim.schedule_at(0.0, lambda: None)
+        assert sim._buckets[0.0] is live
+        assert not sim.claim_inline_slot(0.0)  # a live bare head is next
+
+    def test_step_skips_a_cancelled_bare_head(self):
+        sim = Simulator()
+        fired = []
+        sim.cancel(sim.schedule_at(1.0, lambda: fired.append("cancelled")))
+        sim.schedule_at(2.0, lambda: fired.append("live"))
+        assert sim.step()
+        assert fired == ["live"] and sim.now == 2.0 and int(sim.events_run) == 1
+        assert not sim.step()
+        assert sim.pending == 0 and not sim._buckets and not sim._bucket_pool
+
+    def test_pending_counts_bare_handles(self):
+        sim = Simulator()
+        handles = [sim.schedule_at(time, lambda: None) for time in (1.0, 2.0, 3.0)]
+        assert sim.pending == 3
+        sim.cancel(handles[1])
+        assert sim.pending == 2
+        sim.schedule_pooled(1.0, lambda: None)  # joins 1.0's bare handle
+        sim.schedule_at_pooled(4.0, lambda: None)
+        assert sim.pending == 4
+        assert sim.run_until_idle() == 4
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_keyed_mode_never_stores_a_bare_handle(self, perturbed):
+        policy = PerturbedPolicy(random.Random(0)) if perturbed else FifoPolicy()
+        sim = Simulator(policy=policy)
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_pooled(2.0, lambda: None)
+        sim.schedule_at_pooled(3.0, lambda: None)
+        sim.schedule_at(3.0, lambda: None)
+        assert sorted(sim._buckets) == [1.0, 2.0, 3.0]
+        assert all(isinstance(bucket, list) for bucket in sim._buckets.values())
+        assert [len(bucket) for _time, bucket in sorted(sim._buckets.items())] == [1, 1, 2]
+        assert sim.pending == 4
+        assert sim.run_until_idle() == 4

@@ -109,6 +109,26 @@ class TestServiceQueue:
         times = [t for (_m, t) in proc.received]
         assert times == [3.0, 5.0, 7.0]
 
+    def test_reregistered_address_starts_with_a_fresh_queue(self):
+        """The service queue belongs to the registration, not to the
+        address: a process that registers where a busy one left does not
+        wait behind the old one's backlog, which is dropped."""
+        sim = Simulator()
+        bus = MessageBus(sim, ConstantLatency(1.0), service_time=2.0)
+        old, new = Recorder(sim), Recorder(sim)
+        bus.register("a", old)
+        failures = []
+        for i in range(3):
+            bus.send("a", i, on_undeliverable=failures.append)
+        sim.run_until(3.5)  # all three arrived: the queue is busy until 7.0
+        bus.unregister("a")
+        bus.register("a", new)
+        bus.send("a", "late")
+        sim.run_until_idle()
+        assert old.received == [(0, 3.0)]
+        assert new.received == [("late", 6.5)]  # 4.5 + 2.0, not 7.0 + 2.0
+        assert failures == [1, 2]
+
     def test_independent_nodes_run_in_parallel(self):
         sim = Simulator()
         bus = MessageBus(sim, ConstantLatency(1.0), service_time=2.0)
@@ -147,11 +167,33 @@ class ClosureMessageBus(MessageBus):
 
     This reproduces the original delivery pipeline exactly: three nested
     per-message closures (``addressee`` / ``arrive`` / ``process_it``),
-    no :class:`Envelope`, and no same-timestamp inline fast path —
-    delivery is always a separately scheduled event. The equivalence
+    no :class:`Envelope`, no same-timestamp inline fast path — delivery
+    is always a separately scheduled event — and no mailboxes: its own
+    process, registration-epoch and busy-until dicts. The equivalence
     tests below drive identical seeded workloads through this bus and
-    the envelope bus and require bit-identical schedules.
+    the mailbox bus and require bit-identical schedules.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._processes = {}
+        #: Per-address registration count, never reset: mail captures
+        #: it at send time and must find it unchanged at delivery.
+        self._epochs = {}
+        self._busy_until = {}
+
+    def register(self, address, process):
+        if address in self._processes:
+            raise SimulationError("address %r already registered" % (address,))
+        self._processes[address] = process
+        self._epochs[address] = self._epochs.get(address, 0) + 1
+
+    def unregister(self, address):
+        self._processes.pop(address, None)
+        self._busy_until.pop(address, None)
+
+    def is_registered(self, address):
+        return address in self._processes
 
     def send(self, to_address, message, kind="message", on_undeliverable=None):
         self.messages_sent += 1

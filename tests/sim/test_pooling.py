@@ -44,14 +44,32 @@ class TestEnvelopePool:
         assert stats["free"] == 1  # idle: the one record is home again
 
     def test_release_bumps_generation(self):
-        _sim, bus, _receiver = make_bus()
-        envelope = bus._acquire_envelope("a", "m", "msg", None, None)
+        """``send`` takes the record off the freelist and ``arrive`` puts
+        it back, bumping its generation and scrubbing what it carried —
+        on delivery and on a drop alike."""
+        sim, bus, receiver = make_bus()
+        bus.send("a", "m", on_undeliverable=lambda _message: None)
+        (envelope,) = bus._envelopes
+        assert bus.pool_stats()["free"] == 0
+        assert envelope.message == "m" and envelope.mailbox is not None
         stamp = envelope.generation
-        bus._release_envelope(envelope)
+        sim.run_until_idle()
+        assert receiver.received == ["m"]
         assert envelope.generation == stamp + 1
-        # Scrubbed on release: no payload or callback is retained.
+        # Scrubbed on release: no payload, callback or mailbox is retained.
         assert envelope.message is None
         assert envelope.on_undeliverable is None
+        assert envelope.kind is None and envelope.mailbox is None
+        assert bus.pool_stats() == {"created": 1, "reused": 0, "free": 1}
+        dropped = []
+        bus.send("ghost", "lost", on_undeliverable=dropped.append)
+        assert bus._envelopes == [envelope] and envelope.message == "lost"
+        assert envelope.mailbox is None  # not registered when sent
+        sim.run_until_idle()
+        assert dropped == ["lost"]
+        assert envelope.generation == stamp + 2
+        assert envelope.message is None and envelope.on_undeliverable is None
+        assert bus.pool_stats() == {"created": 1, "reused": 1, "free": 1}
 
     def test_reentrant_send_inside_handler_is_safe(self):
         """A handler that sends re-acquires the very envelope carrying
