@@ -12,17 +12,19 @@ subpackage provides exactly that subset of Chord:
 * :mod:`repro.chord.fingers` — finger tables and O(log N) greedy lookup
   with hop counting;
 * :mod:`repro.chord.estimation` — the two-step decentralised system-size
-  estimator of Section 3.1 and the level estimates built on it;
-* :mod:`repro.chord.protocol` — the *live* Chord maintenance protocol
-  (stabilize/notify, fix_fingers, successor lists, failure detection) as
-  messages over the simulator, discharging the substrate assumption.
+  estimator of Section 3.1 and the level estimates built on it.
+
+The paper *assumes* this substrate (§1.4); it does not specify one. The
+ring here is global and always consistent: the directory and every
+§3.1 size estimate read :class:`ChordRing` directly, not a node's own
+successor pointers, so no maintenance protocol runs and ring repair
+under churn is not modelled (``docs/architecture.md`` *Known limits*).
 """
 
 from repro.chord.identifiers import IdentifierSpace
 from repro.chord.ring import ChordNode, ChordRing
 from repro.chord.hashing import name_to_point
 from repro.chord.estimation import SizeEstimator
-from repro.chord.protocol import ChordProtocolNetwork
 
 __all__ = [
     "IdentifierSpace",
@@ -30,5 +32,4 @@ __all__ = [
     "ChordRing",
     "name_to_point",
     "SizeEstimator",
-    "ChordProtocolNetwork",
 ]

@@ -14,8 +14,7 @@ Commands
 ``check``
     Static invariant analysis (``repro.staticcheck``): certify network
     structure and the step property for small widths, validate cuts,
-    lint the codebase (``--lint``), verify protocol message flow
-    (``--protocol``), bounded-model-check the Chord/runtime protocols
+    lint the codebase (``--lint``), bounded-model-check the runtime
     over all small-scope schedules (``--model-check``), re-run the
     scenario library under adversarial same-timestamp orders
     (``--sanitize [N]``), or print the long-form explanation of any
@@ -169,8 +168,8 @@ def _load_mc_module(spec: str):
     """Import the module supplying model-check factories.
 
     Accepts a dotted module name or a ``.py`` file path; the module may
-    define ``network_factory`` and/or ``system_factory`` callables that
-    build the subject under test (used by the negative fixtures).
+    define a ``system_factory`` callable that builds the subject under
+    test (used by the negative fixtures).
     """
     import importlib
     import importlib.util
@@ -232,20 +231,17 @@ def cmd_check(args) -> int:
     if args.model_check:
         from repro.staticcheck.protocol.model import ModelCheckConfig
 
-        factories = {}
+        system_factory = None
         if args.mc_module:
             try:
                 subject = _load_mc_module(args.mc_module)
             except Exception as exc:
                 print("repro check: error: %s" % exc, file=sys.stderr)
                 return 2
-            for name in ("network_factory", "system_factory"):
-                factory = getattr(subject, name, None)
-                if factory is not None:
-                    factories[name] = factory
+            system_factory = getattr(subject, "system_factory", None)
         try:
             model_config = ModelCheckConfig(
-                max_nodes=args.max_nodes, depth=args.mc_depth, **factories
+                depth=args.mc_depth, system_factory=system_factory
             )
         except ValueError as exc:
             print("repro check: error: %s" % exc, file=sys.stderr)
@@ -256,8 +252,6 @@ def cmd_check(args) -> int:
             convention=convention,
             lint=args.lint,
             certify=not args.no_certify,
-            protocol=args.protocol,
-            protocol_paths=args.protocol_paths,
             model_check=args.model_check,
             model_config=model_config,
             sanitize_seeds=sanitize_seeds,
@@ -407,27 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the exhaustive 0-1-principle certification",
     )
     check.add_argument(
-        "--protocol",
-        action="store_true",
-        help="run the Pass-4 message-flow analysis of the protocol layer",
-    )
-    check.add_argument(
-        "--protocol-paths",
-        nargs="+",
-        metavar="PATH",
-        default=None,
-        help="files to flow-analyze instead of the default protocol modules",
-    )
-    check.add_argument(
         "--model-check",
         action="store_true",
         help="run the Pass-5 bounded model checker (small-scope schedules)",
-    )
-    check.add_argument(
-        "--max-nodes",
-        type=int,
-        default=3,
-        help="ring size bound for the model checker (2..4)",
     )
     check.add_argument(
         "--mc-depth",
@@ -439,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mc-module",
         metavar="MODULE",
         default=None,
-        help="module (dotted name or .py path) providing network_factory/"
-        "system_factory for the model checker's subject",
+        help="module (dotted name or .py path) providing system_factory "
+        "for the model checker's subject",
     )
     check.add_argument(
         "--sanitize",

@@ -15,8 +15,8 @@ the simulated deployment, stdlib-only and deterministic:
   loadable in Perfetto / ``chrome://tracing``
   (:mod:`repro.obs.export`).
 
-Instrumentation is off by default: every hook site in the simulator,
-runtime and Chord protocol reads the module-level
+Instrumentation is off by default: every hook site in the simulator
+and the runtime reads the module-level
 :data:`~repro.obs.recorder.ACTIVE` recorder, which is a
 :class:`~repro.obs.recorder.NullRecorder` until :func:`install`-ed —
 the null-object fast path.

@@ -1,8 +1,8 @@
 """The recorder: every instrumentation hook in the system, one object.
 
 Hook sites across the stack (`sim.events`, `sim.node`, `runtime.tokens`,
-`runtime.system`, `chord.protocol`) all call methods on the
-*module-level* :data:`ACTIVE` recorder:
+`runtime.system`) all call methods on the *module-level* :data:`ACTIVE`
+recorder:
 
     from repro.obs import recorder as _obs
     ...
@@ -154,16 +154,6 @@ class NullRecorder:
     # -- control plane --------------------------------------------------
     def stabilization(self, ts_begin: float, ts_end: float, restored: int) -> None:
         """One crash-recovery episode restored ``restored`` components."""
-
-    # -- chord RPCs -----------------------------------------------------
-    def rpc_issued(self, ts: float, method: str) -> None:
-        """An RPC left the caller."""
-
-    def rpc_replied(self, ts: float, method: str, rtt: float) -> None:
-        """An RPC reply arrived ``rtt`` simulated units after issue."""
-
-    def rpc_timeout(self, ts: float, method: str) -> None:
-        """An RPC timed out or bounced undeliverable."""
 
 
 class Recorder(NullRecorder):
@@ -407,29 +397,6 @@ class Recorder(NullRecorder):
                     pid=self._pid,
                     dur=ts_end - ts_begin,
                     args={"restored": restored},
-                )
-            )
-
-    # -- chord RPCs -----------------------------------------------------
-    def rpc_issued(self, ts: float, method: str) -> None:
-        self.metrics.counter("rpc.issued", (method,)).inc()
-
-    def rpc_replied(self, ts: float, method: str, rtt: float) -> None:
-        self.metrics.counter("rpc.replied", (method,)).inc()
-        self.metrics.histogram("rpc.rtt", (method,)).record(rtt)
-
-    def rpc_timeout(self, ts: float, method: str) -> None:
-        self.metrics.counter("rpc.timeouts", (method,)).inc()
-        trace = self.trace
-        if trace is not None:
-            trace.add(
-                TraceEvent(
-                    "rpc_timeout",
-                    "rpc",
-                    "i",
-                    ts,
-                    pid=self._pid,
-                    args={"method": method},
                 )
             )
 

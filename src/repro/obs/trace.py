@@ -14,8 +14,6 @@ a small ``args`` payload. The phases this repo emits:
     Async begin / instant / end, correlated by ``(cat, id)`` — used for
     token journeys: inject is ``b``, each per-balancer hop is an ``n``,
     retire/drop is ``e``, all sharing ``id = token_id``.
-``i``
-    A free-standing instant (RPC timeout, reroute).
 ``C``
     A counter track sample (tokens in flight).
 ``M``

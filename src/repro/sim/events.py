@@ -9,9 +9,8 @@ timestamp exactly once. Message traffic overwhelmingly shares a handful
 of delays (link latency is drawn from a small discrete set), so the
 common case is an O(1) append to an existing bucket and an O(1) pop
 from its front — the heap is only touched when a *new* timestamp
-appears or a bucket drains, which is the rare case the lazy-deletion
-heap always handled. The dispatch order is identical to the old global
-heap, bit for bit:
+appears or a bucket drains, which is the rare case. The dispatch order
+is identical to the old global heap, bit for bit:
 
 * with no :class:`SchedulePolicy` installed (the default), buckets are
   ``deque``\\ s in scheduling order — FIFO within a timestamp is exactly
@@ -34,27 +33,21 @@ stays, so a same-instant schedule joins it in order as before.
 Event lifecycle
 ---------------
 ``schedule``/``schedule_at`` wrap the callback in a slotted
-:class:`EventHandle` supporting *lazy cancellation*: ``cancel`` marks
-it and drops the callback reference immediately (so captured state is
-freed at cancel time, not fire time), and the run loops pop-and-skip
-cancelled entries without counting them as executed events. This is how
-RPC timeout guards disappear on reply instead of surviving in the queue
-as dead no-op closures until their fire time.
-
-``schedule_pooled``/``schedule_at_pooled`` are the fire-and-forget
-variants for callers that never cancel (the message bus's delivery
+:class:`EventHandle` and return it; a caller may keep it, so these
+handles are never recycled. ``schedule_pooled``/``schedule_at_pooled``
+are the fire-and-forget variants (the message bus's delivery
 trampoline, which schedules both of its stages at absolute times):
 they return nothing and draw their handles from a simulator-owned
 freelist — a fired pooled handle goes straight back to the freelist
 instead of the allocator; ``schedule_at_pooled`` pops the freelist and
 does the FIFO insert in its own frame. Pooling is safe *because* the
 handle is unobservable: no caller can hold a stale reference across a
-reuse, so the cancel-after-fire ABA hazard cannot arise. ``pool_stats``
-reports the freelist's traffic for the ``repro.obs`` gauges.
+reuse. ``pool_stats`` reports the freelist's traffic for the
+``repro.obs`` gauges.
 
-``pending`` counts *live* events only (a cancelled-events counter is
-maintained alongside the buckets), so quiescence checks built on it do
-not see cancelled timers.
+An event cannot be cancelled: every queued entry runs, so ``pending``
+is the number of queued entries and a bucket's head is always the next
+event of its instant.
 
 The run methods (:meth:`Simulator.run_until_idle` / :meth:`run_until`)
 share one dispatch loop that inlines :meth:`step` with hoisted attribute
@@ -179,29 +172,21 @@ def schedule_policy(
 
 
 class EventHandle:
-    """One scheduled event: a callback plus a ``cancelled`` flag.
+    """One scheduled event: its callback, cleared when it fires.
 
-    Returned by :meth:`Simulator.schedule` / :meth:`schedule_at`; pass
-    it to :meth:`Simulator.cancel` to deschedule the callback. The
-    record is deliberately tiny (three slots) — it is allocated on
-    every schedule, on the hot path of every message send. ``pooled``
-    marks handles owned by the simulator's freelist
-    (:meth:`Simulator.schedule_pooled`): such handles are never handed
-    to a caller, so they can be recycled the instant they fire without
-    any reference going stale.
+    Returned by :meth:`Simulator.schedule` / :meth:`schedule_at`. The
+    record is deliberately tiny (two slots) — the pooled variants
+    reuse it on every message send. ``pooled`` marks handles owned by
+    the simulator's freelist (:meth:`Simulator.schedule_pooled`): such
+    handles are never handed to a caller, so they can be recycled the
+    instant they fire without any reference going stale.
     """
 
-    __slots__ = ("callback", "cancelled", "pooled")
+    __slots__ = ("callback", "pooled")
 
     def __init__(self, callback: Callable[[], None], pooled: bool = False):
         self.callback: Optional[Callable[[], None]] = callback
-        self.cancelled = False
         self.pooled = pooled
-
-    @property
-    def live(self) -> bool:
-        """Still queued and due to run (not cancelled, not yet fired)."""
-        return self.callback is not None and not self.cancelled
 
 
 #: FIFO-mode bucket: handles in scheduling order, or a lone bare handle.
@@ -236,8 +221,6 @@ class Simulator:
         self._handles_created = 0
         self._handles_reused = 0
         self._sequence = itertools.count()
-        #: Cancelled entries still sitting in buckets (lazy deletion).
-        self._cancelled = 0
         #: Remaining ``max_events`` slots of the innermost bounded run,
         #: or None when unbounded; shared with the bus's inline path so
         #: the bound stays exact (see :meth:`claim_inline_slot`).
@@ -314,8 +297,8 @@ class Simulator:
 
     def schedule_pooled(self, delay: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is returned, so
-        the event cannot be cancelled — in exchange its handle comes
-        from (and returns to) the simulator's freelist."""
+        its handle comes from (and returns to) the simulator's
+        freelist."""
         if not 0 <= delay < inf:  # false for NaN too
             raise SimulationError(
                 "cannot schedule a negative or non-finite delay (delay=%r)" % delay
@@ -357,29 +340,13 @@ class Simulator:
         else:
             bucket.append(handle)  # type: ignore[union-attr]
 
-    def cancel(self, handle: EventHandle) -> bool:
-        """Deschedule an event; returns whether it was still live.
-
-        Cancellation is lazy: the bucket entry stays put and is skipped
-        (uncounted) when it surfaces. Cancelling an event that already
-        fired or was already cancelled is a no-op returning False, so
-        reply paths may cancel their timeout guard unconditionally.
-        """
-        if handle.cancelled or handle.callback is None:
-            return False
-        handle.cancelled = True
-        handle.callback = None  # free captured state now, not at fire time
-        self._cancelled += 1
-        return True
-
     @property
     def pending(self) -> int:
-        """Number of *live* events still queued (cancelled excluded)."""
-        queued = sum(
+        """Number of events still queued."""
+        return sum(
             1 if bucket.__class__ is EventHandle else len(bucket)  # type: ignore[arg-type]
             for bucket in self._buckets.values()
         )
-        return queued - self._cancelled
 
     def pool_stats(self) -> Dict[str, int]:
         """Handle-freelist traffic: constructed, recycled, and idle."""
@@ -407,11 +374,11 @@ class Simulator:
         before invoking a callback directly instead of round-tripping it
         through a schedule/pop. Claiming succeeds only when running the
         callback *now* is provably identical to scheduling it: ``time``
-        is the current instant and every queued live event is strictly
-        later (a freshly scheduled event would open the instant's only
-        bucket, so it would be popped next anyway). Buckets retire when
-        emptied, so for an event that was the last of its instant that
-        proof is one comparison with the head timestamp. A granted
+        is the current instant and every queued event is strictly later
+        (a freshly scheduled event would open the instant's only bucket,
+        so it would be popped next anyway). Buckets retire when emptied
+        and every queued entry runs, so the head timestamp is the next
+        event's time and that proof is one comparison with it. A granted
         claim is charged like a popped event — ``events_run`` and the
         active ``max_events`` budget — keeping accounting exact; when
         the budget is exhausted the claim is refused and the caller must
@@ -420,27 +387,8 @@ class Simulator:
         if time != self.now:
             return False
         times = self._times
-        while times and times[0] <= time:
-            # Events remain at this instant: only cancelled ones (lazy
-            # deletion, cleared here from the head) may be skipped.
-            head = times[0]
-            bucket = self._buckets[head]
-            if bucket.__class__ is EventHandle:
-                if not bucket.cancelled:  # type: ignore[attr-defined]
-                    return False
-                self._cancelled -= 1
-            else:
-                if self._fifo:
-                    while bucket and bucket[0].cancelled:  # type: ignore[index, attr-defined]
-                        bucket.popleft()  # type: ignore[attr-defined]
-                        self._cancelled -= 1
-                else:
-                    while bucket and bucket[0][1].cancelled:  # type: ignore[index]
-                        heappop(bucket)  # type: ignore[arg-type]
-                        self._cancelled -= 1
-                if bucket:
-                    return False
-            self._retire_bucket(head, bucket)
+        if times and times[0] <= time:
+            return False
         budget = self._budget
         if budget is not None:
             if budget <= 0:
@@ -453,34 +401,31 @@ class Simulator:
         return True
 
     def step(self) -> bool:
-        """Run the next live event; returns False when none remain."""
+        """Run the next event; returns False when none remain."""
         times = self._times
-        while times:
-            time = times[0]
-            bucket = self._buckets[time]
-            if bucket.__class__ is EventHandle:
-                handle = bucket
-            elif self._fifo:
-                handle = bucket.popleft()  # type: ignore[attr-defined]
-            else:
-                handle = heappop(bucket)[1]  # type: ignore[arg-type]
-            if handle is bucket or not bucket:
-                self._retire_bucket(time, bucket)
-            if handle.cancelled:
-                self._cancelled -= 1
-                continue
-            callback = handle.callback
-            handle.callback = None
-            if handle.pooled:
-                self._handle_pool.append(handle)
-            self.now = time
-            self.events_run.value += 1
-            obs = _obs.ACTIVE
-            if obs.enabled:
-                obs.event_executed(time)
-            callback()  # type: ignore[misc]
-            return True
-        return False
+        if not times:
+            return False
+        time = times[0]
+        bucket = self._buckets[time]
+        if bucket.__class__ is EventHandle:
+            handle = bucket
+        elif self._fifo:
+            handle = bucket.popleft()  # type: ignore[attr-defined]
+        else:
+            handle = heappop(bucket)[1]  # type: ignore[arg-type]
+        if handle is bucket or not bucket:
+            self._retire_bucket(time, bucket)
+        callback = handle.callback
+        handle.callback = None
+        if handle.pooled:
+            self._handle_pool.append(handle)
+        self.now = time
+        self.events_run.value += 1
+        obs = _obs.ACTIVE
+        if obs.enabled:
+            obs.event_executed(time)
+        callback()  # type: ignore[misc]
+        return True
 
     def run_until_idle(self, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains; returns events executed.
@@ -523,41 +468,33 @@ class Simulator:
         popped = 0
         try:
             while times and times[0] < limit:
+                # Charge before popping: an exhausted budget must leave
+                # the event queued.
+                budget = self._budget  # re-read: inline deliveries consume it
+                if budget is not None:
+                    if budget <= 0:
+                        raise SimulationError(
+                            "simulation did not quiesce within %d events" % max_events
+                            if limit == inf
+                            else "too many events before time %r" % limit
+                        )
+                    self._budget = budget - 1
                 time = times[0]
                 bucket = buckets[time]
-                # Peek before charging: an exhausted budget must leave
-                # the event queued, and a cancelled head is uncounted.
+                # Pop, retiring the bucket with its last entry (_retire_bucket).
                 if bucket.__class__ is bare:
                     handle = bucket
-                else:
-                    handle = bucket[0] if fifo else bucket[0][1]  # type: ignore[index]
-                cancelled = handle.cancelled
-                if not cancelled:
-                    budget = self._budget  # re-read: inline deliveries consume it
-                    if budget is not None:
-                        if budget <= 0:
-                            raise SimulationError(
-                                "simulation did not quiesce within %d events" % max_events
-                                if limit == inf
-                                else "too many events before time %r" % limit
-                            )
-                        self._budget = budget - 1
-                # Retire with the last entry (_retire_bucket).
-                if handle is bucket:
                     heappop(times)
                     del buckets[time]
                 else:
                     if fifo:
-                        bucket.popleft()  # type: ignore[attr-defined]
+                        handle = bucket.popleft()  # type: ignore[attr-defined]
                     else:
-                        heappop(bucket)  # type: ignore[arg-type]
+                        handle = heappop(bucket)[1]  # type: ignore[arg-type]
                     if not bucket:
                         heappop(times)
                         del buckets[time]
                         bucket_pool.append(bucket)
-                if cancelled:
-                    self._cancelled -= 1
-                    continue
                 callback = handle.callback
                 handle.callback = None
                 if handle.pooled:

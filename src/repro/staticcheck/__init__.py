@@ -1,6 +1,6 @@
 """Static invariant analysis for networks, cuts and the codebase itself.
 
-The package implements six analysis passes, each usable as a library
+The package implements five analysis passes, each usable as a library
 and all runnable via ``repro check`` (see :mod:`repro.staticcheck.runner`):
 
 * :mod:`repro.staticcheck.structure` — network structure analysis
@@ -22,10 +22,9 @@ and all runnable via ``repro check`` (see :mod:`repro.staticcheck.runner`):
   wall-clock reads inside ``repro.sim`` / ``repro.runtime``, no direct
   cross-node state access in message handlers, no mutable default
   arguments.
-* :mod:`repro.staticcheck.protocol.flow` and
-  :mod:`repro.staticcheck.protocol.model` — protocol message-flow
-  analysis (codes ``RSC4xx``) and the bounded model checker over all
-  small-scope schedules (codes ``RSC5xx``).
+* :mod:`repro.staticcheck.protocol.model` — the bounded model checker
+  of the adaptive runtime over all small-scope schedules (codes
+  ``RSC5xx``). The ``RSC4xx`` block is unassigned.
 * :mod:`repro.staticcheck.sanitize` — the schedule-perturbation
   sanitizer (codes ``RSC610`` / ``RSC611``): the scenario library re-run
   under adversarial same-timestamp event orders.

@@ -14,10 +14,8 @@ Error-code blocks
     Cut validity and cut-to-cut transitions.
 ``RSC3xx``
     Codebase lint rules.
-``RSC4xx``
-    Protocol message-flow analysis (send/handle graph).
 ``RSC5xx``
-    Bounded model checking of the live protocols.
+    Bounded model checking of the adaptive runtime.
 ``RSC6xx``
     The schedule-perturbation sanitizer (610/611).
 
@@ -60,22 +58,11 @@ KNOWN_CODES: Dict[str, str] = {
     "RSC302": "wall-clock read inside repro.sim / repro.runtime",
     "RSC303": "handler-context code bypasses the message bus",
     "RSC304": "mutable default argument",
-    "RSC305": "timeout timer scheduled without keeping its cancellation handle",
     "RSC306": "eager string formatting at an observability record call",
     "RSC307": "pooled record (Envelope) constructed outside its home module",
     "RSC308": "committed scenario spec file fails schema validation",
-    # Pass 4 — protocol message flow.
-    "RSC400": "flow analysis limitation (unreadable file, dynamic RPC name)",
-    "RSC401": "RPC sent with no matching rpc_* handler",
-    "RSC402": "rpc_* handler reachable from no send site or direct reference",
-    "RSC403": "call() site has no on_timeout path",
-    "RSC404": "_pending reply continuation discarded without rearming",
-    "RSC405": "registered continuation mutates shared state with no guard",
     # Pass 5 — bounded model checking.
-    "RSC500": "model-check explorer error or truncated schedule space",
-    "RSC501": "ring connectivity violated after recovery",
-    "RSC502": "ring connected but successors misordered",
-    "RSC503": "successor graph splits into more than one ring",
+    "RSC500": "model-check explorer error, truncated schedule space, or deferral",
     "RSC504": "issued token never assigned an output wire (crash-free run)",
     "RSC505": "quiescent output counts violate the step property",
     # Pass 6 — schedule-perturbation sanitizer.

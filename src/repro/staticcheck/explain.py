@@ -143,12 +143,6 @@ EXPLANATIONS: Dict[str, Explanation] = {
         "state leaks between supposedly independent invocations.",
         "def route(self, token, path=[]): path.append(token)",
     ),
-    "RSC305": Explanation(
-        "A timeout timer whose handle is dropped can never be "
-        "cancelled; it fires against reused state later (the PR-4 "
-        "cancellable-timer API exists exactly for this).",
-        "self.sim.schedule(t, self._on_timeout)  # handle discarded",
-    ),
     "RSC306": Explanation(
         "Eager string formatting at a record call pays the formatting "
         "cost even when recording is off — the obs fast path is a "
@@ -174,61 +168,14 @@ EXPLANATIONS: Dict[str, Explanation] = {
         '{"arrivals": {"kind": "bursty"}}  # valid kinds: burst, ...',
     ),
     # ------------------------------------------------------------------
-    # Pass 4 — protocol message flow
-    # ------------------------------------------------------------------
-    "RSC400": Explanation(
-        "Dynamic RPC names or unreadable files blind the flow graph; "
-        "the pass reports reduced coverage rather than inventing edges.",
-        "self.call(peer, method_name_variable, ...)",
-    ),
-    "RSC401": Explanation(
-        "An RPC sent with no matching rpc_* handler is mail to nowhere: "
-        "at runtime it times out on every send.",
-        "self.call(peer, 'rpc_fetch', ...)  # no rpc_fetch anywhere",
-    ),
-    "RSC402": Explanation(
-        "A handler no send site reaches is dead protocol surface — "
-        "usually a renamed message kind that left its receiver behind.",
-        "def rpc_old_probe(self, ...)  # no caller mentions it",
-    ),
-    "RSC403": Explanation(
-        "Every call() needs an on_timeout path: the peer may be "
-        "crashed, and a reply that never comes must not wedge the "
-        "protocol.",
-        "self.call(peer, 'rpc_get', on_reply=f)  # no on_timeout",
-    ),
-    "RSC404": Explanation(
-        "Popping a _pending continuation without invoking or rearming "
-        "it strands the caller: its reply can never be delivered.",
-        "self._pending.pop(request_id)  # continuation discarded",
-    ),
-    "RSC405": Explanation(
-        "A registered continuation that mutates shared state without a "
-        "liveness/epoch guard may run after the world changed.",
-        "on_reply=lambda r: self.table.update(r)  # no guard",
-    ),
-    # ------------------------------------------------------------------
     # Pass 5 — bounded model checking
     # ------------------------------------------------------------------
     "RSC500": Explanation(
-        "The explorer hit an internal error or truncated the schedule "
-        "space; results below this line are incomplete, not green.",
-        "model-check with an interleaving budget too small to close",
-    ),
-    "RSC501": Explanation(
-        "After crash recovery the ring must reconnect; a partitioned "
-        "ring strands every token routed across the gap.",
-        "crash two adjacent nodes in a 3-node ring, explore recovery",
-    ),
-    "RSC502": Explanation(
-        "A connected ring with misordered successors still violates "
-        "the routing invariant: lookups overshoot their key range.",
-        "successor chain n0 -> n2 -> n1 -> n0",
-    ),
-    "RSC503": Explanation(
-        "Two disjoint rings both believe they are *the* ring; counts "
-        "diverge immediately and never reconcile.",
-        "recovery leaves {n0,n1} and {n2,n3} self-consistent rings",
+        "The explorer hit an internal error (an error), or its results "
+        "are incomplete, not green (a warning): the schedule space was "
+        "truncated, or a split or merge deferred mid-schedule, so the "
+        "rest of that schedule no longer matched the live cut.",
+        "model_check(ModelCheckConfig(depth=1, max_schedules=2))  # 3 exist",
     ),
     "RSC504": Explanation(
         "In a crash-free schedule every issued token must reach an "

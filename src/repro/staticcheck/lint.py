@@ -38,17 +38,6 @@ linter needed, so the gate runs anywhere the package imports:
     The classic Python footgun; every occurrence in a long-lived
     system is a latent cross-call state leak.
 
-``RSC305`` — timeout timers must keep their cancellation handle.
-    ``Simulator.schedule``/``schedule_at`` return an ``EventHandle``
-    precisely so timeout guards can be cancelled when the awaited
-    event happens. A *discarded* handle for a timeout-flavoured
-    callback (the statement is a bare expression and the delay or the
-    callback is named ``*timeout*``/``*expire*``/``*deadline*``) means
-    the timer always fires and survives in the heap until its deadline
-    — the lazy-deletion fast path cannot help, and every fired timer
-    re-checks state that already resolved. Bind the handle and
-    ``cancel()`` it on the success path.
-
 ``RSC307`` — pooled hot-path records are constructed only in their
     home module.
     The bus's ``Envelope`` is freelist-pooled: its home module resets
@@ -123,12 +112,8 @@ _MUTABLE_BUILTINS = {"list", "dict", "set", "bytearray", "defaultdict", "deque",
 #: Keyword arguments that register a closure as a message-time callback.
 _CALLBACK_KWARGS = ("on_undeliverable", "on_timeout")
 
-#: Name fragments that mark a scheduled callback (or its delay) as a
-#: timeout guard for RSC305.
-_TIMEOUT_FRAGMENTS = ("timeout", "expire", "deadline")
-
 #: Receiver-name fragments that mark a method call as an observability
-#: record call for RSC306 (``obs.token_hop``, ``recorder.rpc_issued``,
+#: record call for RSC306 (``obs.token_hop``, ``recorder.bus_sent``,
 #: ``self.metrics.counter``, ``trace.add``, ``_obs.ACTIVE...``).
 _OBS_RECEIVER_FRAGMENTS = ("obs", "recorder", "metrics", "trace")
 
@@ -191,21 +176,6 @@ def _eager_format(node: ast.expr) -> Optional[Tuple[str, int]]:
         if found is not None:
             return found
     return None
-
-
-def _mentions_timeout(node: ast.expr) -> bool:
-    """Whether an expression's names suggest a timeout guard."""
-    for sub in ast.walk(node):
-        name = None
-        if isinstance(sub, ast.Name):
-            name = sub.id
-        elif isinstance(sub, ast.Attribute):
-            name = sub.attr
-        if name is not None:
-            lowered = name.lower()
-            if any(fragment in lowered for fragment in _TIMEOUT_FRAGMENTS):
-                return True
-    return False
 
 
 def _registered_closures(tree: ast.AST) -> Set[int]:
@@ -528,29 +498,6 @@ class _LintVisitor(ast.NodeVisitor):
                     self.filename,
                     line=node.lineno,
                 )
-
-    # -- statements (RSC305) --------------------------------------------
-    def visit_Expr(self, node: ast.Expr) -> None:
-        value = node.value
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr in ("schedule", "schedule_at")
-            and len(value.args) >= 2
-            and (
-                _mentions_timeout(value.args[0])
-                or _mentions_timeout(value.args[1])
-            )
-        ):
-            self.report.add(
-                "RSC305",
-                "timeout timer scheduled without keeping its EventHandle; "
-                "bind the result of %s() and cancel() it when the awaited "
-                "event arrives" % value.func.attr,
-                self.filename,
-                line=value.lineno,
-            )
-        self.generic_visit(node)
 
     # -- subscripts (RSC303b) -------------------------------------------
     def visit_Subscript(self, node: ast.Subscript) -> None:

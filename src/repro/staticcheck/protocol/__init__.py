@@ -1,48 +1,15 @@
-"""Protocol-layer verification: message-flow analysis + model checking.
+"""Protocol-layer verification: bounded model checking of the runtime.
 
-Two cooperating passes over the *control plane* — the asynchronous RPC
-protocol in :mod:`repro.chord.protocol`, the bus in
-:mod:`repro.sim.node`, and the reconfiguration machinery in
-:mod:`repro.runtime`:
-
-* :mod:`repro.staticcheck.protocol.flow` — **Pass 4**, static
-  message-flow analysis (codes ``RSC4xx``): extracts the send/handle
-  graph from the ASTs (every ``call()`` site, every ``bus.send`` kind,
-  every ``rpc_*`` endpoint reached via ``handle_message`` dispatch) and
-  reports sends without handlers, unreachable handlers, RPCs without a
-  timeout path, droppable replies, and unguarded state mutation in
-  asynchronous continuations.
-* :mod:`repro.staticcheck.protocol.model` — **Pass 5**, bounded model
-  checking (codes ``RSC5xx``): exhaustively explores small-scope
-  schedules of {join, crash, stabilize, fix_one_finger,
-  check_predecessor} over Chord rings of ``n <= 4`` nodes and of
-  {inject, split, merge, add, remove} over the adaptive runtime,
-  checking Zave-style ring invariants and our token/step invariants
-  after quiescence.
+:mod:`repro.staticcheck.protocol.model` is **Pass 5** (codes
+``RSC5xx``): it exhaustively explores small-scope schedules of
+{inject, split, merge, add_node, remove_node} over the adaptive runtime,
+running the real code, and checks token conservation and the step
+property at quiescence.
 """
 
-from repro.staticcheck.protocol.flow import (
-    DEFAULT_PROTOCOL_MODULES,
-    MessageFlowGraph,
-    check_message_flow,
-    collect_flow_graph,
-    default_protocol_paths,
-)
-from repro.staticcheck.protocol.model import (
-    ModelCheckConfig,
-    model_check,
-    model_check_chord,
-    model_check_runtime,
-)
+from repro.staticcheck.protocol.model import ModelCheckConfig, model_check
 
 __all__ = [
-    "DEFAULT_PROTOCOL_MODULES",
-    "MessageFlowGraph",
-    "check_message_flow",
-    "collect_flow_graph",
-    "default_protocol_paths",
     "ModelCheckConfig",
     "model_check",
-    "model_check_chord",
-    "model_check_runtime",
 ]

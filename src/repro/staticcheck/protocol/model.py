@@ -1,38 +1,20 @@
-"""Pass 5 — bounded model checking of the live protocols (``RSC5xx``).
+"""Pass 5 — bounded model checking of the adaptive runtime (``RSC5xx``).
 
 Zave showed that the published Chord maintenance protocol is incorrect
 and that every one of its bugs is reachable on rings of at most four
 nodes — small-scope exhaustive exploration is the cheapest oracle for
-this class of protocol. This pass applies that method to *our*
-implementations:
-
-* the **Chord explorer** enumerates every schedule of
-  ``{join, crash, stabilize, fix_one_finger, check_predecessor}`` up to
-  a bounded depth over rings of ``n <= 4`` nodes. The simulator is
-  deterministic, so each schedule is replayed exactly, twice — once
-  with the operations back-to-back (maximal message interleaving) and
-  once with a maintenance round between them — then driven to
-  quiescence and checked against Zave-style ring invariants.
-* the **runtime explorer** enumerates schedules of
-  ``{inject, split, merge, add_node, remove_node}`` over a small
-  :class:`~repro.runtime.system.AdaptiveCountingSystem` and checks the
-  paper's safety properties at quiescence. Crashes are deliberately
-  *not* in this alphabet: a crash may legitimately lose in-flight
-  tokens, so "every token retires" is only an invariant of the
-  crash-free protocol.
+a distributed protocol. This pass applies that method to the runtime:
+the **runtime explorer** enumerates every schedule of
+``{inject, split, merge, add_node, remove_node}`` up to a bounded depth
+over a small :class:`~repro.runtime.system.AdaptiveCountingSystem`,
+replays each one deterministically with tokens in flight across the
+reconfigurations, and checks the paper's safety properties at
+quiescence. Crashes are deliberately *not* in this alphabet: a crash
+may legitimately lose in-flight tokens, so "every token retires" is
+only an invariant of the crash-free protocol.
 
 Rules
 -----
-``RSC501``
-    Ring connectivity: after recovery, some live joined member's
-    successor pointer leads outside the set of live joined members.
-``RSC502``
-    Ordered successors: a member's successor is a member, but not the
-    *next* member in identifier order — the ring is connected yet
-    misordered.
-``RSC503``
-    At most one ring: the successor graph of the live joined members
-    splits into more than one cycle (the classic split-ring failure).
 ``RSC504``
     Token conservation: a schedule of crash-free operations left an
     issued token that was never assigned an output wire.
@@ -41,32 +23,24 @@ Rules
     property.
 
 ``RSC500`` marks explorer-level problems: an operation raised an
-unexpected exception during replay (error — the protocol crashed), or
-the schedule space was truncated by the exploration budget (warning).
+unexpected exception during replay (error — the runtime crashed); the
+schedule space was truncated by the exploration budget (warning); or a
+split or merge deferred during replay, so the rest of the schedule no
+longer matches the live cut (warning).
 
-The explorers run the *real* code — :mod:`repro.chord.protocol` and
-:mod:`repro.runtime.system` — not an abstracted model, so a clean
-report certifies the implementation, not a transcription of it.
+The explorer runs the *real* code — :mod:`repro.runtime.system` — not
+an abstracted model, so a clean report certifies the implementation,
+not a transcription of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.staticcheck.diagnostics import Report, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.chord.protocol import ChordProtocolNetwork
     from repro.runtime.system import AdaptiveCountingSystem
 
 #: One scheduled operation: an op name followed by its arguments.
@@ -74,53 +48,34 @@ Op = Tuple[object, ...]
 Schedule = Tuple[Op, ...]
 Path = Tuple[int, ...]
 
-#: The largest ring the Chord explorer will enumerate. Zave's analysis
-#: found every known Chord bug within this scope.
-MAX_MODEL_NODES = 4
-
-#: Maintenance operations a live node can be asked to run.
-_MAINTENANCE_OPS = ("stabilize", "fix_one_finger", "check_predecessor")
+_SOURCE = "model-check/runtime"
 
 
 @dataclass
 class ModelCheckConfig:
-    """Knobs for both explorers.
+    """Knobs for the explorer.
 
-    ``max_nodes`` bounds the Chord ring (2..4); ``depth`` is the number
-    of operations per schedule; ``recovery_rounds`` is how much
-    maintenance the ring gets to heal before invariants are judged
-    (invariants are *eventual* — checking mid-recovery would report
-    transients). ``network_factory`` / ``system_factory`` substitute
-    the subject under test, which is how the negative fixtures inject
-    deliberately broken protocols.
+    ``depth`` is the number of operations per schedule; at most
+    ``max_schedules`` schedules are replayed. ``system_factory``
+    substitutes the subject under test, which is how the negative
+    fixtures inject deliberately broken runtimes.
     """
 
-    max_nodes: int = 3
     depth: int = 3
-    recovery_rounds: int = 12
     seed: int = 0
     max_schedules: int = 20_000
     max_violations_per_code: int = 5
-    network_factory: Optional[Callable[[], "ChordProtocolNetwork"]] = None
     system_factory: Optional[Callable[[], "AdaptiveCountingSystem"]] = None
 
     def __post_init__(self) -> None:
-        if not 2 <= self.max_nodes <= MAX_MODEL_NODES:
-            raise ValueError(
-                "max_nodes must be in 2..%d (small-scope exploration), got %d"
-                % (MAX_MODEL_NODES, self.max_nodes)
-            )
         if self.depth < 1:
             raise ValueError("depth must be >= 1, got %d" % self.depth)
 
 
 def _format_op(op: Op) -> str:
-    name = str(op[0])
-    if name == "join":
-        return "join(%s via %s)" % (op[1], op[2])
     if len(op) == 1:
-        return name
-    return "%s(%s)" % (name, ", ".join(str(arg) for arg in op[1:]))
+        return str(op[0])
+    return "%s(%s)" % (op[0], ", ".join(str(arg) for arg in op[1:]))
 
 
 def _format_schedule(schedule: Schedule) -> str:
@@ -129,198 +84,29 @@ def _format_schedule(schedule: Schedule) -> str:
 
 class _Emitter:
     """Adds diagnostics with a per-code cap so one systematic bug does
-    not flood the report with thousands of equivalent schedules."""
+    not flood the report with thousands of equivalent schedules. The
+    cap counts each severity apart: RSC500 is both, and capped warnings
+    must never suppress an error."""
 
-    def __init__(self, report: Report, cap: int, source: str):
+    def __init__(self, report: Report, cap: int):
         self.report = report
         self.cap = cap
-        self.source = source
-        self.counts: Dict[str, int] = {}
+        self.counts: Dict[Tuple[str, Severity], int] = {}
 
-    def emit(self, code: str, message: str) -> None:
-        seen = self.counts.get(code, 0)
-        self.counts[code] = seen + 1
+    def emit(self, code: str, message: str, severity: Severity = Severity.ERROR) -> None:
+        seen = self.counts.get((code, severity), 0)
+        self.counts[(code, severity)] = seen + 1
         if seen < self.cap:
-            self.report.add(code, message, self.source)
+            self.report.add(code, message, _SOURCE, severity=severity)
         elif seen == self.cap:
             self.report.add(
                 code,
-                "further %s violations suppressed (cap %d per code)"
-                % (code, self.cap),
-                self.source,
+                "further %s %ss suppressed (cap %d per code)" % (code, severity, self.cap),
+                _SOURCE,
                 severity=Severity.WARNING,
             )
 
 
-# ----------------------------------------------------------------------
-# Chord explorer
-# ----------------------------------------------------------------------
-def _default_network_factory(config: ModelCheckConfig) -> "ChordProtocolNetwork":
-    from repro.chord.identifiers import IdentifierSpace
-    from repro.chord.protocol import ChordProtocolNetwork
-
-    return ChordProtocolNetwork(seed=config.seed, space=IdentifierSpace(bits=8))
-
-
-def _id_pool(network: "ChordProtocolNetwork", max_nodes: int) -> List[int]:
-    """``max_nodes`` identifiers spread evenly around the ring."""
-    size = network.space.size
-    return [(1 + index * (size // max_nodes)) % size for index in range(max_nodes)]
-
-
-def _chord_schedules(config: ModelCheckConfig, pool: Sequence[int]) -> List[Schedule]:
-    """Every schedule of length ``depth`` whose operations are enabled.
-
-    Enabledness depends only on which nodes have been spawned and which
-    are still alive — both change deterministically with the schedule —
-    so the space is enumerated symbolically and each complete schedule
-    is replayed exactly once (per timing variant). At least one node is
-    always left alive, otherwise there is no ring to judge.
-    """
-    schedules: List[Schedule] = []
-    prefix: List[Op] = []
-
-    def extend(spawned: int, alive: FrozenSet[int]) -> None:
-        if len(prefix) == config.depth or len(schedules) >= config.max_schedules:
-            schedules.append(tuple(prefix))
-            return
-        if spawned < len(pool):
-            joiner = pool[spawned]
-            for bootstrap in sorted(alive):
-                prefix.append(("join", joiner, bootstrap))
-                extend(spawned + 1, alive | {joiner})
-                prefix.pop()
-        if len(alive) > 1:
-            for victim in sorted(alive):
-                prefix.append(("crash", victim))
-                extend(spawned, alive - {victim})
-                prefix.pop()
-        for node_id in sorted(alive):
-            for op_name in _MAINTENANCE_OPS:
-                prefix.append((op_name, node_id))
-                extend(spawned, alive)
-                prefix.pop()
-
-    extend(1, frozenset({pool[0]}))
-    return schedules[: config.max_schedules]
-
-
-def _replay_chord(
-    config: ModelCheckConfig,
-    pool: Sequence[int],
-    schedule: Schedule,
-    rounds_between: int,
-) -> "ChordProtocolNetwork":
-    """Deterministically re-execute one schedule from the initial state."""
-    factory = config.network_factory or (lambda: _default_network_factory(config))
-    network = factory()
-    network.create_first(pool[0])
-    for op in schedule:
-        name = op[0]
-        if name == "join":
-            network.join(op[2], node_id=op[1])
-        elif name == "crash":
-            network.crash(op[1])
-        else:
-            getattr(network.nodes[op[1]], str(name))()
-        if rounds_between:
-            network.run_rounds(rounds_between)
-    network.run_rounds(config.recovery_rounds)
-    network.sim.run_until_idle()
-    return network
-
-
-def _check_ring_invariants(
-    network: "ChordProtocolNetwork", label: str, emitter: _Emitter
-) -> None:
-    """Judge the quiescent ring; at most one finding per schedule."""
-    members = {
-        node_id: node
-        for node_id, node in network.nodes.items()
-        if node.alive and node.joined
-    }
-    if not members:
-        return
-    ids = sorted(members)
-    for node_id in ids:
-        successor = members[node_id].successor
-        if successor not in members:
-            emitter.emit(
-                "RSC501",
-                "ring connectivity: node %d's successor %d is not a live "
-                "joined member after recovery [schedule: %s]"
-                % (node_id, successor, label),
-            )
-            return
-    # Walk the successor graph from the lowest member: one ring means
-    # the walk returns to its start having visited every member.
-    start = ids[0]
-    visited = set()
-    current = start
-    for _ in range(len(ids)):
-        visited.add(current)
-        current = members[current].successor
-    if current != start or visited != set(ids):
-        emitter.emit(
-            "RSC503",
-            "at-most-one-ring: successor graph over members %s splits "
-            "into %d+ cycles [schedule: %s]"
-            % (ids, len(ids) - len(visited) + 1, label),
-        )
-        return
-    for index, node_id in enumerate(ids):
-        expected = ids[(index + 1) % len(ids)]
-        actual = members[node_id].successor
-        if actual != expected:
-            emitter.emit(
-                "RSC502",
-                "ordered successors: node %d's successor is %d, but the "
-                "next member in identifier order is %d [schedule: %s]"
-                % (node_id, actual, expected, label),
-            )
-            return
-
-
-def model_check_chord(
-    config: Optional[ModelCheckConfig] = None, report: Optional[Report] = None
-) -> Report:
-    """Exhaustively explore Chord schedules and check ring invariants."""
-    config = config or ModelCheckConfig()
-    if report is None:
-        report = Report()
-    emitter = _Emitter(
-        report, config.max_violations_per_code, "model-check/chord"
-    )
-    probe = (config.network_factory or (lambda: _default_network_factory(config)))()
-    pool = _id_pool(probe, config.max_nodes)
-    schedules = _chord_schedules(config, pool)
-    if len(schedules) >= config.max_schedules:
-        report.add(
-            "RSC500",
-            "schedule space truncated at %d schedules; raise max_schedules "
-            "or lower depth for exhaustive coverage" % config.max_schedules,
-            "model-check/chord",
-            severity=Severity.WARNING,
-        )
-    for schedule in schedules:
-        for rounds_between, variant in ((0, "burst"), (1, "spaced")):
-            label = "%s [%s]" % (_format_schedule(schedule), variant)
-            try:
-                network = _replay_chord(config, pool, schedule, rounds_between)
-            except Exception as exc:  # noqa: BLE001 - any crash is a finding
-                emitter.emit(
-                    "RSC500",
-                    "replay raised %s: %s [schedule: %s]"
-                    % (type(exc).__name__, exc, label),
-                )
-                continue
-            _check_ring_invariants(network, label, emitter)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Runtime explorer
-# ----------------------------------------------------------------------
 def _default_system_factory(config: ModelCheckConfig) -> "AdaptiveCountingSystem":
     from repro.runtime.system import AdaptiveCountingSystem
 
@@ -329,12 +115,18 @@ def _default_system_factory(config: ModelCheckConfig) -> "AdaptiveCountingSystem
 
 def _runtime_schedules(
     config: ModelCheckConfig, system: "AdaptiveCountingSystem"
-) -> List[Schedule]:
-    """Enabled runtime schedules, tracked symbolically.
+) -> Tuple[List[Schedule], bool]:
+    """Enabled runtime schedules, tracked symbolically, and whether the
+    ``max_schedules`` cap dropped any.
 
-    Splits and merges change the live cut deterministically (a split
-    replaces a component by its children; a merge collapses the whole
-    live subtree), so the enabled set follows the schedule exactly.
+    The enabled set assumes every split and merge lands: a split
+    replaces a component by its children, a merge collapses the whole
+    live subtree. The runtime may instead defer either one (a split
+    returns ``[]``, a merge ``None``) when the state transfer is not
+    exact; :func:`_replay_runtime` reports that. ``inject`` is always
+    enabled, so every prefix completes to a schedule of length
+    ``depth``, and the space is truncated exactly when a prefix is
+    reached after the cap is full.
     """
     tree = system.tree
 
@@ -346,9 +138,14 @@ def _runtime_schedules(
 
     schedules: List[Schedule] = []
     prefix: List[Op] = []
+    truncated = False
 
     def extend(paths: FrozenSet[Path], nodes: int) -> None:
-        if len(prefix) == config.depth or len(schedules) >= config.max_schedules:
+        nonlocal truncated
+        if len(schedules) == config.max_schedules:
+            truncated = True
+            return
+        if len(prefix) == config.depth:
             schedules.append(tuple(prefix))
             return
         prefix.append(("inject",))
@@ -376,15 +173,21 @@ def _runtime_schedules(
             prefix.pop()
 
     extend(frozenset({()}), system.num_nodes)
-    return schedules[: config.max_schedules]
+    return schedules, truncated
 
 
 def _replay_runtime(
-    config: ModelCheckConfig, schedule: Schedule
+    config: ModelCheckConfig, schedule: Schedule, emitter: _Emitter
 ) -> "AdaptiveCountingSystem":
     """Re-execute one runtime schedule; operations are deliberately not
     separated by quiescence, so tokens are in flight across
-    reconfigurations and membership changes."""
+    reconfigurations and membership changes.
+
+    A deferred split or merge is legal, but it leaves the system on a
+    cut the rest of the schedule was not enumerated for: the replay
+    warns (RSC500), stops there and only drives the system to
+    quiescence, so the invariants are still judged.
+    """
     factory = config.system_factory or (lambda: _default_system_factory(config))
     system = factory()
     # Warm-up: one token per wire, so the invariants are not vacuous.
@@ -392,17 +195,27 @@ def _replay_runtime(
         system.inject_token()
     for op in schedule:
         name = op[0]
+        landed = True
         if name == "inject":
             system.inject_token()
         elif name == "split":
-            system.reconfig.split(op[1])
+            landed = bool(system.reconfig.split(op[1]))
         elif name == "merge":
             initiator = system.hosts[sorted(system.hosts)[0]]
-            system.reconfig.merge(op[1], initiator)
+            landed = system.reconfig.merge(op[1], initiator) is not None
         elif name == "add_node":
             system.add_node()
         elif name == "remove_node":
             system.remove_node(sorted(system.hosts)[-1])
+        if not landed:
+            emitter.emit(
+                "RSC500",
+                "%s deferred (transfer not exact); the rest of the schedule "
+                "was not replayed [schedule: %s]"
+                % (_format_op(op), _format_schedule(schedule)),
+                Severity.WARNING,
+            )
+            break
     system.run_until_quiescent()
     return system
 
@@ -431,30 +244,28 @@ def _check_runtime_invariants(
         )
 
 
-def model_check_runtime(
+def model_check(
     config: Optional[ModelCheckConfig] = None, report: Optional[Report] = None
 ) -> Report:
     """Exhaustively explore runtime schedules and check token/step
-    invariants at quiescence."""
+    invariants at quiescence; returns (or extends) a report."""
     config = config or ModelCheckConfig()
     if report is None:
         report = Report()
-    emitter = _Emitter(
-        report, config.max_violations_per_code, "model-check/runtime"
-    )
+    emitter = _Emitter(report, config.max_violations_per_code)
     probe = (config.system_factory or (lambda: _default_system_factory(config)))()
-    schedules = _runtime_schedules(config, probe)
-    if len(schedules) >= config.max_schedules:
+    schedules, truncated = _runtime_schedules(config, probe)
+    if truncated:
         report.add(
             "RSC500",
             "schedule space truncated at %d schedules" % config.max_schedules,
-            "model-check/runtime",
+            _SOURCE,
             severity=Severity.WARNING,
         )
     for schedule in schedules:
         label = _format_schedule(schedule)
         try:
-            system = _replay_runtime(config, schedule)
+            system = _replay_runtime(config, schedule, emitter)
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             emitter.emit(
                 "RSC500",
@@ -463,16 +274,4 @@ def model_check_runtime(
             )
             continue
         _check_runtime_invariants(system, label, emitter)
-    return report
-
-
-def model_check(
-    config: Optional[ModelCheckConfig] = None, report: Optional[Report] = None
-) -> Report:
-    """Run both explorers; returns (or extends) a combined report."""
-    config = config or ModelCheckConfig()
-    if report is None:
-        report = Report()
-    model_check_chord(config, report)
-    model_check_runtime(config, report)
     return report

@@ -1,8 +1,8 @@
 """Orchestration for ``repro check`` — runs all passes, one summary.
 
 A *target* is one checkable subject (a balancer-level network, a cut of
-a decomposition tree, a counting tree, a linted path, the protocol
-layer, or the sanitizer sweep). With no pass requested the runner
+a decomposition tree, a counting tree, a linted path, the runtime's
+bounded model check, or the sanitizer sweep). With no pass requested the runner
 builds the standard target matrix for the requested widths — bitonic
 and periodic balancer networks, the singleton/level-1/full cuts of
 ``T_w``, the block-level cut of the adaptive periodic tree, and the
@@ -176,8 +176,6 @@ def run_check(
     certify: bool = True,
     max_certify_width: int = MAX_CERTIFY_WIDTH,
     max_certify_cut_width: int = MAX_CERTIFY_CUT_WIDTH,
-    protocol: bool = False,
-    protocol_paths: Optional[Sequence[str]] = None,
     model_check: bool = False,
     model_config=None,
     sanitize_seeds: Optional[Sequence[int]] = None,
@@ -188,9 +186,8 @@ def run_check(
     """Run the requested passes and return the combined result.
 
     Every requested pass runs once, in this order: the lint over the
-    ``lint`` paths; with ``protocol``, message-flow analysis over
-    ``protocol_paths`` (default: the protocol-layer modules); with
-    ``model_check``, the bounded model checker under ``model_config``;
+    ``lint`` paths; with ``model_check``, the bounded model checker
+    under ``model_config``;
     with ``sanitize_seeds``, the schedule-perturbation sanitizer over
     the scenario library (or the ``sanitize_scenarios`` named), each
     scenario run twice per perturbation seed. When none of them is
@@ -204,14 +201,6 @@ def run_check(
         ledger.run_pass(
             "lint", "lint %s" % ", ".join(lint), lambda: lint_paths(lint)
         )
-    if protocol:
-        from repro.staticcheck.protocol.flow import check_message_flow
-
-        ledger.run_pass(
-            "protocol-flow",
-            "protocol message flow",
-            lambda: check_message_flow(protocol_paths),
-        )
     if model_check:
         from repro.staticcheck.protocol.model import ModelCheckConfig
         from repro.staticcheck.protocol.model import model_check as bounded_model_check
@@ -219,11 +208,11 @@ def run_check(
         config = model_config if model_config is not None else ModelCheckConfig()
         ledger.run_pass(
             "model-check",
-            "bounded model check (n<=%d, depth %d)" % (config.max_nodes, config.depth),
+            "bounded model check (depth %d)" % config.depth,
             lambda: bounded_model_check(config),
         )
     if sanitize_seeds is not None:
-        # Imported late, as the protocol passes are: the sanitizer pulls
+        # Imported late, as the model checker is: the sanitizer pulls
         # in the whole runtime, which itself imports staticcheck.cuts.
         from repro.staticcheck import sanitize
 

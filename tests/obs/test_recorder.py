@@ -75,9 +75,6 @@ class TestNullRecorder:
         null.token_dropped(0.0, object())
         null.owed_delta(1)
         null.stabilization(0.0, 1.0, 2)
-        null.rpc_issued(0.0, "ping")
-        null.rpc_replied(0.0, "ping", 1.0)
-        null.rpc_timeout(0.0, "ping")
 
     def test_recorder_overrides_every_null_hook(self):
         """Recorder must shadow the whole NullRecorder hook surface:
@@ -126,25 +123,6 @@ class TestRecorderThroughSystem:
         # Every journey is correlated by (cat="token", id=token_id).
         assert {e.id for e in begins} == {e.id for e in ends}
         assert all(e.cat == "token" for e in begins)
-
-    def test_rpc_metrics_recorded_under_protocol_traffic(self):
-        from repro.chord.protocol import ChordProtocolNetwork
-
-        with recording(Recorder()) as recorder:
-            network = ChordProtocolNetwork(seed=3)
-            first = network.create_first()
-            for _ in range(4):
-                network.join(first.node_id)
-                network.sim.run_until_idle()
-            network.run_rounds(4)
-        metrics = recorder.metrics
-        issued = metrics.counter("rpc.issued", ("get_state",)).value
-        replied = metrics.counter("rpc.replied", ("get_state",)).value
-        assert issued > 0
-        assert 0 < replied <= issued
-        rtt = metrics.histogram("rpc.rtt", ("get_state",))
-        assert rtt.count == replied
-        assert rtt.min > 0
 
     def test_stabilization_episode_recorded_on_crash(self):
         with recording(Recorder(trace=True)) as recorder:

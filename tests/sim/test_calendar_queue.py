@@ -4,8 +4,8 @@ The event core stores events in per-timestamp buckets anchored by a
 small heap of distinct timestamps (`sim.events` module docstring). Its
 correctness claim is *total-order equivalence* with the classic single
 `(time, key)` heap — bit for bit, under FIFO ties and under an
-installed :class:`PerturbedPolicy`, through nested scheduling,
-cancellation, and exact `max_events` budgets. This suite checks the
+installed :class:`PerturbedPolicy`, through nested scheduling and
+exact `max_events` budgets. This suite checks the
 claim against an independent reference implementation (a plain `heapq`
 scheduler written here, not shared code) across randomized workloads
 built to collide timestamps hard.
@@ -28,8 +28,8 @@ GRID = (0.0, 1.0, 1.0, 2.0, 2.5, 3.0)
 
 class ReferenceSimulator:
     """The pre-calendar engine, reimplemented minimally: one global
-    heap of ``(time, key, handle)`` with lazy cancellation. This is the
-    specification the wheel must match event for event."""
+    heap of ``(time, key, callback)``. This is the specification the
+    wheel must match event for event."""
 
     def __init__(self, policy=None):
         self._heap = []
@@ -43,34 +43,19 @@ class ReferenceSimulator:
             raise SimulationError("cannot schedule into the past")
         seq = next(self._seq)
         key = seq if self.policy is None else self.policy.key(seq)
-        handle = [callback, False]  # [callback, cancelled]
-        heappush(self._heap, (time, key, handle))
-        return handle
+        heappush(self._heap, (time, key, callback))
 
-    def cancel(self, handle):
-        if handle[1] or handle[0] is None:
-            return False
-        handle[1] = True
-        handle[0] = None
-        return True
-
-    def live_pending_times(self):
-        return [time for time, _key, handle in self._heap if not handle[1]]
+    def pending_times(self):
+        return [time for time, _key, _callback in self._heap]
 
     def run_until_idle(self, max_events=None):
         executed = 0
         while self._heap:
-            time, key, handle = self._heap[0]
-            if handle[1]:
-                heappop(self._heap)
-                continue
             if max_events is not None and executed >= max_events:
                 raise SimulationError(
                     "simulation did not quiesce within %d events" % max_events
                 )
-            heappop(self._heap)
-            callback = handle[0]
-            handle[0] = None
+            time, _key, callback = heappop(self._heap)
             self.now = time
             executed += 1
             self.events_run += 1
@@ -81,36 +66,29 @@ class ReferenceSimulator:
 def drive_workload(sim, seed, initial=40, depth_limit=2):
     """Run one seeded workload against ``sim`` (real or reference).
 
-    Events fire on a collision-heavy grid; a firing event may cancel a
-    random live handle and/or schedule nested events (including
-    same-instant ones, which must join the draining bucket in order).
+    Events fire on a collision-heavy grid; a firing event may schedule
+    nested events (including same-instant ones, which must join the
+    draining bucket in order).
     All random draws come from a workload-private RNG, so two engines
     executing events in the same order make identical draws — any
     order divergence shows up as diverging fired-label sequences.
     """
     rng = random.Random(seed)
     fired = []
-    handles = []
 
     def make_event(label, depth):
         def fire():
             fired.append((label, sim.now))
-            if handles and rng.random() < 0.3:
-                sim.cancel(handles[rng.randrange(len(handles))])
             if depth < depth_limit and rng.random() < 0.5:
                 for child in range(rng.randrange(1, 3)):
                     delay = rng.choice((0.0, 0.0, 0.5, 1.0))
-                    handles.append(
-                        sim.schedule_at(
-                            sim.now + delay, make_event((label, child), depth + 1)
-                        )
-                    )
+                    sim.schedule_at(sim.now + delay, make_event((label, child), depth + 1))
 
         return fire
 
     for index in range(initial):
         time = rng.choice(GRID)
-        handles.append(sim.schedule_at(time, make_event(index, 0)))
+        sim.schedule_at(time, make_event(index, 0))
     sim.run_until_idle(max_events=100_000)
     return fired
 
@@ -185,42 +163,25 @@ class TestWheelHeapEquivalence:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_inline_claim_agrees_with_reference_head(self, seed):
-        """`claim_inline_slot(now)` may succeed exactly when every live
+        """`claim_inline_slot(now)` may succeed exactly when every
         queued event is strictly later than ``now`` — the condition the
         reference heap can state directly. A granted claim is charged
         like an executed event."""
         rng = random.Random(seed)
         real = Simulator()
         reference = ReferenceSimulator()
-        for _ in range(30):
+        for _ in range(rng.randrange(1, 30)):
             time = rng.choice(GRID)
             real.schedule_at(time, lambda: None)
             reference.schedule_at(time, lambda: None)
-        # Cancel a random subset (same indices in both — the schedule
-        # calls above returned handles in the same order).
-        # Re-schedule to capture handles this time.
-        real = Simulator()
-        reference = ReferenceSimulator()
-        real_handles, ref_handles = [], []
-        for _ in range(30):
-            time = rng.choice(GRID)
-            real_handles.append(real.schedule_at(time, lambda: None))
-            ref_handles.append(reference.schedule_at(time, lambda: None))
-        for index in range(30):
-            if rng.random() < 0.4:
-                real.cancel(real_handles[index])
-                reference.cancel(ref_handles[index])
-        horizon = rng.choice((0.5, 1.0, 2.0))
+        horizon = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0))
         real.run_until(horizon)
         while reference._heap and reference._heap[0][0] < horizon:
-            time, _key, handle = heappop(reference._heap)
-            if handle[1]:
-                continue
+            time, _key, callback = heappop(reference._heap)
             reference.now = time
-            handle[0]()
+            callback()
         reference.now = max(reference.now, horizon)
-        live = reference.live_pending_times()
-        expected = all(time > reference.now for time in live)
+        expected = all(time > reference.now for time in reference.pending_times())
         before = real.events_run.get()
         assert real.claim_inline_slot(real.now) is expected
         assert real.events_run.get() - before == (1 if expected else 0)
@@ -235,12 +196,11 @@ class TestWheelHeapEquivalence:
         The lemma (`sim.events` docstring) says nothing can tell: same
         dispatch order as the single heap, FIFO and keyed, and
         `claim_inline_slot(now)` granted exactly when the reference
-        holds no live event at or before ``now`` — before the callback
-        re-fills the instant and after, with a cancelled straggler left
-        behind in every instant for the head housekeeping to clear."""
+        holds no event at or before ``now`` — before the callback
+        re-fills the instant and after."""
 
         def reference_claim(reference):
-            if any(time <= reference.now for time in reference.live_pending_times()):
+            if any(time <= reference.now for time in reference.pending_times()):
                 return False
             reference.events_run += 1  # a granted claim is an executed event
             return True
@@ -258,10 +218,8 @@ class TestWheelHeapEquivalence:
 
                 return fire
 
-            for index in range(6):  # two live events an instant ...
+            for index in range(6):  # two events an instant
                 sim.schedule_at(float(index % 3), make_event(index, 0))
-            for instant in range(3):  # ... and one cancelled
-                sim.cancel(sim.schedule_at(float(instant), lambda: None))
             executed = sim.run_until_idle(max_events=10_000)
             return fired, executed, int(sim.events_run)
 
@@ -298,38 +256,36 @@ class TestBareHandles:
         assert not sim._buckets and not sim._times
         assert sim._bucket_pool == [bucket]  # only the deque is recycled
 
-    def test_claim_inline_slot_skips_a_cancelled_bare_head(self):
+    def test_claim_inline_slot_refuses_a_bare_head_at_now(self):
         sim = Simulator()
-        sim.cancel(sim.schedule_at(0.0, lambda: None))
         sim.schedule_at(1.0, lambda: None)
-        assert sim.pending == 1
-        assert sim.claim_inline_slot(0.0)
-        assert list(sim._buckets) == [1.0] and sim._times == [1.0]
+        assert sim.claim_inline_slot(0.0)  # the head is later
         assert sim.pending == 1 and int(sim.events_run) == 1
-        live = sim.schedule_at(0.0, lambda: None)
-        assert sim._buckets[0.0] is live
-        assert not sim.claim_inline_slot(0.0)  # a live bare head is next
+        head = sim.schedule_at(0.0, lambda: None)
+        assert sim._buckets[0.0] is head
+        assert not sim.claim_inline_slot(0.0)  # the bare head is next
+        assert sim.pending == 2 and int(sim.events_run) == 1
 
-    def test_step_skips_a_cancelled_bare_head(self):
+    def test_step_retires_a_bare_head_without_pooling_it(self):
         sim = Simulator()
         fired = []
-        sim.cancel(sim.schedule_at(1.0, lambda: fired.append("cancelled")))
-        sim.schedule_at(2.0, lambda: fired.append("live"))
+        sim.schedule_at(1.0, lambda: fired.append("first"))
+        sim.schedule_at(2.0, lambda: fired.append("second"))
         assert sim.step()
-        assert fired == ["live"] and sim.now == 2.0 and int(sim.events_run) == 1
-        assert not sim.step()
+        assert fired == ["first"] and sim.now == 1.0 and int(sim.events_run) == 1
+        assert list(sim._buckets) == [2.0] and sim._times == [2.0]
+        assert sim.step() and not sim.step()
         assert sim.pending == 0 and not sim._buckets and not sim._bucket_pool
 
     def test_pending_counts_bare_handles(self):
         sim = Simulator()
-        handles = [sim.schedule_at(time, lambda: None) for time in (1.0, 2.0, 3.0)]
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule_at(time, lambda: None)
         assert sim.pending == 3
-        sim.cancel(handles[1])
-        assert sim.pending == 2
         sim.schedule_pooled(1.0, lambda: None)  # joins 1.0's bare handle
         sim.schedule_at_pooled(4.0, lambda: None)
-        assert sim.pending == 4
-        assert sim.run_until_idle() == 4
+        assert sim.pending == 5
+        assert sim.run_until_idle() == 5
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_keyed_mode_never_stores_a_bare_handle(self, perturbed):

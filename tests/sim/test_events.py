@@ -66,95 +66,6 @@ class TestScheduling:
         assert sim.pending == 0
 
 
-class TestCancellation:
-    def test_cancelled_event_never_fires(self):
-        sim = Simulator()
-        log = []
-        handle = sim.schedule(1.0, lambda: log.append("timer"))
-        sim.schedule(2.0, lambda: log.append("after"))
-        assert sim.cancel(handle) is True
-        sim.run_until_idle()
-        assert log == ["after"]
-
-    def test_cancelled_events_do_not_count_as_run(self):
-        sim = Simulator()
-        handles = [sim.schedule(1.0, lambda: None) for _ in range(5)]
-        for handle in handles[1:]:
-            sim.cancel(handle)
-        assert sim.run_until_idle() == 1
-        assert sim.events_run == 1
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        assert sim.cancel(handle) is True
-        assert sim.cancel(handle) is False
-        assert sim.pending == 0
-        sim.run_until_idle()
-
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.run_until_idle()
-        assert handle.live is False
-        assert sim.cancel(handle) is False
-        assert sim.pending == 0
-
-    def test_cancel_from_inside_an_event(self):
-        # A reply arriving at the same instant cancels its timeout guard
-        # before the guard's turn in the tie-break order.
-        sim = Simulator()
-        log = []
-        timeout = sim.schedule(1.0, lambda: log.append("timeout"))
-
-        def reply():
-            log.append("reply")
-            sim.cancel(timeout)
-
-        sim.schedule(0.5, reply)
-        sim.run_until_idle()
-        assert log == ["reply"]
-
-    def test_cancel_frees_callback_immediately(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.cancel(handle)
-        assert handle.callback is None  # captured state released at cancel
-
-    def test_pending_excludes_cancelled(self):
-        sim = Simulator()
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
-        assert sim.pending == 2
-        sim.cancel(drop)
-        assert sim.pending == 1
-        assert keep.live and not drop.live
-        sim.run_until_idle()
-        assert sim.pending == 0
-
-    def test_cancel_and_rearm(self):
-        # The RPC-timeout pattern: cancel the old guard, arm a new one.
-        sim = Simulator()
-        log = []
-        first = sim.schedule(1.0, lambda: log.append("first"))
-        sim.cancel(first)
-        second = sim.schedule(2.0, lambda: log.append("second"))
-        assert sim.pending == 1
-        sim.run_until_idle()
-        assert log == ["second"]
-        assert not second.live
-
-    def test_run_until_skips_cancelled_without_charging_budget(self):
-        sim = Simulator()
-        doomed = [sim.schedule(1.0, lambda: None) for _ in range(9)]
-        sim.schedule(1.0, lambda: None)
-        for handle in doomed:
-            sim.cancel(handle)
-        # Nine cancelled entries surface first; only the live one may
-        # count against the bound.
-        assert sim.run_until(2.0, max_events=1) == 1
-
-
 class TestInlineSlot:
     def test_claim_refused_at_other_times(self):
         sim = Simulator()
@@ -168,13 +79,6 @@ class TestInlineSlot:
         assert sim.claim_inline_slot(0.0) is False
         sim.run_until_idle()
         assert sim.claim_inline_slot(sim.now) is True
-
-    def test_claim_skips_cancelled_head(self):
-        sim = Simulator()
-        head = sim.schedule(0.0, lambda: None)
-        sim.cancel(head)
-        assert sim.claim_inline_slot(0.0) is True
-        assert sim.pending == 0
 
     def test_claim_counts_as_executed_event(self):
         sim = Simulator()

@@ -123,15 +123,16 @@ class TestHandlePool:
         assert stats["reused"] == 29
         assert stats["free"] == 1
 
-    def test_cancellable_schedule_never_pools(self):
+    def test_schedule_never_pools(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
         assert not handle.pooled
         sim.run_until_idle()
         # A caller-held handle must stay valid (and un-recycled)
         # indefinitely after firing.
         assert sim.pool_stats() == {"created": 0, "reused": 0, "free": 0}
-        assert not sim.cancel(handle)  # fired: cancel is a no-op
+        assert handle.callback is None
 
 
 class TestSystemRecycling:

@@ -1,37 +1,10 @@
-"""Deliberately broken protocol subjects for the Pass-5 model checker.
-
-``network_factory`` reintroduces the fire-and-forget Chord join this
-repository used before the joined-flag protocol: the joiner claims ring
-membership immediately and adopts whatever the lookup eventually
-returns. A bootstrap crash mid-join then strands it on a private
-self-loop — a second ring, which the model checker reports as RSC503
-within schedules of three operations on three nodes.
+"""A deliberately broken subject for the Pass-5 model checker.
 
 ``system_factory`` builds a runtime that silently drops every third
 retiring token's accounting, violating token conservation (RSC504).
 """
 
-from repro.chord.identifiers import IdentifierSpace
-from repro.chord.protocol import ChordProtocolNetwork
-from repro.errors import RingError
 from repro.runtime.system import AdaptiveCountingSystem
-
-
-class LegacyJoinNetwork(ChordProtocolNetwork):
-    """Chord with the pre-joined-flag join protocol."""
-
-    def join(self, bootstrap_id, node_id=None):
-        bootstrap = self.node_if_alive(bootstrap_id)
-        if bootstrap is None:
-            raise RingError("bootstrap node %#x is not alive" % bootstrap_id)
-        node = self._spawn(node_id)
-        node.joined = True  # claims membership before knowing a successor
-
-        def found(owner, _hops):
-            node.successors = [owner]
-
-        bootstrap.find_successor(node.node_id, found)
-        return node
 
 
 class LossySystem(AdaptiveCountingSystem):
@@ -41,10 +14,6 @@ class LossySystem(AdaptiveCountingSystem):
         if token.token_id % 3 == 2:
             return  # issued, but never assigned an output wire
         super().retire_token(token, state, out_port, wire)
-
-
-def network_factory():
-    return LegacyJoinNetwork(seed=0, space=IdentifierSpace(bits=8))
 
 
 def system_factory():

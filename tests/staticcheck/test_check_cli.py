@@ -10,6 +10,7 @@ from repro.cli import main
 HERE = os.path.dirname(__file__)
 REPO_SRC = os.path.normpath(os.path.join(HERE, os.pardir, os.pardir, "src", "repro"))
 BAD_FIXTURE = os.path.join(HERE, "fixtures", "lint_bad.py")
+MC_BAD = os.path.join(HERE, "fixtures", "mc_bad.py")
 
 
 class TestCheckCommand:
@@ -67,19 +68,19 @@ class TestCheckCommand:
 
 
 class TestEveryRequestedPassRuns:
-    """One invocation asking for lint + protocol + a sanitizer seed runs
-    all three, and is red when any one of them is."""
+    """One invocation asking for lint + model check + a sanitizer seed
+    runs all three, and is red when any one of them is."""
 
     LINT = ["--lint", os.path.join(REPO_SRC, "errors.py")]
-    PROTOCOL = ["--protocol"]
+    MODEL_CHECK = ["--model-check", "--mc-depth", "1"]
     SANITIZE = ["--sanitize", "1", "--sanitize-scenarios", "steady_baseline"]
 
-    def _check(self, capsys, lint=LINT, protocol=PROTOCOL):
-        code = main(["check", "--json"] + lint + protocol + self.SANITIZE)
+    def _check(self, capsys, lint=LINT, model_check=MODEL_CHECK):
+        code = main(["check", "--json"] + lint + model_check + self.SANITIZE)
         payload = json.loads(capsys.readouterr().out)
         assert [p["name"] for p in payload["passes"]] == [
             "lint",
-            "protocol-flow",
+            "model-check",
             "sanitizer",
         ]
         assert len(payload["targets"]) == 3
@@ -93,12 +94,11 @@ class TestEveryRequestedPassRuns:
         code, failed = self._check(capsys, lint=["--lint", BAD_FIXTURE])
         assert (code, failed) == (1, ["lint"])
 
-    def test_a_protocol_finding_fails_the_run(self, capsys):
-        flow_bad = os.path.join(HERE, "fixtures", "flow_bad.py")
+    def test_a_model_check_finding_fails_the_run(self, capsys):
         code, failed = self._check(
-            capsys, protocol=["--protocol", "--protocol-paths", flow_bad]
+            capsys, model_check=self.MODEL_CHECK + ["--mc-module", MC_BAD]
         )
-        assert (code, failed) == (1, ["protocol-flow"])
+        assert (code, failed) == (1, ["model-check"])
 
     def test_a_sanitizer_finding_fails_the_run(self, capsys, tmp_path, monkeypatch):
         from repro.staticcheck import sanitize
@@ -129,8 +129,9 @@ class TestExplainCli:
 
 
 class TestRemovedSurface:
-    """The static concurrency / ownership passes are gone, not
-    deprecated: their flags are argparse errors, their codes unknown."""
+    """The static concurrency / ownership passes, the protocol-flow pass
+    and the Chord explorer are gone, not deprecated: their flags are
+    argparse errors, their codes unknown."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -144,6 +145,9 @@ class TestRemovedSurface:
             ["--ownership-paths", "src"],
             ["--thread-ready"],
             ["--explain", "RSC602"],
+            ["--protocol"],
+            ["--protocol-paths", "src"],
+            ["--model-check", "--max-nodes", "3"],
         ],
         ids=" ".join,
     )

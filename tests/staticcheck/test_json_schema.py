@@ -22,8 +22,8 @@ ARCHITECTURE_MD = os.path.join(REPO_ROOT, "docs", "architecture.md")
 PAYLOAD_KEYS = {"ok", "targets", "passes", "diagnostics"}
 TARGET_KEYS = {"name", "ok", "diagnostics"}
 PASS_KEYS = {"name", "seconds", "findings", "targets"}
-#: The matrix passes, then the four a flag requests, in execution order.
-PASS_NAMES = ["structure", "cuts", "lint", "protocol-flow", "model-check", "sanitizer"]
+#: The matrix passes, then the three a flag requests, in execution order.
+PASS_NAMES = ["structure", "cuts", "lint", "model-check", "sanitizer"]
 DIAGNOSTIC_KEYS = {"code", "message", "source", "line", "component", "severity"}
 REPORT_JSON_KEYS = {"ok", "errors", "warnings", "diagnostics"}
 
@@ -52,10 +52,10 @@ class TestCodeRegistry:
         missing = set(KNOWN_CODES) - documented
         assert not missing, "codes missing from docs/architecture.md: %s" % sorted(missing)
 
-    def test_registry_covers_all_six_pass_families(self):
+    def test_registry_covers_every_pass_family(self):
         families = {code[:4] for code in KNOWN_CODES}
-        assert families == {"RSC1", "RSC2", "RSC3", "RSC4", "RSC5", "RSC6"}
-        assert len(KNOWN_CODES) == 37
+        assert families == {"RSC1", "RSC2", "RSC3", "RSC5", "RSC6"}
+        assert len(KNOWN_CODES) == 27
 
     def test_descriptions_are_single_line(self):
         for code, description in KNOWN_CODES.items():
@@ -65,7 +65,7 @@ class TestCodeRegistry:
         from repro.staticcheck.explain import EXPLANATIONS, explain
 
         assert set(EXPLANATIONS) == set(KNOWN_CODES)
-        assert len(EXPLANATIONS) == 37
+        assert len(EXPLANATIONS) == 27
         for code, entry in EXPLANATIONS.items():
             assert entry.rationale and entry.example, code
             rendered = explain(code)
@@ -88,8 +88,8 @@ class TestJsonPayload:
         assert [p["name"] for p in payload["passes"]] == PASS_NAMES[:2]
 
     def test_diagnostic_keys_stable(self, capsys):
-        fixture = os.path.join(HERE, "fixtures", "flow_bad.py")
-        assert main(["check", "--protocol", "--protocol-paths", fixture, "--json"]) == 1
+        fixture = os.path.join(HERE, "fixtures", "lint_bad.py")
+        assert main(["check", "--lint", fixture, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["diagnostics"]
@@ -98,21 +98,19 @@ class TestJsonPayload:
             assert diagnostic["code"] in KNOWN_CODES
             assert diagnostic["severity"] in {s.value for s in Severity}
 
-    def test_protocol_passes_report_via_json(self, capsys):
+    def test_requested_passes_report_via_json(self, capsys):
         assert main(["check", "--lint", os.path.join(HERE, "__init__.py"),
-                     "--protocol", "--model-check", "--max-nodes", "2",
-                     "--mc-depth", "2", "--sanitize", "1",
+                     "--model-check", "--mc-depth", "2", "--sanitize", "1",
                      "--sanitize-scenarios", "steady_baseline", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [p["name"] for p in payload["passes"]] == PASS_NAMES[2:]
         names = [target["name"] for target in payload["targets"]]
-        assert "protocol message flow" in names
-        assert any(name.startswith("bounded model check") for name in names)
+        assert "bounded model check (depth 2)" in names
 
     def test_report_to_json_keys_stable(self):
         report = Report()
-        report.add("RSC401", "m", "f.py", line=3)
-        report.add("RSC400", "w", "f.py", severity=Severity.WARNING)
+        report.add("RSC301", "m", "f.py", line=3)
+        report.add("RSC500", "w", "f.py", severity=Severity.WARNING)
         payload = json.loads(report.to_json())
         assert set(payload) == REPORT_JSON_KEYS
         assert payload["errors"] == 1 and payload["warnings"] == 1
@@ -131,7 +129,7 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main(["check", "--width", "3"]) == 2
         capsys.readouterr()
-        assert main(["check", "--model-check", "--max-nodes", "7"]) == 2
+        assert main(["check", "--model-check", "--mc-depth", "0"]) == 2
         capsys.readouterr()
         for jitter in ("-1", "nan", "inf"):
             argv = ["check", "--sanitize", "3", "--sanitize-jitter", jitter]

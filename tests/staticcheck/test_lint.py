@@ -138,50 +138,6 @@ class TestClosureHandlers:
         assert lint_source(source, "closure.py").ok
 
 
-class TestTimerLeaks:
-    """RSC305 — timeout timers must keep their cancellation handle."""
-
-    TIMER_FIXTURE = os.path.join(HERE, "fixtures", "timer_leak_bad.py")
-
-    def test_fixture_trips_all_three_shapes(self):
-        report = lint_paths([self.TIMER_FIXTURE])
-        assert report.codes() == ["RSC305", "RSC305", "RSC305"]
-        lines = [d.line for d in report]
-        assert lines == sorted(set(lines))  # three distinct sites
-
-    def test_discarded_timeout_schedule_flagged(self):
-        source = (
-            "def arm(sim, on_timeout):\n"
-            "    sim.schedule(3.0, on_timeout)\n"
-        )
-        report = lint_source(source, "t.py")
-        assert report.codes() == ["RSC305"]
-        assert report.diagnostics[0].line == 2
-
-    def test_kept_handle_clean(self):
-        source = (
-            "def arm(sim, on_timeout):\n"
-            "    timer = sim.schedule(3.0, on_timeout)\n"
-            "    return timer\n"
-        )
-        assert lint_source(source, "t.py").ok
-
-    def test_non_timeout_callback_clean(self):
-        source = (
-            "def arm(sim, deliver):\n"
-            "    sim.schedule(3.0, deliver)\n"
-        )
-        assert lint_source(source, "t.py").ok
-
-    def test_timeout_named_delay_flagged(self):
-        source = (
-            "RPC_TIMEOUT = 2.0\n"
-            "def arm(sim, fn):\n"
-            "    sim.schedule(RPC_TIMEOUT, fn)\n"
-        )
-        assert lint_source(source, "t.py").codes() == ["RSC305"]
-
-
 class TestObsEagerFormat:
     """RSC306 — no eager string formatting at obs record calls."""
 

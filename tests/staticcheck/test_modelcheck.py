@@ -1,4 +1,4 @@
-"""Pass 5 (bounded model checking) — explorers, invariants, fixtures."""
+"""Pass 5 (bounded model checking) — explorer, invariants, fixtures."""
 
 import importlib.util
 import os
@@ -7,18 +7,10 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.staticcheck.protocol import (
-    ModelCheckConfig,
-    model_check,
-    model_check_chord,
-    model_check_runtime,
-)
-from repro.staticcheck.protocol.model import (
-    _chord_schedules,
-    _default_network_factory,
-    _id_pool,
-    _runtime_schedules,
-)
+from repro.runtime.system import AdaptiveCountingSystem
+from repro.staticcheck.diagnostics import Severity
+from repro.staticcheck.protocol import ModelCheckConfig, model_check
+from repro.staticcheck.protocol.model import _default_system_factory, _runtime_schedules
 
 HERE = os.path.dirname(__file__)
 MC_BAD = os.path.join(HERE, "fixtures", "mc_bad.py")
@@ -33,45 +25,16 @@ def load_mc_bad():
 
 
 class TestConfig:
-    def test_max_nodes_bounded_to_small_scope(self):
-        with pytest.raises(ValueError):
-            ModelCheckConfig(max_nodes=5)
-        with pytest.raises(ValueError):
-            ModelCheckConfig(max_nodes=1)
+    def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
             ModelCheckConfig(depth=0)
 
-    def test_id_pool_spread_over_the_ring(self):
-        config = ModelCheckConfig(max_nodes=4)
-        pool = _id_pool(_default_network_factory(config), 4)
-        assert pool == [1, 65, 129, 193]
-        assert len(set(pool)) == 4
-
 
 class TestEnumeration:
-    def test_schedules_respect_enabledness(self):
-        config = ModelCheckConfig(max_nodes=3, depth=3)
-        pool = _id_pool(_default_network_factory(config), 3)
-        schedules = _chord_schedules(config, pool)
-        assert schedules and all(len(s) == 3 for s in schedules)
-        for schedule in schedules:
-            alive = {pool[0]}
-            for op in schedule:
-                if op[0] == "join":
-                    assert op[2] in alive  # bootstrap alive at join time
-                    alive.add(op[1])
-                elif op[0] == "crash":
-                    assert op[1] in alive
-                    alive.discard(op[1])
-                    assert alive  # never crash the last member
-                else:
-                    assert op[1] in alive
-
     def test_runtime_schedules_enumerate_reconfigurations(self):
-        config = ModelCheckConfig(max_nodes=3, depth=2)
-        from repro.staticcheck.protocol.model import _default_system_factory
-
-        schedules = _runtime_schedules(config, _default_system_factory(config))
+        config = ModelCheckConfig(depth=2)
+        schedules, truncated = _runtime_schedules(config, _default_system_factory(config))
+        assert not truncated
         ops = {op[0] for schedule in schedules for op in schedule}
         assert {"inject", "split", "merge", "add_node"} <= ops
         # merge only ever targets a component that a split took live
@@ -84,37 +47,54 @@ class TestEnumeration:
                     assert op[1] in split_paths
 
 
+class TestTruncation:
+    """RSC500 "truncated" means a complete schedule was dropped. Depth 1
+    has exactly three: inject, split(()), add_node."""
+
+    def test_a_cap_equal_to_the_space_is_complete(self):
+        config = ModelCheckConfig(depth=1, max_schedules=3)
+        schedules, truncated = _runtime_schedules(config, _default_system_factory(config))
+        assert len(schedules) == 3 and not truncated
+        report = model_check(config)
+        assert "RSC500" not in report.codes(), report.format()
+
+    def test_a_smaller_cap_is_truncated(self):
+        config = ModelCheckConfig(depth=1, max_schedules=2)
+        schedules, truncated = _runtime_schedules(config, _default_system_factory(config))
+        assert truncated
+        assert [len(schedule) for schedule in schedules] == [1, 1]
+        report = model_check(config)
+        assert report.codes() == ["RSC500"]
+        assert report.diagnostics[0].severity is Severity.WARNING
+        assert "truncated at 2 schedules" in report.diagnostics[0].message
+
+
+class TestDeferral:
+    def test_a_deferred_split_warns_and_stops_the_schedule(self):
+        def deferring_system():
+            system = AdaptiveCountingSystem(width=4, seed=0)
+            system.reconfig.split = lambda path: []  # never an exact point
+            return system
+
+        report = model_check(ModelCheckConfig(depth=2, system_factory=deferring_system))
+        warnings = [d for d in report.diagnostics if d.code == "RSC500"]
+        assert warnings and report.ok, report.format()
+        assert all(d.severity is Severity.WARNING for d in warnings)
+        assert "split(()) deferred" in warnings[0].message
+        assert "[schedule: " in warnings[0].message
+
+
 class TestRepoIsClean:
-    def test_chord_protocol_passes_small_scope(self):
-        report = model_check_chord(ModelCheckConfig(max_nodes=3, depth=3))
-        assert report.ok, report.format()
-
     def test_runtime_passes_small_scope(self):
-        report = model_check_runtime(ModelCheckConfig(max_nodes=3, depth=2))
-        assert report.ok, report.format()
-
-    def test_combined_entry_point(self):
-        report = model_check(ModelCheckConfig(max_nodes=2, depth=2))
-        assert report.ok, report.format()
+        report = model_check(ModelCheckConfig(depth=3))
+        assert report.diagnostics == [], report.format()
 
 
 class TestFixture:
-    def test_legacy_join_forms_a_second_ring(self):
-        fixture = load_mc_bad()
-        report = model_check_chord(
-            ModelCheckConfig(max_nodes=3, depth=3, network_factory=fixture.network_factory)
-        )
-        codes = set(report.codes())
-        assert "RSC503" in codes
-        assert not report.ok
-        # The counterexample schedule is part of the message.
-        rendered = report.format()
-        assert "schedule:" in rendered and "crash" in rendered
-
     def test_lossy_runtime_violates_token_conservation(self):
         fixture = load_mc_bad()
-        report = model_check_runtime(
-            ModelCheckConfig(max_nodes=3, depth=2, system_factory=fixture.system_factory)
+        report = model_check(
+            ModelCheckConfig(depth=2, system_factory=fixture.system_factory)
         )
         assert "RSC504" in report.codes()
         assert not report.ok
@@ -122,33 +102,29 @@ class TestFixture:
     def test_violation_flood_is_capped(self):
         fixture = load_mc_bad()
         config = ModelCheckConfig(
-            max_nodes=3,
             depth=2,
             max_violations_per_code=2,
             system_factory=fixture.system_factory,
         )
-        report = model_check_runtime(config)
+        report = model_check(config)
         errors = [d for d in report.errors if d.code == "RSC504"]
         assert len(errors) == 2
         assert any("suppressed" in d.message for d in report.diagnostics)
 
     def test_cli_exits_nonzero_on_fixture(self, capsys):
-        code = main(
-            ["check", "--model-check", "--max-nodes", "3", "--mc-module", MC_BAD]
-        )
+        code = main(["check", "--model-check", "--mc-module", MC_BAD])
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL  bounded model check" in out
-        assert "RSC503" in out
+        assert "RSC504" in out
 
-    def test_cli_rejects_out_of_scope_max_nodes(self, capsys):
-        assert main(["check", "--model-check", "--max-nodes", "9"]) == 2
-        assert "max_nodes" in capsys.readouterr().err
+    def test_cli_rejects_a_zero_depth(self, capsys):
+        assert main(["check", "--model-check", "--mc-depth", "0"]) == 2
+        assert "depth" in capsys.readouterr().err
 
 
 class TestCliAcceptance:
-    def test_protocol_and_model_check_pass_on_the_repo(self, capsys):
-        assert main(["check", "--protocol", "--model-check", "--max-nodes", "3"]) == 0
+    def test_model_check_passes_on_the_repo(self, capsys):
+        assert main(["check", "--model-check"]) == 0
         out = capsys.readouterr().out
-        assert "PASS  protocol message flow" in out
-        assert "PASS  bounded model check (n<=3, depth 3)" in out
+        assert "PASS  bounded model check (depth 3)" in out

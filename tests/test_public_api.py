@@ -31,7 +31,6 @@ class TestPublicApi:
             "repro.core.periodic",
             "repro.core.diffracting",
             "repro.chord",
-            "repro.chord.protocol",
             "repro.sim",
             "repro.runtime",
             "repro.runtime.combining",
