@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import StructureError
 
@@ -139,7 +139,9 @@ def _child_spec(
 ) -> ComponentSpec:
     """Interned child specs: the token hot path re-derives the same
     parent->child steps constantly, and the tree is small enough to keep
-    every spec alive."""
+    every spec alive. :meth:`DecompositionTree.node` keeps a path index
+    over these same objects, so a lookup by path is one probe; the two
+    hold identical specs and neither replaces the other."""
     return ComponentSpec(_CHILD_KINDS[kind][index], width // 2, path + (index,))
 
 
@@ -171,6 +173,9 @@ class DecompositionTree:
             raise StructureError("network width must be a power of two >= 2, got %r" % (width,))
         self.width = width
         self.root = ComponentSpec(ComponentKind.BITONIC, width, ())
+        #: path -> spec, for every node :meth:`node` has built (valid
+        #: paths only): a lookup is one probe, not a walk from the root.
+        self._specs: Dict[Tuple[int, ...], ComponentSpec] = {(): self.root}
 
     # ------------------------------------------------------------------
     # navigation
@@ -181,11 +186,17 @@ class DecompositionTree:
         return self.width.bit_length() - 2  # log2(width) - 1
 
     def node(self, path: Tuple[int, ...]) -> ComponentSpec:
-        """The component at ``path``; raises for invalid paths."""
-        spec = self.root
-        for index in path:
-            spec = spec.child(index)
-        return spec
+        """The component at ``path`` (a tuple, or any sequence of child
+        indices); raises for invalid paths."""
+        try:
+            return self._specs[path]
+        except (KeyError, TypeError):  # not built yet, or not a tuple
+            path = tuple(path)
+            spec = self._specs.get(path)
+            if spec is None:
+                spec = self.node(path[:-1]).child(path[-1])
+                self._specs[path] = spec
+            return spec
 
     def parent(self, spec: ComponentSpec) -> Optional[ComponentSpec]:
         """The parent component, or ``None`` for the root."""

@@ -59,7 +59,7 @@ class ComponentDirectory:
     def component_name(self, path: Path) -> str:
         """The paper's name: the pre-order index of the component,
         scoped by the network width so distinct networks don't collide."""
-        spec = self.tree.node(tuple(path))
+        spec = self.tree.node(path)
         return "cn/%d/%d" % (self.tree.width, self.tree.preorder_index(spec))
 
     def hash_point(self, path: Path) -> int:
@@ -102,7 +102,8 @@ class ComponentDirectory:
         from the sibling it enters to the first live path, so no other
         entry can change. Indexed destinations are live, so one lies
         strictly below ``path`` only while an ancestor and a descendant
-        are both live, which ``_live_below`` tells without a scan.
+        are both live, which ``_live_below`` tells, and it is one of the
+        live descendants.
         """
         self._generation += 1
         if not step:
@@ -115,7 +116,7 @@ class ComponentDirectory:
             self._drop_edges_to(prefix)
         self._drop_edges_to(path)
         if below.get(path):
-            for dest in [d for d in self._edges_to if d[: len(path)] == path]:
+            for dest in self.live_descendants(path):
                 self._drop_edges_to(dest)
 
     def _drop_edges_to(self, dest: Path) -> None:
@@ -124,7 +125,8 @@ class ComponentDirectory:
 
     @property
     def generation(self) -> int:
-        """Current mutation stamp (changes iff the deployed cut does)."""
+        """Current mutation stamp: changes whenever a path enters or
+        leaves the deployed cut, and on every handoff too."""
         return self._generation
 
     def owner(self, path: Path) -> int:
@@ -173,7 +175,7 @@ class ComponentDirectory:
     # structure queries
     # ------------------------------------------------------------------
     def spec(self, path: Path) -> ComponentSpec:
-        return self.tree.node(tuple(path))
+        return self.tree.node(path)
 
     def has_live_below(self, path: Path) -> bool:
         """Whether some live member lies strictly below ``path``: on a
@@ -181,11 +183,21 @@ class ComponentDirectory:
         return self._live_below.get(tuple(path), 0) > 0
 
     def live_descendants(self, path: Path) -> List[Path]:
-        """Live members strictly below ``path``."""
-        path = tuple(path)
-        return sorted(
-            p for p in self._owner if len(p) > len(path) and p[: len(path)] == path
-        )
+        """Live members strictly below ``path``, sorted: a descent from
+        ``path`` that enters only subtrees ``_live_below`` says hold a
+        live member, so it costs the subtree, not the owner map."""
+        owner, below, node = self._owner, self._live_below, self.tree.node
+        found: List[Path] = []
+        stack = [tuple(path)]
+        while stack:
+            parent = stack.pop()
+            if below.get(parent):
+                for child in node(parent).children():
+                    if child.path in owner:
+                        found.append(child.path)
+                    stack.append(child.path)
+        found.sort()
+        return found
 
     def as_cut(self) -> Cut:
         """The deployed cut; raises if the directory is inconsistent."""

@@ -16,7 +16,7 @@ counters feed the routing-efficiency experiment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chord.ring import ChordNode
 from repro.core.components import ComponentState
@@ -39,10 +39,16 @@ class NodeHost(SimulatedProcess):
         self.frozen: Set[Path] = set()
         self.buffers: Dict[Path, List[Tuple[int, Token]]] = {}
         #: Components this node split and has not merged back yet
-        #: (Section 3.2's merge rule scans this list).
+        #: (Section 3.2's merge rule scans this list). Add entries only
+        #: through :meth:`record_splits`.
         self.split_registry: Set[Path] = set()
-        #: The node's last computed level estimate, to detect decreases.
+        #: The level estimate the rules last evaluated this node at.
         self.last_level: Optional[int] = None
+        #: True while the last rules evaluation here took no action and
+        #: deferred nothing, and no input of the rules (components,
+        #: frozen set, registry additions) has changed since: with the
+        #: level still ``last_level``, evaluating again would do nothing.
+        self.settled = False
         #: Hoisted probe of the directory's edge table (one ``dict.get``).
         self._edge_of = system.directory.edge_reader()
         self.cache_hits = 0
@@ -63,6 +69,7 @@ class NodeHost(SimulatedProcess):
         self.components[path] = state
         if frozen:
             self.frozen.add(path)
+        self.settled = False
 
     def remove(self, path: Path) -> ComponentState:
         try:
@@ -72,15 +79,26 @@ class NodeHost(SimulatedProcess):
                 "component %r not on node %s" % (path, self.node.name)
             ) from None
         self.frozen.discard(path)
+        self.settled = False
         return state
 
     def freeze(self, path: Path) -> None:
         if path not in self.components:
             raise ProtocolError("cannot freeze %r: not hosted here" % (path,))
         self.frozen.add(path)
+        self.settled = False
 
     def unfreeze(self, path: Path) -> None:
         self.frozen.discard(path)
+        self.settled = False
+
+    def record_splits(self, paths: Iterable[Path]) -> None:
+        """Take on the merge duty for ``paths``: a split made here, a
+        leaving node's registry, or an orphan adopted after a crash.
+        (Removing an entry creates no work, so it is a plain
+        ``split_registry`` update.)"""
+        self.split_registry.update(paths)
+        self.settled = False
 
     def drain_buffer(self, path: Path) -> List[Tuple[int, Token]]:
         """Take (and clear) the tokens buffered for a frozen component."""

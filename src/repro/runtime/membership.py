@@ -106,8 +106,8 @@ class MembershipManager:
         system.ring.remove(node_id)
         # Hand split-registry duty to the successor (Section 3.4).
         successor_host = system.hosts[successor.node_id]
-        successor_host.split_registry.update(host.split_registry)
         if host.split_registry:
+            successor_host.record_splits(host.split_registry)
             system.stats.control_messages += 1
         # Move hosted components to their new homes (the successor, by
         # consistent hashing — recomputed per component for exactness).

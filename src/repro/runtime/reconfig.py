@@ -87,7 +87,7 @@ class Reconfigurator:
             new_paths.append(child_path)
         host.remove(path)
         system.directory.unregister(path)
-        host.split_registry.add(path)
+        host.record_splits((path,))
         system.stats.splits += 1
         # Forward the tokens buffered while frozen into the children.
         for port, token in host.drain_buffer(path):

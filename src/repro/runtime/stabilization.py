@@ -155,5 +155,5 @@ class Stabilizer:
             if directory.has_live_below(path) and not any(
                 path in host.split_registry for host in system.hosts.values()
             ):
-                system.hosts[directory.home(path)].split_registry.add(path)
+                system.hosts[directory.home(path)].record_splits((path,))
                 system.stats.control_messages += 1

@@ -7,9 +7,11 @@ the calls of ``DecompositionTree.node``, ``ComponentDirectory.home`` and
 whole-cut scan cannot come back unnoticed on any runner.
 
 Likewise for a membership change: a rules round re-derives no size
-estimate the ring has not invalidated, a routing hop searches the ring
-once whether or not the ring just changed, and crash recovery makes the
-same calls on both deployments for the same loss.
+estimate the ring has not invalidated and re-evaluates only the hosts
+the change reached, a routing hop searches the ring once whether or not
+the ring just changed, and crash recovery makes the same calls on both
+deployments for the same loss. Underneath, a tree lookup is one probe
+and a merge's descendants are found by walking its own subtree.
 """
 
 import inspect
@@ -20,11 +22,13 @@ import pytest
 
 import repro.chord.fingers
 import repro.chord.ring
+import repro.runtime.rules
 from repro.chord.estimation import SizeEstimator
 from repro.chord.fingers import lookup
 from repro.chord.ring import ChordRing
-from repro.core.decomposition import DecompositionTree
+from repro.core.decomposition import ComponentSpec, DecompositionTree
 from repro.core.wiring import WiringBase
+from repro.errors import StructureError
 from repro.runtime.directory import ComponentDirectory
 from repro.runtime.stabilization import Stabilizer
 from repro.runtime.system import AdaptiveCountingSystem
@@ -139,15 +143,129 @@ def function_calls(function):
 
 def test_a_rules_round_estimates_each_node_once_per_ring_version(monkeypatch):
     system = AdaptiveCountingSystem(width=64, seed=3, initial_nodes=100)
-    evaluations = count_calls(monkeypatch, SizeEstimator, "size_estimate")
+    estimated = []
+    original = SizeEstimator.size_estimate
+
+    def recording(self, node_id):
+        estimated.append(node_id)
+        return original(self, node_id)
+
+    monkeypatch.setattr(SizeEstimator, "size_estimate", recording)
     assert system.converge() >= 2
-    assert evaluations == [len(system.hosts)]
+    assert sorted(estimated) == sorted(host.node_id for host in system.hosts.values())
     system.converge()
     system.node_levels()
-    assert evaluations == [len(system.hosts)]
+    assert len(estimated) == len(system.hosts)
+    del estimated[:]
     system.add_node()
     system.converge()
-    assert evaluations == [2 * len(system.hosts) - 1]
+    # The join is one ring version: no node is estimated twice in it. A
+    # settled host with nothing to split or merge is idle at any level
+    # and may go unestimated, but every host holding a component or a
+    # merge duty is estimated.
+    assert len(estimated) == len(set(estimated))
+    holding = {
+        host.node_id
+        for host in system.hosts.values()
+        if host.components or host.split_registry
+    }
+    assert holding <= set(estimated)
+
+
+def count_rules_sorts(patch):
+    """The rules engine's ``sorted`` calls: [all, those with a key]. An
+    evaluation past the settled check sorts the split registry (the one
+    call with a key) exactly once."""
+    count = [0, 0]
+
+    def counting(iterable, **kwargs):
+        count[0] += 1
+        count[1] += "key" in kwargs
+        return sorted(iterable, **kwargs)
+
+    patch.setattr(repro.runtime.rules, "sorted", counting, raising=False)
+    return count
+
+
+def test_a_converge_at_a_fixpoint_evaluates_no_host(monkeypatch):
+    system = AdaptiveCountingSystem(width=64, seed=3, initial_nodes=100)
+    system.converge()
+    sorts = count_rules_sorts(monkeypatch)
+    assert system.converge() == 1
+    assert sorts == [0, 0]  # not one host's components or registry scanned
+    assert all(host.settled for host in system.hosts.values())
+
+
+JOINS = 8
+
+
+def test_a_join_re_evaluates_hosts_independent_of_n(monkeypatch):
+    """Per join, the hosts evaluated past the settled check are the
+    joiner, the node it took components from and those whose level
+    moved: on 100 nodes and on 400 alike, not a round of every host."""
+    evaluated = {}
+    for nodes in (100, 400):
+        system = AdaptiveCountingSystem(width=64, seed=3, initial_nodes=nodes)
+        system.converge()
+        with monkeypatch.context() as patch:
+            sorts = count_rules_sorts(patch)
+            for _ in range(JOINS):
+                system.add_node()
+                system.converge()
+        evaluated[nodes] = sorts[1]
+        system.verify()
+    assert evaluated[400] <= evaluated[100] <= 2 * JOINS
+
+
+def test_a_tree_lookup_is_one_probe(monkeypatch):
+    tree = DecompositionTree(64)
+    path = (2, 3, 1, 0)
+    with monkeypatch.context() as patch:
+        built = count_calls(patch, ComponentSpec, "child")
+        spec = tree.node(path)
+        assert built == [len(path)]  # built once, down from the root
+        assert tree.node(path) is spec
+        assert tree.node(list(path)) is spec
+        assert tree.parent(spec) is tree.node(path[:-1])
+        assert list(tree.ancestors(spec))[-1] is tree.root
+        assert built == [len(path)]
+        for _ in range(2):  # an invalid path raises every time: not stored
+            with pytest.raises(StructureError):
+                tree.node(path + (4,))  # a MIX has two children
+        assert built == [len(path) + 2]
+
+
+def owner_scan(directory, path):
+    """``live_descendants`` as it was: a scan of the whole owner map."""
+    return sorted(
+        p for p in directory.live_paths() if len(p) > len(path) and p[: len(path)] == path
+    )
+
+
+def test_live_descendants_equals_the_owner_map_scan():
+    """Over random cuts with crash holes, and with a split half done
+    (parent and children both live), at every node of the tree above
+    the deepest member."""
+    tree = DecompositionTree(32)
+    rng = random.Random(7)
+    for _ in range(40):
+        directory = ComponentDirectory(tree, ChordRing(seed=0))
+        members, split = [()], []
+        for _ in range(rng.randrange(1, 40)):
+            path = rng.choice(members)
+            if not tree.node(path).is_leaf:
+                members.remove(path)
+                split.append(path)
+                members.extend(child.path for child in tree.node(path).children())
+        for path in members:
+            directory.register(path, 0)
+        for path in rng.sample(members, min(len(members) - 1, rng.randrange(4))):
+            directory.unregister(path)  # crash holes
+        if split and rng.random() < 0.5:
+            directory.register(rng.choice(split), 0)  # a split in progress
+        for path in split + members:
+            assert directory.live_descendants(path) == owner_scan(directory, path)
+            assert directory.live_descendants(list(path)) == owner_scan(directory, path)
 
 
 def test_a_routing_hop_searches_the_ring_once_changed_or_not(monkeypatch):

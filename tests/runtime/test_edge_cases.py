@@ -212,7 +212,7 @@ class TestRerouteEdgeCases:
         entry instead of crashing the rules engine."""
         system = AdaptiveCountingSystem(width=16, seed=33, initial_nodes=4)
         host = next(iter(system.hosts.values()))
-        host.split_registry.add((2,))  # no such live subtree
+        host.record_splits([(2,)])  # no such live subtree
         actions = system.rules.evaluate(host)
         assert (2,) not in host.split_registry
         assert actions >= 0
@@ -299,6 +299,39 @@ class TestMembershipEdgeCases:
         system.stabilize()
         system.run_until_quiescent()
         assert all(t.value is not None for t in tokens)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_merge_over_a_crash_hole_waits_for_recovery(self, seed):
+        """With recovery deferred, a merge whose subtree holds a crash
+        hole cannot fold: part of its past is in the hole. The rules keep
+        the duty, count no action and leave the host unsettled, so the
+        round after ``stabilize()`` merges. (``converge()`` used to raise
+        ``InvalidTransitionError``, RSC206, here on every one of these
+        seeds.)"""
+        system = AdaptiveCountingSystem(
+            width=16, seed=seed, initial_nodes=40, auto_stabilize=False
+        )
+        system.converge()
+        for _ in range(34):
+            system.remove_node()
+        system.crash_node(next(nid for nid, h in system.hosts.items() if h.components))
+        system.converge()
+        held = {
+            path
+            for host in system.hosts.values()
+            for path in host.split_registry
+            if any(
+                len(hole) > len(path) and hole[: len(path)] == path
+                for hole in system.lost_components
+            )
+        }
+        waiting = [host for host in system.hosts.values() if not host.settled]
+        assert held and waiting
+        assert all(host.split_registry & held for host in waiting)
+        system.stabilize()
+        system.converge()
+        assert not any(system.directory.has_live_below(path) for path in held)
+        system.verify()
 
 
 class TestSystemValidation:

@@ -120,7 +120,7 @@ class TestMergeProtocol:
 
     def test_merge_already_live_is_noop(self, system):
         host = next(iter(system.hosts.values()))
-        host.split_registry.add(())
+        host.record_splits([()])
         system.reconfig.merge((), host)
         assert () not in host.split_registry
         assert system.stats.merges == 0

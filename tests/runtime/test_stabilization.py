@@ -322,8 +322,8 @@ class TestAdoptionReadsOnlyTheCrashedDuties:
         splitter = system.directory.owner(())
         system.reconfig.split(())
         survivor = next(node_id for node_id in system.hosts if node_id != splitter)
-        system.hosts[survivor].split_registry.add(())
-        system.hosts[splitter].split_registry.add((0,))  # live, not split
+        system.hosts[survivor].record_splits([()])
+        system.hosts[splitter].record_splits([(0,)])  # live, not split
         report = system.crash_node(splitter)
         assert report.lost_registry_entries == [(), (0,)]
         assert adoptions == [0]
