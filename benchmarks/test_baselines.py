@@ -1,23 +1,24 @@
 """B1 — Baseline shoot-out: adaptive network vs every static structure.
 
 Runs the same token workload through (a) the adaptive counting network,
-(b) the static balancer-per-object bitonic deployment, (c) the periodic
-network (structural comparison), (d) a distributed counting tree, and
-(e) the centralised counter, on the same simulated substrate (latency 1,
-service time 0.1 per message). Reports objects deployed, per-token hops,
-mean latency, and makespan (simulated time to drain the workload) —
-the throughput proxy. The paper's qualitative prediction: the central
+(b) static BITONIC[w] with one object per balancer, (c) static
+PERIODIC[w] likewise (structural comparison), (d) a distributed
+counting tree, and (e) the centralised counter, on the same simulated
+substrate (latency 1, service time 0.1 per message). (b) and (c) are
+the adaptive system pinned at the leaf cut of its tree and (e) the
+system left at its root cut, so all four run on one simulated hop.
+Reports objects deployed, per-token hops, mean latency, and makespan
+(simulated time to drain the workload) — the throughput proxy. The paper's qualitative prediction: the central
 counter serialises (makespan ~ tokens x service), static networks pay
 full depth regardless of N, and the adaptive network interpolates.
 """
 
+from repro.analysis.theory import static_balancer_count
 from repro.core.bitonic import bitonic_network
+from repro.core.cut import Cut
 from repro.core.periodic import periodic_depth, periodic_network
-from repro.runtime.static_deploy import (
-    CentralCounterDeployment,
-    CountingTreeDeployment,
-    StaticBitonicDeployment,
-)
+from repro.ext.periodic_adaptive import PeriodicWiring, periodic_tree
+from repro.runtime.static_deploy import CountingTreeDeployment
 from repro.runtime.system import AdaptiveCountingSystem
 
 TOKENS = 1500
@@ -26,86 +27,57 @@ WIDTH = 64
 SERVICE = 0.1
 
 
+def system(seed, nodes=NODES, **kwargs):
+    """A system at its root cut: the central counter unless split."""
+    return AdaptiveCountingSystem(
+        WIDTH, seed=seed, initial_nodes=nodes, service_time=SERVICE, **kwargs
+    )
+
+
+def pinned_at_leaves(deployment):
+    """The static network: one object per balancer, never reconfigured."""
+    deployment.split_to(Cut.leaves(deployment.tree))
+    return deployment
+
+
 def drain(deployment, tokens):
     start = deployment.sim.now
-    for i in range(tokens):
-        deployment.inject_token(i % WIDTH if hasattr(deployment, "width") else None)
+    for _ in range(tokens):
+        deployment.inject_token()
     deployment.run_until_quiescent()
     return deployment.sim.now - start
 
 
+def row(name, deployment, objects):
+    makespan = drain(deployment, TOKENS)
+    return (
+        name,
+        objects,
+        "%.1f" % deployment.token_stats.mean_hops,
+        "%.1f" % deployment.token_stats.mean_latency,
+        "%.0f" % makespan,
+    )
+
+
 def test_baseline_shootout(report, benchmark):
-    rows = []
-
-    adaptive = AdaptiveCountingSystem(
-        width=WIDTH, seed=4001, initial_nodes=NODES, service_time=SERVICE
-    )
+    adaptive = system(4001)
     adaptive.converge()
-    start = adaptive.sim.now
-    for _ in range(TOKENS):
-        adaptive.inject_token()
-    adaptive.run_until_quiescent()
-    rows.append(
-        (
-            "adaptive (this paper)",
-            len(adaptive.directory),
-            "%.1f" % adaptive.token_stats.mean_hops,
-            "%.1f" % adaptive.token_stats.mean_latency,
-            "%.0f" % (adaptive.sim.now - start),
-        )
-    )
-
-    static = StaticBitonicDeployment(
-        bitonic_network(WIDTH), NODES, seed=4002, service_time=SERVICE
-    )
-    makespan = drain(static, TOKENS)
-    rows.append(
-        (
-            "static bitonic (one object/balancer)",
-            static.num_objects,
-            "%.1f" % static.token_stats.mean_hops,
-            "%.1f" % static.token_stats.mean_latency,
-            "%.0f" % makespan,
-        )
-    )
-
-    static_periodic = StaticBitonicDeployment(
-        periodic_network(WIDTH), NODES, seed=4003, service_time=SERVICE
-    )
-    makespan = drain(static_periodic, TOKENS)
-    rows.append(
-        (
+    static = pinned_at_leaves(system(4002))
+    tree = periodic_tree(WIDTH)
+    static_periodic = pinned_at_leaves(system(4003, tree=tree, wiring=PeriodicWiring(tree)))
+    counting_tree = CountingTreeDeployment(5, NODES, seed=4004, service_time=SERVICE)
+    central = system(4005)
+    rows = [
+        row("adaptive (this paper)", adaptive, len(adaptive.directory)),
+        row("static bitonic (one object/balancer)", static, len(static.directory)),
+        row(
             "static periodic (depth log^2 w = %d)" % periodic_depth(WIDTH),
-            static_periodic.num_objects,
-            "%.1f" % static_periodic.token_stats.mean_hops,
-            "%.1f" % static_periodic.token_stats.mean_latency,
-            "%.0f" % makespan,
-        )
-    )
-
-    tree = CountingTreeDeployment(5, NODES, seed=4004, service_time=SERVICE)
-    makespan = drain(tree, TOKENS)
-    rows.append(
-        (
-            "counting tree (depth 5)",
-            tree.num_objects,
-            "%.1f" % tree.token_stats.mean_hops,
-            "%.1f" % tree.token_stats.mean_latency,
-            "%.0f" % makespan,
-        )
-    )
-
-    central = CentralCounterDeployment(NODES, seed=4005, service_time=SERVICE)
-    makespan = drain(central, TOKENS)
-    rows.append(
-        (
-            "central counter",
-            central.num_objects,
-            "%.1f" % central.token_stats.mean_hops,
-            "%.1f" % central.token_stats.mean_latency,
-            "%.0f" % makespan,
-        )
-    )
+            static_periodic,
+            len(static_periodic.directory),
+        ),
+        row("counting tree (depth 5)", counting_tree, counting_tree.num_objects),
+        row("central counter", central, len(central.directory)),
+    ]
 
     report(
         "Baselines - %d tokens, N = %d nodes, width %d, service %.1f/msg"
@@ -122,6 +94,12 @@ def test_baseline_shootout(report, benchmark):
     adaptive_row = by_name["adaptive"]
     static_row = by_name["static bitonic"]
     central_row = by_name["central counter"]
+    # The static rows are Section 2's simple approach: one object per
+    # balancer whatever N is, and every token crosses the full depth.
+    assert static_row[1] == static_balancer_count(WIDTH)
+    assert static.token_stats.mean_hops == bitonic_network(WIDTH).depth
+    assert by_name["static periodic"][1] == periodic_network(WIDTH).num_balancers
+    assert static_periodic.token_stats.mean_hops == periodic_depth(WIDTH)
     assert int(adaptive_row[1]) < int(static_row[1])  # fewer objects
     assert float(adaptive_row[2]) < float(static_row[2])  # fewer hops
     # The root-bottleneck effect: the central counter serialises every
@@ -142,21 +120,15 @@ def test_baseline_shootout(report, benchmark):
     # grows — the thesis of the paper.
     crossover_rows = []
     for n in (10, 40, 100):
-        system = AdaptiveCountingSystem(
-            width=WIDTH, seed=4010 + n, initial_nodes=n, service_time=SERVICE
-        )
-        system.converge()
-        start = system.sim.now
-        for _ in range(TOKENS):
-            system.inject_token()
-        system.run_until_quiescent()
-        central_n = CentralCounterDeployment(n, seed=4020 + n, service_time=SERVICE)
-        central_makespan = drain(central_n, TOKENS)
+        adaptive_n = system(4010 + n, nodes=n)
+        adaptive_n.converge()
+        adaptive_makespan = drain(adaptive_n, TOKENS)
+        central_makespan = drain(system(4020 + n, nodes=n), TOKENS)
         crossover_rows.append(
             (
                 n,
-                len(system.directory),
-                "%.0f" % (system.sim.now - start),
+                len(adaptive_n.directory),
+                "%.0f" % adaptive_makespan,
                 "%.0f" % central_makespan,
             )
         )
@@ -171,8 +143,4 @@ def test_baseline_shootout(report, benchmark):
     assert float(crossover_rows[-1][2]) < float(crossover_rows[-1][3])
     assert float(crossover_rows[-1][2]) < float(crossover_rows[0][2])
 
-    def run_central():
-        deployment = CentralCounterDeployment(10, seed=4006, service_time=SERVICE)
-        return drain(deployment, 50)
-
-    benchmark(run_central)
+    benchmark(lambda: drain(system(4006, nodes=10), 50))

@@ -7,15 +7,17 @@ the system is 50, then a centralized low parallelism implementation
 might be the best choice."
 
 We use w = 128 (the nearest power of two). The bench deploys (a) the
-static balancer-per-object network and (b) the adaptive network on the
-same system sizes, and compares object counts, per-token message costs
+static balancer-per-object network — the adaptive system pinned at the
+leaf cut of ``T_w`` — and (b) the adaptive network on the same system
+sizes, and compares object counts, per-token message costs
 and end-to-end latency. The adaptive network should use dramatically
 fewer objects and messages at small N and converge toward the static
 shape as N approaches the width.
 """
 
+from repro.analysis.theory import static_balancer_count
 from repro.core.bitonic import bitonic_network
-from repro.runtime.static_deploy import StaticBitonicDeployment
+from repro.core.cut import Cut
 from repro.runtime.system import AdaptiveCountingSystem
 
 WIDTH = 128
@@ -23,13 +25,14 @@ TOKENS = 200
 
 
 def run_static(n):
-    deployment = StaticBitonicDeployment(
-        bitonic_network(WIDTH), n, seed=1000 + n, service_time=0.1
+    system = AdaptiveCountingSystem(
+        width=WIDTH, seed=1000 + n, initial_nodes=n, service_time=0.1
     )
-    for i in range(TOKENS):
-        deployment.inject_token(i % WIDTH)
-    deployment.run_until_quiescent()
-    return deployment
+    system.split_to(Cut.leaves(system.tree))
+    for _ in range(TOKENS):
+        system.inject_token()
+    system.run_until_quiescent()
+    return system
 
 
 def run_adaptive(n):
@@ -51,7 +54,7 @@ def test_motivation_static_vs_adaptive(report, benchmark):
         rows.append(
             (
                 n,
-                static.num_objects,
+                len(static.directory),
                 len(adaptive.directory),
                 "%.1f" % static.token_stats.mean_hops,
                 "%.1f" % adaptive.token_stats.mean_hops,
@@ -77,9 +80,9 @@ def test_motivation_static_vs_adaptive(report, benchmark):
         % (bitonic_network(WIDTH).num_balancers, bitonic_network(WIDTH).depth),
     )
     # The paper's qualitative claims:
-    static_objects = bitonic_network(WIDTH).num_balancers
     for n, s_obj, a_comp, s_hops, a_hops, _sl, _al in rows:
-        assert s_obj == static_objects  # size-independent overhead
+        assert s_obj == static_balancer_count(WIDTH)  # size-independent overhead
+        assert float(s_hops) == bitonic_network(WIDTH).depth  # full depth
         assert a_comp <= s_obj  # adaptive never uses more objects
     small_n_row = rows[0]
     assert small_n_row[2] <= 6  # near-centralised at N=5

@@ -7,14 +7,14 @@ injected at a fixed rate for a fixed duration) and reports delivered
 throughput and latency across offered loads — the saturation curves.
 Shapes to reproduce: the central counter saturates at 1/service; the
 adaptive network's knee scales with its effective width; below
-saturation all structures deliver the offered load.
+saturation all structures deliver the offered load. The central counter
+is the adaptive system left at its root cut and static BITONIC[w] the
+system pinned at its leaf cut, so every structure runs on one hop.
 """
 
+from repro.analysis.theory import static_balancer_count
 from repro.core.bitonic import bitonic_network
-from repro.runtime.static_deploy import (
-    CentralCounterDeployment,
-    StaticBitonicDeployment,
-)
+from repro.core.cut import Cut
 from repro.runtime.system import AdaptiveCountingSystem
 
 SERVICE = 0.5  # per-message service time -> central caps at 2 tokens/time
@@ -23,24 +23,20 @@ NODES = 60
 WIDTH = 64
 
 
-def drive_open_loop(system_like, inject, rate, duration):
+def drive_open_loop(system, rate, duration):
     """Schedule Poisson-free (deterministic-spacing) injections."""
-    sim = system_like.sim
+    sim = system.sim
     spacing = 1.0 / rate
     count = int(duration * rate)
     for index in range(count):
-        sim.schedule_at(sim.now + index * spacing, inject)
+        sim.schedule_at(sim.now + index * spacing, system.inject_token)
     sim.run_until_idle()
     return count
 
 
-def measure_adaptive(rate):
-    system = AdaptiveCountingSystem(
-        width=WIDTH, seed=700, initial_nodes=NODES, service_time=SERVICE
-    )
-    system.converge()
+def measure(system, rate):
     start = system.sim.now
-    drive_open_loop(system, lambda: system.inject_token(), rate, DURATION)
+    drive_open_loop(system, rate, DURATION)
     elapsed = system.sim.now - start
     return (
         system.token_stats.retired / elapsed,
@@ -48,34 +44,29 @@ def measure_adaptive(rate):
     )
 
 
-def measure_central(rate):
-    deployment = CentralCounterDeployment(NODES, seed=701, service_time=SERVICE)
-    start = deployment.sim.now
-    drive_open_loop(deployment, lambda: deployment.inject_token(), rate, DURATION)
-    elapsed = deployment.sim.now - start
-    return (
-        deployment.token_stats.retired / elapsed,
-        deployment.token_stats.mean_latency,
+def build(seed):
+    return AdaptiveCountingSystem(
+        width=WIDTH, seed=seed, initial_nodes=NODES, service_time=SERVICE
     )
+
+
+def measure_adaptive(rate):
+    system = build(700)
+    system.converge()
+    return measure(system, rate)
+
+
+def measure_central(rate):
+    return measure(build(701), rate)
 
 
 def measure_static(rate):
-    deployment = StaticBitonicDeployment(
-        bitonic_network(WIDTH), NODES, seed=702, service_time=SERVICE
-    )
-    counter = {"wire": 0}
-
-    def inject():
-        deployment.inject_token(counter["wire"])
-        counter["wire"] = (counter["wire"] + 1) % WIDTH
-
-    start = deployment.sim.now
-    drive_open_loop(deployment, inject, rate, DURATION)
-    elapsed = deployment.sim.now - start
-    return (
-        deployment.token_stats.retired / elapsed,
-        deployment.token_stats.mean_latency,
-    )
+    system = build(702)
+    system.split_to(Cut.leaves(system.tree))
+    result = measure(system, rate)
+    assert len(system.directory) == static_balancer_count(WIDTH)
+    assert system.token_stats.mean_hops == bitonic_network(WIDTH).depth
+    return result
 
 
 def test_throughput_saturation(report, benchmark):

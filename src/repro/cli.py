@@ -20,9 +20,9 @@ Commands
     (``--sanitize [N]``), or print the long-form explanation of any
     diagnostic code (``--explain``). Every pass asked for runs.
 ``trace``
-    Record one fully traced inject-under-churn run (``repro.obs``) and
-    export it as Chrome ``trace_event`` JSON (Perfetto-loadable) plus
-    optional metrics JSONL.
+    Run one library scenario (``repro.scenarios``) fully traced
+    (``repro.obs``) and export it as Chrome ``trace_event`` JSON
+    (Perfetto-loadable) plus optional metrics JSONL.
 ``smoke``
     Run the declarative scenario library (``repro.scenarios``) as a
     parallel matrix of worker processes — per-scenario CPU and wall
@@ -144,12 +144,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.nodes < 1:
-        print(
-            "repro estimate: error: --nodes must be >= 1, got %d" % args.nodes,
-            file=sys.stderr,
-        )
-        return 2
     ring = ChordRing(seed=args.seed)
     for _ in range(args.nodes):
         ring.join()
@@ -299,29 +293,21 @@ def cmd_smoke(args) -> int:
 def cmd_trace(args) -> int:
     from repro.obs import Recorder, write_chrome_trace, write_metrics_jsonl
     from repro.obs.recorder import recording
+    from repro.scenarios.compile import run_scenario
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.spec import ScenarioSpecError
 
     try:
+        spec = get_scenario(args.scenario)
         recorder = Recorder(trace=True, sample_every=args.sample_every)
-    except ValueError as exc:
+    except (ScenarioSpecError, ValueError) as exc:
         print("repro trace: error: %s" % exc, file=sys.stderr)
         return 2
+    if args.seed is not None:
+        spec = spec.with_seed(args.seed)
     with recording(recorder):
-        recorder.begin_section("trace")
-        system = AdaptiveCountingSystem(
-            width=args.width, seed=args.seed, initial_nodes=args.nodes
-        )
-        system.converge()
-        churn_flip = True
-        for index in range(args.tokens):
-            system.inject_token()
-            if args.churn_every and index and index % args.churn_every == 0:
-                if churn_flip:
-                    system.add_node()
-                else:
-                    system.crash_node()
-                churn_flip = not churn_flip
-        system.run_until_quiescent()
-        system.verify()
+        recorder.begin_section(spec.name)
+        run_scenario(spec)
     write_chrome_trace(recorder.trace, args.out, metrics=recorder.metrics)
     latency = recorder.latency_histogram()
     buffer = recorder.trace
@@ -370,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     estimate = sub.add_parser("estimate", help="size-estimation accuracy (Section 3.1)")
-    estimate.add_argument("--nodes", type=int, default=256)
+    estimate.add_argument("--nodes", type=_node_count, default=256)
     estimate.add_argument("--seed", type=int, default=0)
     estimate.set_defaults(func=cmd_estimate)
 
@@ -527,14 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="record a traced run (repro.obs) and export it"
     )
-    _add_common(trace)
-    trace.add_argument("--nodes", type=_node_count, default=16, help="initial node count")
-    trace.add_argument("--tokens", type=_token_count, default=300, help="tokens to inject")
     trace.add_argument(
-        "--churn-every",
-        type=int,
-        default=60,
-        help="join/crash a node every N tokens (0 disables churn)",
+        "--scenario",
+        metavar="NAME",
+        default="churn_while_splitting",
+        help="library scenario to run (default churn_while_splitting)",
+    )
+    trace.add_argument(
+        "--seed", type=int, default=None, help="run the scenario under this seed"
     )
     trace.add_argument(
         "--sample-every",

@@ -4,8 +4,7 @@ The simulator is single-threaded — a node handles one message at a
 time — so a shared counter there is an ``int``, a toggle an ``int``
 flipped with ``^ 1`` and a keyed table a ``dict``, and most of them
 are exactly that. What is left in this module is the benchmark's
-contract until ROADMAP 3(i) lets ``perf/`` (frozen since PR 11) stop
-naming it:
+contract until ``perf/`` stops naming it:
 
 * :class:`AtomicCounter` — ``perf/trace.py`` wraps ``increment`` as a
   boundary and ``perf/workloads.py`` reads ``.get()`` on nine of them:
@@ -15,9 +14,8 @@ naming it:
   ``total_reroutes``; the simulated hop adds to the first three through
   the ``value`` slot, with no call;
 * :class:`PerWireCounters` — ``increment`` is a traced boundary;
-* :class:`TokenLedger` — ``post`` / ``settle`` are traced boundaries,
-  ``perf/probes.py`` times the pair and ``runtime/static_deploy.py``
-  keeps one.
+* :class:`TokenLedger` — ``post`` / ``settle`` are traced boundaries
+  and ``perf/probes.py`` times the pair; nothing in ``src/`` uses it.
 
 All three are plain Python with no synchronization, byte-identical
 arithmetic to the raw ints and dicts they wrap, and implement the

@@ -17,6 +17,8 @@ exactly the contrast the paper draws in Section 1.3.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.core.atomics import PerWireCounters
 from repro.errors import StructureError
 
@@ -33,7 +35,6 @@ class CountingTree:
         # node n has children 2n and 2n+1.
         self._toggles = [0] * self.num_leaves
         self.leaf_counts = PerWireCounters(self.num_leaves)
-        self.tokens = 0
 
     def next_value(self) -> int:
         """Route one token from the root; return its counter value.
@@ -46,38 +47,28 @@ class CountingTree:
         """
         node = 1
         for _ in range(self.depth):
-            bit = self._toggles[node]
-            self._toggles[node] = bit ^ 1
-            node = 2 * node + bit
-        position = node - self.num_leaves
-        label = self._bit_reverse(position)
-        value = self.leaf_counts.fetch_increment(label) * self.num_leaves + label
-        self.tokens += 1
-        return value
+            node = self.step(node)
+        return self.leaf_value(node)[1]
 
-    def _bit_reverse(self, position: int) -> int:
+    def step(self, node: int) -> int:
+        """A token passes toggle ``node``: flip it and return the child
+        (``2 * node`` or ``2 * node + 1``) the token goes to."""
+        bit = self._toggles[node]
+        self._toggles[node] = bit ^ 1
+        return 2 * node + bit
+
+    def leaf_value(self, node: int) -> Tuple[int, int]:
+        """A token reaches leaf ``node`` (``num_leaves <= node <
+        2 * num_leaves``): count it there and return the leaf's label
+        and the value handed out."""
+        position = node - self.num_leaves
         label = 0
         for _ in range(self.depth):
             label = (label << 1) | (position & 1)
             position >>= 1
-        return label
+        return label, self.leaf_counts.fetch_increment(label) * self.num_leaves + label
 
     @property
     def width(self) -> int:
         """The degree of parallelism: the number of leaves."""
         return self.num_leaves
-
-
-class CentralCounter:
-    """The trivial baseline: one counter on one node, zero parallelism."""
-
-    def __init__(self):
-        self.tokens = 0
-
-    def next_value(self) -> int:
-        self.tokens += 1
-        return self.tokens - 1
-
-    @property
-    def width(self) -> int:
-        return 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -97,6 +97,8 @@ class AdaptiveCountingSystem:
     ):
         if (tree is None) != (wiring is None):
             raise ProtocolError("pass tree and wiring together, or neither")
+        if tree is not None and tree.width != width:
+            raise ProtocolError("width %d disagrees with the tree's %d" % (width, tree.width))
         self.tree = tree if tree is not None else DecompositionTree(width)
         self.width = self.tree.width
         self.wiring = wiring if wiring is not None else Wiring(self.tree, convention)
@@ -120,8 +122,8 @@ class AdaptiveCountingSystem:
         self._live_nodes: List[int] = []
         self.stats = SystemStats()
         self.token_stats = TokenStats()
-        self.injected_per_wire = PerWireCounters(width)
-        self.output_counts = PerWireCounters(width)
+        self.injected_per_wire = PerWireCounters(self.width)
+        self.output_counts = PerWireCounters(self.width)
         self.lost_components: Set[Path] = set()
         #: Split-registry entries of nodes crashed since the last
         #: :meth:`stabilize`: the merge duties recovery must re-assign.
@@ -136,7 +138,7 @@ class AdaptiveCountingSystem:
         # Injected tokens whose input lookup failed and is pending a
         # retry, per network wire: counted in ``injected_per_wire`` but
         # not yet owed to any component.
-        self._inject_pending = PerWireCounters(width)
+        self._inject_pending = PerWireCounters(self.width)
         self._token_counter = 0
         self._next_wire = 0
         self._retire_callbacks: List[Callable[[Token], None]] = []
@@ -232,6 +234,35 @@ class AdaptiveCountingSystem:
             if actions == 0:
                 return round_index + 1
         raise ProtocolError("rules did not converge within %d rounds" % max_rounds)
+
+    def split_to(self, cut: Cut) -> int:
+        """Split live components, breadth-first, until the deployed cut
+        is ``cut``; returns the number of splits.
+
+        A cut left alone by :meth:`converge` is a static deployment on
+        this system's own hop: the leaf cut is Section 2's "simple
+        approach" (one object per balancer), the root cut a central
+        counter. Raises :class:`ProtocolError` if ``cut`` is of another
+        tree or does not refine the live cut, or if a split defers.
+        """
+        if cut.tree is not self.tree:
+            raise ProtocolError("the cut is of another tree")
+        live = sorted(self.directory.live_paths())
+        for path in live:
+            if cut.member_covering(path) not in (None, path):
+                raise ProtocolError("the cut does not refine live component %r" % (path,))
+        queue = deque(live)
+        splits = 0
+        while queue:
+            path = queue.popleft()
+            if path in cut.paths:
+                continue
+            children = self.reconfig.split(path)
+            if not children:
+                raise ProtocolError("the split of %r deferred" % (path,))
+            splits += 1
+            queue.extend(children)
+        return splits
 
     # ------------------------------------------------------------------
     # token plane

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.diffracting import CentralCounter, CountingTree
+from repro.core.diffracting import CountingTree
 from repro.core.verification import counting_values_ok, has_step_property
 from repro.errors import StructureError
 
@@ -34,10 +34,3 @@ class TestCountingTree:
     def test_negative_depth_rejected(self):
         with pytest.raises(StructureError):
             CountingTree(-1)
-
-
-class TestCentralCounter:
-    def test_sequential_values(self):
-        counter = CentralCounter()
-        assert [counter.next_value() for _ in range(4)] == [0, 1, 2, 3]
-        assert counter.width == 1

@@ -346,8 +346,26 @@ class TestSystemValidation:
         from repro.core.wiring import Wiring
 
         tree = DecompositionTree(16)
-        system = AdaptiveCountingSystem(width=999, tree=tree, wiring=Wiring(tree))
+        system = AdaptiveCountingSystem(width=16, tree=tree, wiring=Wiring(tree))
         assert system.width == 16
+        assert len(system.output_counts) == len(system.injected_per_wire) == 16
+
+    def test_width_disagreeing_with_the_tree_rejected(self):
+        from repro.ext.periodic_adaptive import PeriodicWiring, periodic_tree
+
+        tree = periodic_tree(8)
+        with pytest.raises(ProtocolError):
+            AdaptiveCountingSystem(
+                width=16, seed=1, initial_nodes=3, tree=tree, wiring=PeriodicWiring(tree)
+            )
+        system = AdaptiveCountingSystem(
+            width=8, seed=1, initial_nodes=3, tree=tree, wiring=PeriodicWiring(tree)
+        )
+        for _ in range(40):
+            system.inject_token()
+        system.run_until_quiescent()
+        assert list(system.output_counts) == [5] * 8
+        system.verify()
 
     def test_verify_rejects_inconsistent_component(self):
         system = AdaptiveCountingSystem(width=8, seed=37)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.cut import Cut
 from repro.runtime.system import AdaptiveCountingSystem
 
 
@@ -19,11 +20,7 @@ class TestInputLookup:
 
     def test_fully_split_one_try(self):
         system = AdaptiveCountingSystem(width=8, seed=2, initial_nodes=4)
-        # split everything down to balancers
-        system.reconfig.split(())
-        for path in [(0,), (1,)]:
-            system.reconfig.split(path)
-        system.run_until_quiescent()
+        system.split_to(Cut.leaves(system.tree))
         result = system.find_input(3)
         assert result.tries == 1
         assert system.tree.node(result.path).is_leaf

@@ -1,66 +1,78 @@
-"""Tests for the static baseline deployments."""
+"""Tests for the static baselines: the adaptive system pinned at its leaf
+cut (static BITONIC, one object per balancer) or left at its root cut
+(the central counter), and the counting-tree deployment."""
 
-import pytest
-
+from repro.analysis.theory import static_balancer_count
 from repro.core.bitonic import bitonic_network
+from repro.core.cut import Cut
 from repro.core.verification import counting_values_ok, has_step_property
-from repro.errors import ProtocolError
-from repro.runtime.static_deploy import (
-    CentralCounterDeployment,
-    CountingTreeDeployment,
-    StaticBitonicDeployment,
-)
+from repro.runtime.static_deploy import CountingTreeDeployment
+from repro.runtime.system import AdaptiveCountingSystem
+
+WIDTHS = (8, 16, 64)
+
+
+def static_bitonic(width, nodes, seed):
+    system = AdaptiveCountingSystem(width, seed=seed, initial_nodes=nodes)
+    system.split_to(Cut.leaves(system.tree))
+    return system
 
 
 class TestStaticBitonic:
     def test_object_count_is_size_independent(self):
-        for nodes in (1, 10, 50):
-            deployment = StaticBitonicDeployment(bitonic_network(16), nodes, seed=1)
-            assert deployment.num_objects == 80
+        for width in WIDTHS:
+            for nodes in (1, 10, 50):
+                system = static_bitonic(width, nodes, seed=1)
+                assert len(system.directory) == static_balancer_count(width)
+                assert len(system.directory) == bitonic_network(width).num_balancers
 
     def test_counts_correctly(self):
-        deployment = StaticBitonicDeployment(bitonic_network(8), 10, seed=2)
-        tokens = [deployment.inject_token(i % 8) for i in range(40)]
-        deployment.run_until_quiescent()
-        assert counting_values_ok([t.value for t in tokens])
-        assert has_step_property(deployment.output_counts)
+        for width in WIDTHS:
+            system = static_bitonic(width, 10, seed=2)
+            tokens = [system.inject_token(i % width) for i in range(5 * width)]
+            system.run_until_quiescent()
+            assert counting_values_ok([t.value for t in tokens])
+            assert has_step_property(system.output_counts)
+            system.verify()
 
     def test_hops_equal_balancer_layers_crossed(self):
-        deployment = StaticBitonicDeployment(bitonic_network(8), 5, seed=3)
-        token = deployment.inject_token(0)
-        deployment.run_until_quiescent()
-        # every wire crosses exactly `depth` balancers in a bitonic net
-        assert token.hops == deployment.network.depth
+        for width in WIDTHS:
+            system = static_bitonic(width, 5, seed=3)
+            tokens = [system.inject_token(i) for i in range(width)]
+            system.run_until_quiescent()
+            # every wire crosses exactly `depth` balancers in a bitonic net
+            assert {t.hops for t in tokens} == {bitonic_network(width).depth}
 
     def test_skewed_input_still_steps(self):
-        deployment = StaticBitonicDeployment(bitonic_network(8), 5, seed=4)
-        for _ in range(23):
-            deployment.inject_token(0)
-        deployment.run_until_quiescent()
-        assert has_step_property(deployment.output_counts)
-
-    def test_minimum_one_node(self):
-        with pytest.raises(ProtocolError):
-            StaticBitonicDeployment(bitonic_network(4), 0)
+        for width in WIDTHS:
+            system = static_bitonic(width, 5, seed=4)
+            for _ in range(3 * width - 1):
+                system.inject_token(0)
+            system.run_until_quiescent()
+            assert has_step_property(system.output_counts)
 
 
-class TestCentralCounter:
+class TestRootCut:
+    """The central counter: at its root cut the whole network is one
+    object on one node."""
+
     def test_values_sequential(self):
-        deployment = CentralCounterDeployment(10, seed=5)
-        tokens = [deployment.inject_token() for _ in range(20)]
-        deployment.run_until_quiescent()
+        system = AdaptiveCountingSystem(16, seed=5, initial_nodes=10)
+        tokens = [system.inject_token() for _ in range(20)]
+        system.run_until_quiescent()
         assert counting_values_ok([t.value for t in tokens])
+        assert {t.hops for t in tokens} == {1}
 
     def test_single_object(self):
-        assert CentralCounterDeployment(10, seed=6).num_objects == 1
+        assert len(AdaptiveCountingSystem(16, seed=6, initial_nodes=10).directory) == 1
 
     def test_serialises_at_one_node(self):
         """With service time s, n tokens take ~n*s: the bottleneck."""
-        deployment = CentralCounterDeployment(10, seed=7, service_time=1.0)
-        for _ in range(20):
-            deployment.inject_token()
-        deployment.run_until_quiescent()
-        assert deployment.sim.now >= 20.0
+        system = AdaptiveCountingSystem(16, seed=7, initial_nodes=10, service_time=1.0)
+        tokens = [system.inject_token() for _ in range(20)]
+        system.run_until_quiescent()
+        assert system.sim.now >= 20.0
+        assert counting_values_ok([t.value for t in tokens])
 
 
 class TestCountingTreeDeployment:
