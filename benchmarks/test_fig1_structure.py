@@ -8,7 +8,7 @@ network against the closed form ``w log w (log w + 1) / 4``.
 
 from repro.analysis.theory import static_balancer_count
 from repro.core.cut import Cut
-from repro.core.decomposition import DecompositionTree
+from repro.core.decomposition import ComponentKind, DecompositionTree
 
 
 def test_fig1_recursive_structure(report, benchmark):
@@ -16,15 +16,15 @@ def test_fig1_recursive_structure(report, benchmark):
     for width in (4, 8, 16, 32, 64):
         tree = DecompositionTree(width)
         for level in range(tree.max_level + 1):
-            bitonic, merger, mix = tree.level_census(level)
+            census = tree.level_census(level)
             rows.append(
                 (
                     width,
                     level,
                     width >> level,
-                    bitonic,
-                    merger,
-                    mix,
+                    census[ComponentKind.BITONIC],
+                    census[ComponentKind.MERGER],
+                    census[ComponentKind.MIX],
                     tree.phi(level),
                 )
             )
@@ -37,7 +37,7 @@ def test_fig1_recursive_structure(report, benchmark):
     balancer_rows = []
     for width in (4, 8, 16, 32, 64):
         tree = DecompositionTree(width)
-        full = Cut.full(tree)
+        full = Cut.leaves(tree)
         balancer_rows.append((width, len(full), static_balancer_count(width)))
     report(
         "Figure 1 - balancer counts (full-leaf cut vs closed form)",

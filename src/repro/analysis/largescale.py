@@ -77,7 +77,6 @@ def sample_system(
         ids = sorted(set(ids))
     size_estimates: List[float] = []
     level_estimates: List[int] = []
-    phi = [tree.phi(level) for level in range(tree.max_level + 1)]
     circumference = float(space.size)
     for index in range(n):
         gap = (ids[(index + 1) % n] - ids[index]) % space.size
@@ -92,11 +91,7 @@ def sample_system(
                 span = (ids[(index + steps) % n] - ids[index]) % space.size
                 estimate = steps / (span / circumference)
         size_estimates.append(estimate)
-        level = 0
-        for candidate in range(len(phi)):
-            if phi[candidate] < estimate:
-                level = candidate
-        level_estimates.append(level)
+        level_estimates.append(tree.level_for(estimate))
     return SampledSystem(space, ids, size_estimates, level_estimates)
 
 
@@ -182,16 +177,11 @@ def measure_scale(n: int, tree: DecompositionTree, seed: int = 0) -> ScaleReport
     inside = sum(
         1 for estimate in system.size_estimates if n / 10 <= estimate <= 10 * n
     )
-    phi = [tree.phi(level) for level in range(tree.max_level + 1)]
-    ell_star = 0
-    for level in range(len(phi)):
-        if phi[level] < n:
-            ell_star = level
     log_sq = math.log2(max(n, 2)) ** 2
     log_scale = math.log(n) / math.log(math.log(n)) if n >= 3 else 1.0
     return ScaleReport(
         n=n,
-        ell_star=ell_star,
+        ell_star=tree.level_for(n),
         level_spread=(min(system.level_estimates), max(system.level_estimates)),
         estimate_window_fraction=inside / n,
         components=cut.num_components,

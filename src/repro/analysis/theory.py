@@ -73,20 +73,7 @@ class TheoryModel:
         ``phi(k) < n`` (clamped to the levels that exist in ``T_w``)."""
         if n < 1:
             raise StructureError("system size must be positive, got %d" % n)
-        best = 0
-        for level in range(self.tree.max_level + 1):
-            if self.phi(level) < n:
-                best = level
-        return best
-
-    def level_for_estimate(self, estimate: float) -> int:
-        """A node's level estimate ``ell_v`` from its size estimate
-        ``n_v`` (Section 3.1, 'Local Level Estimates')."""
-        best = 0
-        for level in range(self.tree.max_level + 1):
-            if self.phi(level) < estimate:
-                best = level
-        return best
+        return self.tree.level_for(n)
 
     # ------------------------------------------------------------------
     # Section 2.3: depth and width bounds

@@ -19,11 +19,10 @@ ablation experiment can sweep it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.theory import TheoryModel
+from repro.core.decomposition import DecompositionTree
 from repro.chord.ring import ChordRing
 from repro.errors import RingError
 
@@ -88,45 +87,25 @@ class LevelEstimator:
     """Derives level estimates ``ell_v`` from size estimates.
 
     ``ell_v`` is the largest tree level with ``phi(level) < n_v``,
-    clamped to the levels that exist in ``T_w`` (a finite-width artefact
-    the asymptotic paper does not need to handle). By default the
-    bitonic ``phi`` is used; pass any ``tree`` exposing ``phi(level)``
-    and ``max_level`` (e.g. a :class:`repro.ext.recursive.GenericTree`)
-    to drive the rules for another recursive structure.
+    clamped to the levels that exist in the tree (a finite-width artefact
+    the asymptotic paper does not need to handle):
+    :meth:`~repro.core.decomposition.DecompositionTree.level_for`. By
+    default the tree is ``T_w``; pass another
+    :class:`~repro.core.decomposition.DecompositionTree` (such as
+    :func:`repro.ext.periodic_adaptive.periodic_tree`) to drive the rules
+    for another recursive structure.
     """
 
     def __init__(
         self, width: int, ring: ChordRing, step_multiplier: int = 4, tree=None
     ):
-        self.tree = tree if tree is not None else TheoryModel(width).tree
+        self.tree = tree if tree is not None else DecompositionTree(width)
         self.sizes = SizeEstimator(ring, step_multiplier)
-        # phi is strictly increasing for T_w (Fact 1: phi(k+1) >= 2
-        # phi(k)), so the level lookup — called once per node per rules
-        # round — is a bisect over this table instead of a full-level
-        # phi scan. Generic trees (repro.ext) may have non-monotone
-        # level censuses; those keep the scan.
-        self._phi_table = [
-            self.tree.phi(level) for level in range(self.tree.max_level + 1)
-        ]
-        self._phi_monotone = all(
-            earlier < later
-            for earlier, later in zip(self._phi_table, self._phi_table[1:])
-        )
         # ``ell_v`` is a function of the successors the node walks, so it
         # cannot move between membership changes: one evaluation per
         # node per ring version serves every rules round until the next.
         self._levels: Dict[int, int] = {}
         self._levels_version = ring.version
-
-    def level_for_estimate(self, estimate: float) -> int:
-        """The largest level with ``phi(level) < estimate``."""
-        if self._phi_monotone:
-            return max(0, bisect_left(self._phi_table, estimate) - 1)
-        best = 0
-        for level, phi in enumerate(self._phi_table):
-            if phi < estimate:
-                best = level
-        return best
 
     def level_estimate(self, node_id: int) -> int:
         """The node's ``ell_v``."""
@@ -136,7 +115,7 @@ class LevelEstimator:
             self._levels_version = version
         level = self._levels.get(node_id)
         if level is None:
-            level = self.level_for_estimate(self.sizes.size_estimate(node_id))
+            level = self.tree.level_for(self.sizes.size_estimate(node_id))
             self._levels[node_id] = level
         return level
 
@@ -144,4 +123,4 @@ class LevelEstimator:
         """``ell*`` for the true system size (or a given ``n``)."""
         if n is None:
             n = len(self.sizes.ring)
-        return self.level_for_estimate(float(n))
+        return self.tree.level_for(n)

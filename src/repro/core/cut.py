@@ -48,18 +48,9 @@ class Cut:
         return cls(tree, [s.path for s in tree.iter_level(level)])
 
     @classmethod
-    def full(cls, tree: DecompositionTree) -> "Cut":
-        """The balancer-level cut (every member a width-2 leaf)."""
-        return cls.level(tree, tree.max_level)
-
-    @classmethod
-    def leaves(cls, tree) -> "Cut":
-        """The cut of all tree leaves, by traversal.
-
-        Equivalent to :meth:`full` for the (uniform-depth) bitonic tree,
-        but also valid for non-uniform recursive structures from
-        :mod:`repro.ext`.
-        """
+    def leaves(cls, tree: DecompositionTree) -> "Cut":
+        """The balancer-level cut: every member a leaf (for ``T_w`` the
+        deepest level; other structures have leaves at several levels)."""
         paths: List[Path] = []
         stack = [tree.root]
         while stack:
@@ -129,12 +120,12 @@ class Cut:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cut)
-            and other.tree.width == self.tree.width
+            and other.tree.root == self.tree.root
             and other.paths == self.paths
         )
 
     def __hash__(self) -> int:
-        return hash((self.tree.width, self.paths))
+        return hash((self.tree.root, self.paths))
 
     def members(self) -> List[ComponentSpec]:
         """All member components, sorted by path (pre-order)."""

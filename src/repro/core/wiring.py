@@ -41,7 +41,7 @@ from typing import Union
 from repro.core.decomposition import ComponentKind, ComponentSpec, DecompositionTree
 from repro.errors import ProtocolError, StructureError
 
-# Child-index constants, matching ComponentSpec.child_kinds() order.
+# Child-index constants, matching ComponentKind.children() order.
 B_TOP, B_BOT = 0, 1
 #: MERGER children of a BITONIC parent.
 BM_TOP, BM_BOT = 2, 3
@@ -125,9 +125,9 @@ class WiringBase:
     ``child_output_dest`` — that describe one tree node's internal
     wiring; this base class derives their inverses and composes them up
     and down the tree to resolve global wires for any cut. The bitonic
-    rules live in :class:`Wiring`; the extension framework in
-    :mod:`repro.ext` reuses this base for other recursive structures
-    (the paper's closing generalisation claim).
+    rules live in :class:`Wiring`; :mod:`repro.ext` reuses this base
+    for other recursive structures (the paper's closing generalisation
+    claim).
     """
 
     def __init__(self, tree):
@@ -269,6 +269,18 @@ class WiringBase:
                 current, p = parent, dest.port
                 continue
             return self.resolve_input(parent.child(dest.child), dest.port, member_paths)
+
+    def input_leaf(self, wire: int):
+        """The leaf that accepts network input ``wire`` when every
+        member is a leaf — the name a client's input lookup starts from
+        (Section 3.5). Found by descending the input wiring."""
+        if not 0 <= wire < self.tree.width:
+            raise StructureError("network input %d out of range" % wire)
+        spec = self.tree.root
+        while not spec.is_leaf:
+            ref = self.parent_input_dest(spec, wire)
+            spec, wire = spec.child(ref.child), ref.port
+        return spec
 
     def resolve_network_input(self, wire: int, member_paths):
         """The cut member (and its port) receiving network input ``wire``."""

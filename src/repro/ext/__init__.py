@@ -3,31 +3,24 @@
 The paper closes its abstract with: *"our technique could be applied to
 build an adaptive implementation of any distributed data structure
 which can be decomposed in a recursive way."* This subpackage takes
-that claim seriously:
+that claim seriously. A structure is a kind enum whose
+``children(width)`` lists each child's ``(kind, width)`` — the root of a
+:class:`~repro.core.decomposition.DecompositionTree` — plus a
+:class:`~repro.core.wiring.WiringBase` subclass declaring its local
+wiring. Cuts, counter-component networks, exact split/merge state
+transfer, the effective metrics and the adaptive runtime come with the
+tree, unchanged.
 
-* :mod:`repro.ext.recursive` — a generic recursive-decomposition
-  framework: declare a structure's component kinds, children and local
-  wiring, and get trees, cuts, counter-component networks, split/merge
-  state transfer and effective metrics for free (the same machinery the
-  bitonic core uses);
-* :mod:`repro.ext.periodic_adaptive` — the framework instantiated for
-  the *periodic* counting network; every cut of it counted in our
-  (exhaustive-at-small-width) experiments, empirically extending
-  Theorem 2.1 beyond the bitonic case.
+:mod:`repro.ext.periodic_adaptive` does this for the *periodic*
+counting network; every cut of it counted in our
+(exhaustive-at-small-width) experiments, empirically extending
+Theorem 2.1 beyond the bitonic case.
 """
 
-from repro.ext.recursive import GenericSpec, GenericTree, RecursiveStructure
-from repro.ext.periodic_adaptive import (
-    PeriodicStructure,
-    PeriodicWiring,
-    periodic_tree,
-)
+from repro.ext.periodic_adaptive import PeriodicKind, PeriodicWiring, periodic_tree
 
 __all__ = [
-    "GenericSpec",
-    "GenericTree",
-    "RecursiveStructure",
-    "PeriodicStructure",
+    "PeriodicKind",
     "PeriodicWiring",
     "periodic_tree",
 ]

@@ -1,9 +1,11 @@
-"""An adaptive *periodic* counting network, via the generic framework.
+"""An adaptive *periodic* counting network: a second set of component
+kinds on :class:`~repro.core.decomposition.DecompositionTree`.
 
 Structure
 ---------
 ``PERIODIC[w]`` is ``log w`` identical ``BLOCK[w]`` networks in series
-(see :mod:`repro.core.periodic`). The recursive decomposition:
+(see :mod:`repro.core.periodic`). The recursive decomposition, which
+:class:`PeriodicKind` declares:
 
 * ``P[w]`` (the whole network) -> ``log w`` ``BLOCK[w]`` children, wired
   in series;
@@ -14,8 +16,9 @@ Structure
   ``k/4..k/2-1`` (inner quarter wires); ``R[2]`` is a balancer leaf.
 
 Unlike the bitonic tree, children are not always half the parent's
-width (a block's reflection layer spans all ``k`` wires) and leaves sit
-at non-uniform depths — both are exercised deliberately, since the
+width (a block's reflection layer spans all ``k`` wires), leaves sit
+at non-uniform depths and ``phi`` is not monotone (``1, 3, 9, 24, 24``
+at width 8) — all exercised deliberately, since the
 paper's closing claim is that the technique applies to *any* recursive
 decomposition.
 
@@ -36,55 +39,47 @@ records the evidence).
 
 from __future__ import annotations
 
+import enum
+import functools
 from typing import List, Tuple
 
+from repro.core.decomposition import ComponentSpec, DecompositionTree
 from repro.core.wiring import BoundaryRef, PortRef, WiringBase
 from repro.errors import StructureError
-from repro.ext.recursive import GenericSpec, GenericTree, RecursiveStructure
-
-PERIODIC = "P"
-BLOCK = "B"
-REFLECT = "R"
 
 
-class PeriodicStructure(RecursiveStructure):
-    """The recursive decomposition of ``PERIODIC[w]``."""
+class PeriodicKind(enum.Enum):
+    """The component kinds of the recursive decomposition of ``PERIODIC[w]``."""
 
-    def __init__(self, width: int):
-        if width < 2 or width & (width - 1):
-            raise StructureError("width must be a power of two >= 2, got %d" % width)
-        self.width = width
+    PERIODIC = "P"
+    BLOCK = "B"
+    REFLECT = "R"
 
-    def root_kind(self) -> str:
-        return PERIODIC
-
-    def child_kinds(self, kind: str, width: int) -> List[Tuple[str, int]]:
-        if kind == PERIODIC:
-            if width == 2:
-                return []  # PERIODIC[2] is a single balancer
-            blocks = width.bit_length() - 1
-            return [(BLOCK, width)] * blocks
-        if kind == BLOCK:
-            if width == 2:
-                return []
-            return [(REFLECT, width), (BLOCK, width // 2), (BLOCK, width // 2)]
-        if kind == REFLECT:
-            if width == 2:
-                return []
-            return [(REFLECT, width // 2), (REFLECT, width // 2)]
-        raise StructureError("unknown periodic component kind %r" % (kind,))
+    @functools.lru_cache(maxsize=None)
+    def children(self, width: int) -> Tuple[Tuple["PeriodicKind", int], ...]:
+        """``(kind, width)`` of each child, in an order where no child
+        feeds an earlier one (the split replay relies on it); a width-2
+        component (a balancer) has none."""
+        if width == 2:
+            return ()
+        if self is PeriodicKind.PERIODIC:
+            return ((PeriodicKind.BLOCK, width),) * (width.bit_length() - 1)
+        if self is PeriodicKind.BLOCK:
+            half = (PeriodicKind.BLOCK, width // 2)
+            return ((PeriodicKind.REFLECT, width), half, half)
+        return ((PeriodicKind.REFLECT, width // 2),) * 2
 
 
 class PeriodicWiring(WiringBase):
     """Local wiring of the periodic decomposition."""
 
-    def parent_input_dest(self, parent: GenericSpec, port: int) -> PortRef:
+    def parent_input_dest(self, parent: ComponentSpec, port: int) -> PortRef:
         k = parent.width
         if not 0 <= port < k:
             raise StructureError("input port %d out of range for %s" % (port, parent))
-        if parent.kind == PERIODIC:
+        if parent.kind is PeriodicKind.PERIODIC:
             return PortRef(child=0, port=port)  # into the first block
-        if parent.kind == BLOCK:
+        if parent.kind is PeriodicKind.BLOCK:
             return PortRef(child=0, port=port)  # into the reflection layer
         # REFLECT[k]: outer quarter wires to child 0, inner to child 1.
         quarter = k // 4
@@ -96,15 +91,15 @@ class PeriodicWiring(WiringBase):
             return PortRef(child=1, port=port - quarter)
         return PortRef(child=0, port=port - k // 2)
 
-    def child_output_dest(self, parent: GenericSpec, child_index: int, port: int):
+    def child_output_dest(self, parent: ComponentSpec, child_index: int, port: int):
         k = parent.width
-        if parent.kind == PERIODIC:
+        if parent.kind is PeriodicKind.PERIODIC:
             if not 0 <= port < k:
                 raise StructureError("port %d out of range" % port)
             if child_index < parent.num_children() - 1:
                 return PortRef(child=child_index + 1, port=port)
             return BoundaryRef(port=port)
-        if parent.kind == BLOCK:
+        if parent.kind is PeriodicKind.BLOCK:
             if child_index == 0:  # the reflection layer, width k
                 if not 0 <= port < k:
                     raise StructureError("port %d out of range" % port)
@@ -117,7 +112,7 @@ class PeriodicWiring(WiringBase):
                 return BoundaryRef(port=port)
             if child_index == 2:
                 return BoundaryRef(port=k // 2 + port)
-        if parent.kind == REFLECT:
+        if parent.kind is PeriodicKind.REFLECT:
             half = k // 2
             if not 0 <= port < half:
                 raise StructureError("port %d out of range" % port)
@@ -130,11 +125,11 @@ class PeriodicWiring(WiringBase):
         raise StructureError("invalid child index %d for %s" % (child_index, parent))
 
 
-def periodic_tree(width: int) -> GenericTree:
+def periodic_tree(width: int) -> DecompositionTree:
     """The decomposition tree of ``PERIODIC[width]``."""
-    return GenericTree(PeriodicStructure(width))
+    return DecompositionTree(width, PeriodicKind.PERIODIC)
 
 
-def block_level_cut_paths(tree: GenericTree) -> List[Tuple[int, ...]]:
+def block_level_cut_paths(tree: DecompositionTree) -> List[Tuple[int, ...]]:
     """The cut deploying each ``BLOCK[w]`` as one component."""
     return [child.path for child in tree.root.children()]

@@ -7,6 +7,8 @@ counter semantics (which is arrival-order insensitive and batchable,
 see :meth:`repro.core.components.ComponentState.route_batch`) is
 untouched. The price is up to ``window`` extra latency per hop.
 
+A combined message is a tuple of tokens: each token names the input it
+is owed to (``Token.owed``), so the batch needs no header of its own.
 Disabled by default (``window = 0`` reproduces the paper's one-message-
 per-token behaviour); the ablation bench sweeps the window.
 """
@@ -20,19 +22,6 @@ from repro.errors import SimulationError
 from repro.runtime.tokens import Token
 
 Path = Tuple[int, ...]
-
-
-class BatchTokenMsg:
-    """Several tokens addressed to one component, one network message."""
-
-    __slots__ = ("path", "items")
-
-    def __init__(self, path: Path, items: Tuple[Tuple[int, Token], ...]):
-        self.path = path
-        self.items = items  # (port, token) pairs
-
-    def __repr__(self):
-        return "BatchTokenMsg(path=%r, items=%d)" % (self.path, len(self.items))
 
 
 @dataclass
@@ -78,28 +67,29 @@ class Combiner:
         self.system = system
         self.config = config
         self.stats = CombiningStats()
-        self._buffers: Dict[Path, List[Tuple[int, Token]]] = {}
+        self._buffers: Dict[Path, List[Token]] = {}
 
-    def offer(self, path: Path, port: int, token: Token) -> None:
-        """Queue a token for combined delivery to ``path``."""
+    def offer(self, path: Path, token: Token) -> None:
+        """Queue a token, already owed to an input of ``path``, for
+        combined delivery there."""
         buffer = self._buffers.get(path)
         self.stats.tokens_buffered += 1
         if buffer is None:
-            self._buffers[path] = [(port, token)]
+            self._buffers[path] = [token]
             self.system.sim.schedule(self.config.window, lambda: self.flush(path))
         else:
-            buffer.append((port, token))
+            buffer.append(token)
             if len(buffer) >= self.config.max_batch:
                 self.flush(path)
 
     def flush(self, path: Path) -> None:
         """Ship the waiting batch (no-op if already flushed early)."""
-        items = self._buffers.pop(path, None)
-        if not items:
+        tokens = self._buffers.pop(path, None)
+        if not tokens:
             return
         self.stats.batches_sent += 1
-        self.stats.largest_batch = max(self.stats.largest_batch, len(items))
-        self.system.dispatch_batch(path, items)
+        self.stats.largest_batch = max(self.stats.largest_batch, len(tokens))
+        self.system.dispatch_batch(path, tokens)
 
     def flush_all(self) -> None:
         for path in list(self._buffers):
@@ -107,4 +97,4 @@ class Combiner:
 
     @property
     def pending(self) -> int:
-        return sum(len(items) for items in self._buffers.values())
+        return sum(len(tokens) for tokens in self._buffers.values())

@@ -22,7 +22,6 @@ from repro.chord.ring import ChordNode
 from repro.core.components import ComponentState
 from repro.errors import ProtocolError
 from repro.obs import recorder as _obs
-from repro.runtime.combining import BatchTokenMsg
 from repro.runtime.tokens import Token
 from repro.sim.node import SimulatedProcess
 
@@ -111,9 +110,11 @@ class NodeHost(SimulatedProcess):
         """A token arrived — it is its own message and names the input
         it is owed to. The single token that dominates uncombined
         traffic is handled in this frame, the component's step included;
-        a batch goes to :meth:`_handle_batch`."""
+        a combined batch (a tuple of tokens) is fed back here one token
+        at a time."""
         if message.__class__ is not Token:
-            self._handle_batch(message)
+            for token in message:
+                self.handle_message(token)
             return
         system = self.system
         path, port = message.owed
@@ -149,42 +150,6 @@ class NodeHost(SimulatedProcess):
             system.retire_token(message, state, out_port, dest[1])
         else:
             system.send_token(dest[1], dest[2], message)
-
-    def _handle_batch(self, message) -> None:
-        if not isinstance(message, BatchTokenMsg):  # pragma: no cover
-            raise ProtocolError("unknown message %r" % (message,))
-        system = self.system
-        path, items = message.path, message.items
-        state = self.components.get(path)
-        if state is None:
-            for port, token in items:
-                token.in_flight = False  # off the bus, still owed
-                system.reroute_token(path, port, token)
-            return
-        for _port, token in items:
-            system._unowe(token)
-        if path in self.frozen:
-            self.buffers.setdefault(path, []).extend(items)
-            return
-        self.tokens_routed += len(items)
-        for port, token in items:
-            out_port = state.route_token(port)
-            dest = self._edge(path, state, out_port)
-            if dest[0] == "out":
-                system.retire_token(token, state, out_port, dest[1])
-            else:
-                # "member" and "missing" both address a path; for a
-                # crash hole, send_token's reroute machinery retries
-                # until stabilisation restores it.
-                system.send_token(dest[1], dest[2], token)
-
-    def _edge(self, path: Path, state: ComponentState, out_port: int) -> Tuple:
-        cached = self._edge_of((path, out_port))
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        return self.system.resolve_edge(state.spec, out_port)
 
     # ------------------------------------------------------------------
     # introspection

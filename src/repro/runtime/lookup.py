@@ -46,22 +46,11 @@ class InputLookup:
         self._resolved: dict = {}
 
     def _input_leaf(self, wire: int):
-        """The leaf that would accept network input ``wire`` in the
-        fully-split network — the name a client starts from. Computed by
-        descending the input wiring, which works for any recursive
-        structure."""
+        """:meth:`WiringBase.input_leaf`, memoised per wire."""
         leaf = self._leaves.get(wire)
-        if leaf is not None:
-            return leaf
-        system = self.system
-        spec = system.tree.root
-        port = wire
-        while not spec.is_leaf:
-            ref = system.wiring.parent_input_dest(spec, port)
-            spec = spec.child(ref.child)
-            port = ref.port
-        self._leaves[wire] = spec
-        return spec
+        if leaf is None:
+            leaf = self._leaves[wire] = self.system.wiring.input_leaf(wire)
+        return leaf
 
     def find(self, wire: int, start_node_id: int = None) -> LookupResult:
         """Locate the live component accepting network input ``wire``."""

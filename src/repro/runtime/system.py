@@ -37,7 +37,7 @@ from repro.core.verification import check_step_property
 from repro.core.wiring import MergerConvention, Wiring
 from repro.errors import ComponentNotFound, ProtocolError
 from repro.obs import recorder as _obs
-from repro.runtime.combining import BatchTokenMsg, Combiner, CombiningConfig
+from repro.runtime.combining import Combiner, CombiningConfig
 from repro.runtime.directory import ComponentDirectory
 from repro.runtime.host import NodeHost
 from repro.runtime.lookup import InputLookup, LookupResult
@@ -348,7 +348,7 @@ class AdaptiveCountingSystem:
             if obs.enabled:
                 obs.owed_delta(1)
         if self.combiner is not None:
-            self.combiner.offer(path, port, token)
+            self.combiner.offer(path, token)
             return
         token.hops += 1
         token.in_flight = True
@@ -356,29 +356,28 @@ class AdaptiveCountingSystem:
             obs.token_hop(self.sim.now, token, path, port, 1)
         self._send(owner, token, "token", self._on_undelivered)
 
-    def dispatch_batch(self, path: Path, items) -> None:
-        """Ship a batch of (port, token) pairs — each already owed to
-        its (``path``, port) by :meth:`send_token` — as one message."""
+    def dispatch_batch(self, path: Path, tokens) -> None:
+        """Ship ``tokens`` — each already owed to an input of ``path`` by
+        :meth:`send_token` — as one message, a tuple of tokens."""
         path = tuple(path)
         owner = self._owner_of(path)
         if owner is None:
-            for port, token in items:
-                self.reroute_token(path, port, token)
+            for token in tokens:
+                self.reroute_token(path, token.owed[1], token)
             return
         obs = _obs.ACTIVE
-        for port, token in items:
+        for token in tokens:
             token.hops += 1
             token.in_flight = True
             if obs.enabled:
-                obs.token_hop(self.sim.now, token, path, port, len(items))
-        message = items[0][1] if len(items) == 1 else BatchTokenMsg(path, tuple(items))
+                obs.token_hop(self.sim.now, token, path, token.owed[1], len(tokens))
+        message = tokens[0] if len(tokens) == 1 else tuple(tokens)
         self._send(owner, message, "token", self._on_undelivered)
 
     def _undelivered(self, message) -> None:
         """The bus dropped a token message (its owner is gone): every
         token in it is off the bus, still owed, and retries."""
-        tokens = [message] if message.__class__ is Token else [t for _, t in message.items]
-        for token in tokens:
+        for token in (message,) if message.__class__ is Token else message:
             token.in_flight = False
             self._retry(token.owed[0], token.owed[1], token)
 

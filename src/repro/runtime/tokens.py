@@ -3,7 +3,7 @@
 :class:`Token` is the hottest record in the system — one per injection,
 and it *is* the message of every hop: it carries the (path, port) it is
 addressed and owed to, so a hop allocates no message and keeps no table
-(a multi-token batch travels as a ``combining.BatchTokenMsg``). It is a
+(a combined batch travels as a tuple of tokens). It is a
 hand-rolled ``__slots__`` class rather than a dataclass: no
 per-instance ``__dict__``, cheaper attribute access, and cheaper
 mutation of the hop/reroute counters en route.

@@ -55,8 +55,8 @@ def _normalise(paths: Iterable[Path]) -> List[Path]:
 def check_cut(tree, paths: Iterable[Path], source: Optional[str] = None) -> Report:
     """Whether ``paths`` is a valid cut of ``tree`` (Definition 2.1).
 
-    Works for the bitonic :class:`~repro.core.decomposition
-    .DecompositionTree` and any generic :mod:`repro.ext` tree.
+    Works for any :class:`~repro.core.decomposition.DecompositionTree`:
+    ``T_w`` or another structure's tree (:mod:`repro.ext`).
     """
     if source is None:
         source = "cut(w=%d)" % tree.width

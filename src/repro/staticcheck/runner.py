@@ -131,7 +131,7 @@ def _cut_targets(width: int) -> List[Tuple[str, Cut]]:
     targets = [("T_%d singleton cut" % width, Cut.singleton(tree))]
     if tree.max_level >= 1:
         targets.append(("T_%d level-1 cut" % width, Cut.level(tree, 1)))
-        targets.append(("T_%d full cut" % width, Cut.full(tree)))
+        targets.append(("T_%d full cut" % width, Cut.leaves(tree)))
     return targets
 
 

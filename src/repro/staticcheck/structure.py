@@ -56,7 +56,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cut import Cut, CutNetwork
-from repro.core.decomposition import DecompositionTree
+from repro.core.decomposition import ComponentKind
 from repro.core.metrics import lemma22_bound, lemma23_bound, measure
 from repro.core.network import BalancingNetwork
 from repro.core.verification import has_step_property, is_sorted_01
@@ -356,10 +356,9 @@ def check_cut_network(
 ) -> Report:
     """All structural checks for the network induced by one cut.
 
-    ``wiring`` may be passed for generic (:mod:`repro.ext`) trees; the
-    Lemma 2.2/2.3 bound checks apply only to the bitonic
-    :class:`~repro.core.decomposition.DecompositionTree` and are skipped
-    otherwise.
+    ``wiring`` may be passed for the trees of other structures
+    (:mod:`repro.ext`); the Lemma 2.2/2.3 bound checks apply only to
+    ``T_w`` (a ``BITONIC`` root) and are skipped otherwise.
     """
     if source is None:
         source = "cut(w=%d, members=%d)" % (cut.tree.width, len(cut))
@@ -377,7 +376,7 @@ def check_cut_network(
     _layer_audit(network, source, report)
     if not report.ok:
         return report
-    if check_bounds and isinstance(cut.tree, DecompositionTree):
+    if check_bounds and cut.tree.root.kind is ComponentKind.BITONIC:
         levels = cut.levels()
         metrics = measure(network)
         depth_bound = lemma22_bound(max(levels))

@@ -8,6 +8,7 @@ import pytest
 from repro.chord.estimation import LevelEstimator, SizeEstimator
 from repro.chord.ring import ChordRing
 from repro.errors import MembershipError, RingError
+from repro.ext.periodic_adaptive import periodic_tree
 
 
 def build_ring(n, seed):
@@ -102,45 +103,41 @@ class TestLevelEstimator:
 
     @pytest.mark.parametrize("width", [8, 64, 1024])
     def test_bisect_matches_phi_scan(self, width):
-        """The bisect over the precomputed phi table is pinned to the
-        full-level scan it replaced, across every phi boundary."""
+        """The tree's bisect is pinned to the full-level scan it
+        replaced, across every phi boundary."""
         ring = build_ring(2, seed=7)
-        levels = LevelEstimator(width, ring)
-        tree = levels.tree
-
-        def scan(estimate):
-            best = 0
-            for level in range(tree.max_level + 1):
-                if tree.phi(level) < estimate:
-                    best = level
-            return best
-
+        tree = LevelEstimator(width, ring).tree
         probes = [0.0, 0.5, 1.0]
         for level in range(tree.max_level + 1):
             phi = tree.phi(level)
             probes.extend([phi - 0.5, float(phi), phi + 0.5, phi + 1.0])
         probes.append(10.0 * tree.phi(tree.max_level))
         for estimate in probes:
-            assert levels.level_for_estimate(estimate) == scan(estimate), estimate
+            assert tree.level_for(estimate) == phi_scan(tree, estimate), estimate
 
     def test_non_monotone_phi_falls_back_to_scan(self):
-        """Generic trees (repro.ext) may have non-monotone level
-        censuses; the estimator must then keep the scan semantics."""
+        """Another structure's phi need not be monotone (the periodic
+        tree's is 1, 3, 9, 24, 24 at width 8): every node's level keeps
+        the scan semantics. Rings of 1 to 30 nodes put estimates on both
+        sides of every phi boundary."""
+        tree = periodic_tree(8)
+        for n in range(1, 31):
+            ring = build_ring(n, seed=8)
+            levels = LevelEstimator(8, ring, tree=tree)
+            for node in ring.nodes():
+                estimate = levels.sizes.size_estimate(node.node_id)
+                assert levels.level_estimate(node.node_id) == phi_scan(tree, estimate)
+            assert levels.ideal_level() == phi_scan(tree, n)
 
-        class BumpyTree:
-            max_level = 3
 
-            def phi(self, level):
-                return [1, 9, 4, 12][level]
-
-        ring = build_ring(2, seed=8)
-        levels = LevelEstimator(8, ring, tree=BumpyTree())
-        assert not levels._phi_monotone
-        # largest level with phi < estimate, by the scan definition:
-        assert levels.level_for_estimate(5.0) == 2  # phi(2)=4 < 5, phi(1)=9 not
-        assert levels.level_for_estimate(10.0) == 2
-        assert levels.level_for_estimate(13.0) == 3
-        assert levels.level_for_estimate(1.0) == 0
+def phi_scan(tree, estimate):
+    """The largest level with ``phi(level) < estimate``, by the full
+    scan ``DecompositionTree.level_for`` replaced."""
+    best = 0
+    for level in range(tree.max_level + 1):
+        if tree.phi(level) < estimate:
+            best = level
+    return best
 
 
 def three_search_estimate(ring, step_multiplier, node_id):

@@ -73,7 +73,7 @@ class TestCrossCheckAgainstCutMachinery:
                 counts = [rng.randint(0, 5) for _ in range(width)]
                 classic = bitonic_network(width)
                 classic.feed_counts(counts)
-                cut_net = CutNetwork(Cut.full(tree))
+                cut_net = CutNetwork(Cut.leaves(tree))
                 cut_net.feed_counts(counts)
                 assert classic.output_counts == cut_net.output_counts
 
@@ -81,7 +81,7 @@ class TestCrossCheckAgainstCutMachinery:
         rng = random.Random(4)
         width = 8
         classic = bitonic_network(width)
-        cut_net = CutNetwork(Cut.full(DecompositionTree(width)))
+        cut_net = CutNetwork(Cut.leaves(DecompositionTree(width)))
         for _ in range(200):
             wire = rng.randrange(width)
             assert classic.feed_token(wire) == cut_net.feed_token(wire)[0]
@@ -89,4 +89,4 @@ class TestCrossCheckAgainstCutMachinery:
     def test_balancer_count_matches_cut(self):
         for width in (4, 8, 16):
             tree = DecompositionTree(width)
-            assert len(Cut.full(tree)) == static_balancer_count(width)
+            assert len(Cut.leaves(tree)) == static_balancer_count(width)

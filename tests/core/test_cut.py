@@ -7,6 +7,7 @@ import pytest
 from repro.core.cut import Cut
 from repro.core.decomposition import DecompositionTree
 from repro.errors import InvalidCutError
+from repro.ext.periodic_adaptive import periodic_tree
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ class TestCutValidation:
         assert len(Cut.level(tree8, 2)) == 24
 
     def test_full_cut_is_deepest_level(self, tree8):
-        full = Cut.full(tree8)
+        full = Cut.leaves(tree8)
         assert full == Cut.level(tree8, tree8.max_level)
         assert all(tree8.node(p).is_leaf for p in full.paths)
 
@@ -61,7 +62,7 @@ class TestCutValidation:
     def test_random_extremes(self, tree8):
         rng = random.Random(0)
         assert Cut.random(tree8, rng, 0.0) == Cut.singleton(tree8)
-        assert Cut.random(tree8, rng, 1.0) == Cut.full(tree8)
+        assert Cut.random(tree8, rng, 1.0) == Cut.leaves(tree8)
 
 
 class TestCutQueries:
@@ -88,6 +89,17 @@ class TestCutQueries:
         assert hash(a) == hash(b)
         assert a != Cut.singleton(tree8)
 
+    def test_cuts_of_different_networks_differ(self, tree8):
+        """Equal paths and width, but another network: unequal, and
+        (here) differently hashed; two builds of one network agree."""
+        bitonic, periodic = Cut(tree8, [()]), Cut(periodic_tree(8), [()])
+        assert bitonic != periodic
+        assert hash(bitonic) != hash(periodic)
+        again = Cut(periodic_tree(8), [()])
+        assert periodic == again
+        assert hash(periodic) == hash(again)
+        assert Cut.leaves(periodic_tree(8)) == Cut.leaves(periodic_tree(8))
+
 
 class TestCutReconfiguration:
     def test_split_root(self, tree8):
@@ -103,7 +115,7 @@ class TestCutReconfiguration:
             Cut.singleton(tree8).split((0,))
 
     def test_split_leaf_rejected(self, tree8):
-        cut = Cut.full(tree8)
+        cut = Cut.leaves(tree8)
         with pytest.raises(InvalidCutError):
             cut.split(next(iter(cut.paths)))
 

@@ -85,7 +85,7 @@ class TestCountingTheorem21:
     def test_paper_prose_convention_fails(self):
         """The ablation fact: the literal prose wiring does not count."""
         tree = DecompositionTree(4)
-        net = CutNetwork(Cut.full(tree), MergerConvention.PAPER_PROSE)
+        net = CutNetwork(Cut.leaves(tree), MergerConvention.PAPER_PROSE)
         counts = [1, 0, 1, 0]
         net.feed_counts(counts)
         assert not has_step_property(net.output_counts)
@@ -231,7 +231,7 @@ class TestReconfiguration:
                 net.verify_step_property()
 
     def test_split_errors(self, tree8):
-        net = CutNetwork(Cut.full(tree8))
+        net = CutNetwork(Cut.leaves(tree8))
         from repro.errors import InvalidCutError
 
         with pytest.raises(InvalidCutError):

@@ -26,7 +26,7 @@ class TestBasicMetrics:
         assert m.effective_depth == 3
 
     def test_full_cut_matches_bitonic_shape(self, tree8):
-        m = metrics.measure(CutNetwork(Cut.full(tree8)))
+        m = metrics.measure(CutNetwork(Cut.leaves(tree8)))
         # BITONIC[8]: depth log w (log w + 1)/2 = 6 layers; width w/2 = 4.
         assert m.effective_depth == 6
         assert m.effective_width == 4

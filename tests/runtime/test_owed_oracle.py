@@ -27,7 +27,7 @@ import random
 import pytest
 
 from repro.core.atomics import TokenLedger
-from repro.runtime.combining import BatchTokenMsg, CombiningConfig
+from repro.runtime.combining import CombiningConfig
 from repro.runtime.host import NodeHost
 from repro.runtime.system import AdaptiveCountingSystem
 from repro.runtime.tokens import Token
@@ -65,11 +65,12 @@ class ShadowLedgers:
 
 
 def tokens_of(message):
-    """(path, port, token) for each token a bus message carries."""
-    if isinstance(message, BatchTokenMsg):
-        return [(message.path, port, token) for port, token in message.items]
-    assert isinstance(message, Token)
-    return [(message.owed[0], message.owed[1], message)]
+    """(path, port, token) for each token a bus message carries: one
+    token, or a combined tuple of them, all owed to one component."""
+    tokens = [message] if isinstance(message, Token) else list(message)
+    assert tokens and all(isinstance(token, Token) for token in tokens)
+    assert len({token.owed[0] for token in tokens}) == 1
+    return [(token.owed[0], token.owed[1], token) for token in tokens]
 
 
 class ShadowedSystem(AdaptiveCountingSystem):
@@ -97,13 +98,13 @@ class ShadowedSystem(AdaptiveCountingSystem):
                 self.shadow._inflight.post(path)
         super().send_token(path, port, token)
 
-    def dispatch_batch(self, path, items):
+    def dispatch_batch(self, path, tokens):
         path = tuple(path)
         if self._owner_of(path) is not None:
-            for port, token in items:
-                self.shadow._owe(path, port, token)
-            self.shadow._inflight.post(path, len(items))
-        super().dispatch_batch(path, items)
+            for token in tokens:
+                self.shadow._owe(path, token.owed[1], token)
+            self.shadow._inflight.post(path, len(tokens))
+        super().dispatch_batch(path, tokens)
 
     def _undelivered(self, message):  # _one_undelivered / _batch_undelivered
         for path, _port, _token in tokens_of(message):
@@ -171,7 +172,9 @@ def shadowed_hosts(monkeypatch):
     original = NodeHost.handle_message
 
     def handle_message(host, message):
-        host.system.arrived(host, message)
+        # A combined tuple comes back here one token at a time.
+        if isinstance(message, Token):
+            host.system.arrived(host, message)
         original(host, message)
 
     monkeypatch.setattr(NodeHost, "handle_message", handle_message)

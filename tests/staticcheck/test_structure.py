@@ -93,7 +93,7 @@ class TestCutNetworks:
         elif kind == "level1":
             cut = Cut.level(tree, 1)
         else:
-            cut = Cut.full(tree)
+            cut = Cut.leaves(tree)
         report = check_cut_network(cut)
         assert report.ok, report.format()
 
@@ -111,14 +111,14 @@ class TestCutNetworks:
         # network — the certification pass must catch it.
         tree = DecompositionTree(4)
         report = check_cut_network(
-            Cut.full(tree), convention=MergerConvention.PAPER_PROSE
+            Cut.leaves(tree), convention=MergerConvention.PAPER_PROSE
         )
         assert not report.ok
         assert "RSC105" in report.codes()
 
     def test_certification_width_limit_warns(self):
         tree = DecompositionTree(4)
-        report = check_cut_network(Cut.full(tree), max_certify_width=2)
+        report = check_cut_network(Cut.leaves(tree), max_certify_width=2)
         assert report.ok
         assert "RSC108" in report.codes()
 
