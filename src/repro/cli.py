@@ -35,7 +35,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import List, Optional
 
@@ -209,12 +208,6 @@ def cmd_check(args) -> int:
             )
             return 2
         sanitize_seeds = list(range(1, args.sanitize + 1))
-    if args.sanitize_jitter < 0 or not math.isfinite(args.sanitize_jitter):
-        print(
-            "repro check: error: --sanitize-jitter must be finite and >= 0",
-            file=sys.stderr,
-        )
-        return 2
 
     convention = (
         MergerConvention.PAPER_PROSE
@@ -249,7 +242,6 @@ def cmd_check(args) -> int:
             model_check=args.model_check,
             model_config=model_config,
             sanitize_seeds=sanitize_seeds,
-            sanitize_jitter=args.sanitize_jitter,
             sanitize_scenarios=args.sanitize_scenarios,
         )
     except (StructureError, ScenarioSpecError) as exc:
@@ -429,14 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict the sanitizer to these library scenarios (default: "
         "the whole library)",
-    )
-    check.add_argument(
-        "--sanitize-jitter",
-        type=float,
-        default=0.0,
-        metavar="J",
-        help="also stretch message transit by up to J seeded sim-time "
-        "units (default 0.0: pure same-timestamp reordering)",
     )
     check.add_argument(
         "--explain",

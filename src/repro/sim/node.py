@@ -267,10 +267,6 @@ class MessageBus:
             self._envelopes_created += 1
             envelope = Envelope(self, to_address, message, kind, on_undeliverable, mailbox)
             self._envelopes.append(envelope)
-        transit = self.latency.sample()
-        # Schedule-perturbation sanitizer hook: an installed policy may
-        # stretch network transit by bounded jitter (0.0 by default).
-        policy = simulator.policy
-        if policy is not None:
-            transit += policy.delivery_jitter()
-        simulator.schedule_at_pooled(simulator.now + transit, envelope.arrival)
+        simulator.schedule_at_pooled(
+            simulator.now + self.latency.sample(), envelope.arrival
+        )

@@ -179,7 +179,6 @@ def run_check(
     model_check: bool = False,
     model_config=None,
     sanitize_seeds: Optional[Sequence[int]] = None,
-    sanitize_jitter: float = 0.0,
     sanitize_scenarios: Optional[Sequence[str]] = None,
     sanitize_artifact_dir: Optional[str] = None,
 ) -> CheckRun:
@@ -218,7 +217,6 @@ def run_check(
 
         sanitizer_config = sanitize.SanitizerConfig(
             seeds=tuple(sanitize_seeds),
-            max_jitter=sanitize_jitter,
             scenarios=(
                 list(sanitize_scenarios) if sanitize_scenarios is not None else None
             ),

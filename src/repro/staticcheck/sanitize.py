@@ -4,12 +4,12 @@ The paper's model is asynchronous message passing: a node handles one
 message at a time, and the only freedom the model leaves is the *order*
 of concurrent deliveries. This module attacks exactly that freedom by
 running the real system: it re-executes the scenario library
-(:mod:`repro.scenarios`) through ``run_scenario`` with a
-:class:`~repro.sim.events.PerturbedPolicy` installed, so same-timestamp
-events run in a seeded-random order instead of FIFO — every perturbed
-order is still a *legal* schedule (time order is preserved; only ties
-break differently), so anything that breaks was relying on incidental
-FIFO tie-breaking.
+(:mod:`repro.scenarios`) through ``run_scenario`` inside
+:func:`~repro.sim.events.shuffled_ties`, so same-instant events run in
+a seeded-random order instead of FIFO. Every shuffled order is still a
+*legal* schedule (time order and causality hold; only ties run
+differently), so anything that breaks was relying on incidental FIFO
+tie-breaking.
 
 Two failure modes, two codes:
 
@@ -42,13 +42,12 @@ import os
 import random
 import traceback
 from dataclasses import dataclass, field
-from math import isfinite
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.scenarios.compile import run_scenario
 from repro.scenarios.registry import get_scenario, library_names
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.events import PerturbedPolicy, schedule_policy
+from repro.sim.events import shuffled_ties
 from repro.staticcheck.diagnostics import Report
 
 #: Default perturbation seeds for ``--sanitize`` with no explicit list.
@@ -65,11 +64,6 @@ class SanitizerConfig:
     """One sanitizer invocation's knobs."""
 
     seeds: Sequence[int] = DEFAULT_SANITIZE_SEEDS
-    #: Upper bound on extra per-message delivery delay. 0.0 keeps the
-    #: perturbation to pure same-timestamp tie-breaking, which every
-    #: correct implementation must tolerate; positive values also
-    #: stretch transit times (still deterministic per seed).
-    max_jitter: float = 0.0
     #: Library scenario names; ``None`` sweeps the whole library.
     scenarios: Optional[Sequence[str]] = None
     artifact_dir: str = DEFAULT_ARTIFACT_DIR
@@ -108,14 +102,9 @@ def _diff_keys(first: Any, second: Any, prefix: str = "") -> List[str]:
     return diffs
 
 
-def _run_one(
-    config: SanitizerConfig, spec: ScenarioSpec, perturbation_seed: int
-) -> Dict[str, Any]:
-    """One scenario execution under a fresh perturbed policy."""
-    policy_rng = random.Random(perturbation_seed)
-    with schedule_policy(
-        lambda: PerturbedPolicy(policy_rng, max_jitter=config.max_jitter)
-    ):
+def _run_one(spec: ScenarioSpec, perturbation_seed: int) -> Dict[str, Any]:
+    """One scenario execution with ties shuffled by a fresh RNG."""
+    with shuffled_ties(random.Random(perturbation_seed)):
         return run_scenario(spec).summary
 
 
@@ -142,17 +131,11 @@ def run_sanitizer(
     once more to check the perturbed run reproduces its own summary
     (RSC611 on mismatch or on a crash the first run did not have).
     Findings are appended to ``report``. An unknown scenario name is a
-    usage error (:class:`~repro.scenarios.spec.ScenarioSpecError`), and
-    so is a negative or non-finite ``max_jitter`` (``ValueError``):
-    both are rejected here, before anything runs or is written, rather
-    than by every run's ``PerturbedPolicy`` as a schedule finding.
+    usage error (:class:`~repro.scenarios.spec.ScenarioSpecError`),
+    raised before anything runs or is written.
     """
     if config is None:
         config = SanitizerConfig()
-    if config.max_jitter < 0 or not isfinite(config.max_jitter):
-        raise ValueError(
-            "max_jitter must be finite and >= 0, got %r" % (config.max_jitter,)
-        )
     if report is None:
         report = Report()
     outcome = SanitizerOutcome()
@@ -182,7 +165,7 @@ def run_sanitizer(
         for seed in config.seeds:
             outcome.runs += 1
             try:
-                first = _run_one(config, spec, seed)
+                first = _run_one(spec, seed)
             except Exception as exc:
                 fail(
                     "RSC610",
@@ -196,7 +179,7 @@ def run_sanitizer(
                 )
                 continue
             try:
-                second = _run_one(config, spec, seed)
+                second = _run_one(spec, seed)
             except Exception as exc:
                 fail(
                     "RSC611",

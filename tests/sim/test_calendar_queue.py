@@ -1,62 +1,80 @@
-"""Calendar-queue equivalence: randomized wheel-vs-heap property suite.
+"""Calendar-queue equivalence: randomized wheel-vs-reference property suite.
 
 The event core stores events in per-timestamp buckets anchored by a
 small heap of distinct timestamps (`sim.events` module docstring). Its
-correctness claim is *total-order equivalence* with the classic single
-`(time, key)` heap — bit for bit, under FIFO ties and under an
-installed :class:`PerturbedPolicy`, through nested scheduling and
-exact `max_events` budgets. This suite checks the
-claim against an independent reference implementation (a plain `heapq`
-scheduler written here, not shared code) across randomized workloads
-built to collide timestamps hard.
+correctness claim is *total-order equivalence* with a flat list of
+``(time, seq)`` entries that runs the least time first and, of that
+time's entries in scheduling order, the first — or, with ties shuffled
+by an RNG, entry ``rng.randrange(n)`` of the ``n >= 2`` tied ones —
+event for event, through nested scheduling and exact `max_events`
+budgets. This suite checks the claim against an independent reference
+implementation (written here, not shared code) across randomized
+workloads built to collide timestamps hard.
 """
 
 import itertools
 import random
 from collections import deque
-from heapq import heappop, heappush
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import FifoPolicy, PerturbedPolicy, Simulator
+from repro.sim.events import Simulator, shuffled_ties
 
 #: Discrete time grid — few distinct values, many collisions, which is
 #: exactly the regime the calendar queue reorganised storage for.
 GRID = (0.0, 1.0, 1.0, 2.0, 2.5, 3.0)
 
 
-class ReferenceSimulator:
-    """The pre-calendar engine, reimplemented minimally: one global
-    heap of ``(time, key, callback)``. This is the specification the
-    wheel must match event for event."""
+def shuffled(seed):
+    """A simulator whose ties are shuffled by ``Random(seed)``."""
+    with shuffled_ties(random.Random(seed)):
+        return Simulator()
 
-    def __init__(self, policy=None):
-        self._heap = []
+
+class ReferenceSimulator:
+    """The specification, reimplemented minimally: a flat list of
+    ``(time, seq, callback)``. The next event has the least time; of
+    the ``n`` entries at that time, in scheduling order, it is the
+    first, or entry ``rng.randrange(n)`` when ties are shuffled and
+    ``n >= 2``. The wheel must match it event for event."""
+
+    def __init__(self, rng=None):
+        self._entries = []
         self._seq = itertools.count()
-        self.policy = policy
+        self.rng = rng
         self.now = 0.0
         self.events_run = 0
 
     def schedule_at(self, time, callback):
         if time < self.now:
             raise SimulationError("cannot schedule into the past")
-        seq = next(self._seq)
-        key = seq if self.policy is None else self.policy.key(seq)
-        heappush(self._heap, (time, key, callback))
+        self._entries.append((time, next(self._seq), callback))
 
     def pending_times(self):
-        return [time for time, _key, _callback in self._heap]
+        return [time for time, _seq, _callback in self._entries]
+
+    def pop(self):
+        """Remove the next event, advance the clock to it, and return
+        its callback."""
+        head = min(self.pending_times())
+        ties = [entry for entry in self._entries if entry[0] == head]
+        index = 0
+        if self.rng is not None and len(ties) > 1:
+            index = self.rng.randrange(len(ties))
+        entry = ties[index]
+        self._entries.remove(entry)
+        self.now = head
+        return entry[2]
 
     def run_until_idle(self, max_events=None):
         executed = 0
-        while self._heap:
+        while self._entries:
             if max_events is not None and executed >= max_events:
                 raise SimulationError(
                     "simulation did not quiesce within %d events" % max_events
                 )
-            time, _key, callback = heappop(self._heap)
-            self.now = time
+            callback = self.pop()
             executed += 1
             self.events_run += 1
             callback()
@@ -102,14 +120,11 @@ class TestWheelHeapEquivalence:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_perturbed_order_matches_reference(self, seed):
-        # Separate but identically seeded policy RNGs: both engines
-        # consume policy.key(seq) once per schedule, in schedule order.
-        real = drive_workload(
-            Simulator(policy=PerturbedPolicy(random.Random(seed + 1000))), seed
-        )
+        # Separate but identically seeded tie RNGs: both engines draw
+        # once per pop from a tie of two or more, in pop order.
+        real = drive_workload(shuffled(seed + 1000), seed)
         reference = drive_workload(
-            ReferenceSimulator(policy=PerturbedPolicy(random.Random(seed + 1000))),
-            seed,
+            ReferenceSimulator(rng=random.Random(seed + 1000)), seed
         )
         assert real == reference
 
@@ -120,15 +135,33 @@ class TestWheelHeapEquivalence:
         diverged = False
         for seed in range(8):
             fifo = drive_workload(Simulator(), seed)
-            perturbed = drive_workload(
-                Simulator(policy=PerturbedPolicy(random.Random(seed))), seed
-            )
+            perturbed = drive_workload(shuffled(seed), seed)
             assert [time for _label, time in fifo] == sorted(
                 time for _label, time in fifo
             )
             if fifo != perturbed:
                 diverged = True
         assert diverged
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_pops_like_the_run_loop(self, seed):
+        """`step` and the run loop share the tie rule: stepping a
+        shuffled simulator to idle fires what the reference fires."""
+
+        class Stepped:
+            def __init__(self, sim):
+                self.sim = sim
+
+            def __getattr__(self, name):
+                return getattr(self.sim, name)
+
+            def run_until_idle(self, max_events=None):
+                while self.sim.step():
+                    pass
+
+        real = drive_workload(Stepped(shuffled(seed)), seed)
+        reference = drive_workload(ReferenceSimulator(rng=random.Random(seed)), seed)
+        assert real == reference
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("budget", [1, 7, 23])
@@ -160,41 +193,49 @@ class TestWheelHeapEquivalence:
             return fired, "quiesced"
 
         assert run(Simulator()) == run(ReferenceSimulator())
+        assert run(shuffled(seed)) == run(ReferenceSimulator(rng=random.Random(seed)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_inline_claim_agrees_with_reference_head(self, seed):
         """`claim_inline_slot(now)` may succeed exactly when every
         queued event is strictly later than ``now`` — the condition the
-        reference heap can state directly. A granted claim is charged
-        like an executed event."""
-        rng = random.Random(seed)
-        real = Simulator()
-        reference = ReferenceSimulator()
-        for _ in range(rng.randrange(1, 30)):
-            time = rng.choice(GRID)
-            real.schedule_at(time, lambda: None)
-            reference.schedule_at(time, lambda: None)
-        horizon = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0))
-        real.run_until(horizon)
-        while reference._heap and reference._heap[0][0] < horizon:
-            time, _key, callback = heappop(reference._heap)
-            reference.now = time
-            callback()
-        reference.now = max(reference.now, horizon)
-        expected = all(time > reference.now for time in reference.pending_times())
-        before = real.events_run.get()
-        assert real.claim_inline_slot(real.now) is expected
-        assert real.events_run.get() - before == (1 if expected else 0)
+        reference can state directly. A granted claim is charged like
+        an executed event. Checked with FIFO and with shuffled ties,
+        whose pops before the claim must match the reference's too."""
+        for tie_seed in (None, seed + 2000):
+            rng = random.Random(seed)
+            if tie_seed is None:
+                real, reference = Simulator(), ReferenceSimulator()
+            else:
+                real = shuffled(tie_seed)
+                reference = ReferenceSimulator(rng=random.Random(tie_seed))
+            real_fired, reference_fired = [], []
+            for index in range(rng.randrange(1, 30)):
+                time = rng.choice(GRID)
+                real.schedule_at(time, lambda index=index: real_fired.append(index))
+                reference.schedule_at(
+                    time, lambda index=index: reference_fired.append(index)
+                )
+            horizon = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0))
+            real.run_until(horizon)
+            while reference._entries and min(reference.pending_times()) < horizon:
+                reference.pop()()
+            reference.now = max(reference.now, horizon)
+            assert real_fired == reference_fired
+            expected = all(time > reference.now for time in reference.pending_times())
+            before = real.events_run.get()
+            assert real.claim_inline_slot(real.now) is expected
+            assert real.events_run.get() - before == (1 if expected else 0)
 
-    @pytest.mark.parametrize("policy_seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("tie_seed", [None, 0, 1, 2])
     @pytest.mark.parametrize("children", [0, 1, 3])
     def test_rescheduling_into_the_instant_a_callback_just_emptied(
-        self, children, policy_seed
+        self, children, tie_seed
     ):
         """A bucket retires with its last entry, so a callback that
         schedules back into its own instant opens a fresh bucket there.
-        The lemma (`sim.events` docstring) says nothing can tell: same
-        dispatch order as the single heap, FIFO and keyed, and
+        Nothing can tell (`sim.events` docstring): same dispatch order
+        as the reference, FIFO and shuffled, and
         `claim_inline_slot(now)` granted exactly when the reference
         holds no event at or before ``now`` — before the callback
         re-fills the instant and after."""
@@ -223,13 +264,13 @@ class TestWheelHeapEquivalence:
             executed = sim.run_until_idle(max_events=10_000)
             return fired, executed, int(sim.events_run)
 
-        def policy():
-            if policy_seed is None:
-                return None
-            return PerturbedPolicy(random.Random(policy_seed))
-
-        real = run(Simulator(policy=policy()), lambda sim: sim.claim_inline_slot(sim.now))
-        reference = run(ReferenceSimulator(policy=policy()), reference_claim)
+        if tie_seed is None:
+            real_sim, reference_sim = Simulator(), ReferenceSimulator()
+        else:
+            real_sim = shuffled(tie_seed)
+            reference_sim = ReferenceSimulator(rng=random.Random(tie_seed))
+        real = run(real_sim, lambda sim: sim.claim_inline_slot(sim.now))
+        reference = run(reference_sim, reference_claim)
         assert real[0] == reference[0]
         granted = sum(1 for entry in real[0] if entry[-1])
         assert granted >= 3  # the last event of each instant, at least
@@ -238,8 +279,8 @@ class TestWheelHeapEquivalence:
 
 
 class TestBareHandles:
-    """FIFO mode stores an instant's lone event as its bare handle; the
-    second event at that instant moves both into a deque, in order."""
+    """An instant's lone event is stored as its bare handle; the second
+    event at that instant moves both into a deque, in order."""
 
     def test_a_bare_handle_grows_into_a_deque(self):
         sim = Simulator()
@@ -286,17 +327,3 @@ class TestBareHandles:
         sim.schedule_at_pooled(4.0, lambda: None)
         assert sim.pending == 5
         assert sim.run_until_idle() == 5
-
-    @pytest.mark.parametrize("perturbed", [False, True])
-    def test_keyed_mode_never_stores_a_bare_handle(self, perturbed):
-        policy = PerturbedPolicy(random.Random(0)) if perturbed else FifoPolicy()
-        sim = Simulator(policy=policy)
-        sim.schedule_at(1.0, lambda: None)
-        sim.schedule_pooled(2.0, lambda: None)
-        sim.schedule_at_pooled(3.0, lambda: None)
-        sim.schedule_at(3.0, lambda: None)
-        assert sorted(sim._buckets) == [1.0, 2.0, 3.0]
-        assert all(isinstance(bucket, list) for bucket in sim._buckets.values())
-        assert [len(bucket) for _time, bucket in sorted(sim._buckets.items())] == [1, 1, 2]
-        assert sim.pending == 4
-        assert sim.run_until_idle() == 4

@@ -154,5 +154,25 @@ class TestRunning:
         sim = Simulator()
         sim.schedule(4.0, lambda: None)
         sim.run_until_idle()
-        sim.run_until(2.0)
+        with pytest.raises(SimulationError, match="current time is 4.0"):
+            sim.run_until(2.0)
         assert sim.now == 4.0
+        assert sim.run_until(4.0) == 0  # now itself is a legal target
+        assert sim.now == 4.0
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_run_until_non_finite_time_rejected(self, bad):
+        # An infinite clock would accept every later schedule at inf;
+        # NaN would run nothing and say nothing.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="non-finite"):
+            sim.run_until(bad)
+        assert sim.now == 0.0 and sim.pending == 1
+
+    def test_run_until_past_time_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="cannot run until -5"):
+            sim.run_until(-5)
+        assert sim.now == 0.0 and sim.pending == 1
