@@ -127,7 +127,8 @@ class ComponentState:
     def route_counts(self, arrived: List[int]) -> List[int]:
         """:meth:`route_batch` dense and unchecked: ``arrived[port]`` in,
         tokens per output wire out (:func:`balanced_counts` from ``x``,
-        inline: a member's share of a batch is this one frame)."""
+        inline). ``CutNetwork.feed_counts`` restates this step inline over
+        its slot plan."""
         width = self.spec.width
         total = self.total
         count = sum(arrived)

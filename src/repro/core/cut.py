@@ -38,6 +38,14 @@ class Cut:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
+    def _of(cls, tree: DecompositionTree, paths: FrozenSet[Path]) -> "Cut":
+        """A cut from ``paths`` already known to form one: no re-walk."""
+        cut = cls.__new__(cls)
+        cut.tree = tree
+        cut.paths = paths
+        return cut
+
+    @classmethod
     def singleton(cls, tree: DecompositionTree) -> "Cut":
         """The trivial cut: the whole network as one component."""
         return cls(tree, [()])
@@ -146,6 +154,8 @@ class Cut:
     # ------------------------------------------------------------------
     # reconfiguration (pure — returns new cuts)
     # ------------------------------------------------------------------
+    # A split or merge of a cut is a cut (Definition 2.1): each checks its
+    # own precondition and builds the result without the whole-cut walk.
     def split(self, path: Path) -> "Cut":
         """The cut with member ``path`` replaced by its children."""
         path = tuple(path)
@@ -154,24 +164,21 @@ class Cut:
         spec = self.tree.node(path)
         if spec.is_leaf:
             raise InvalidCutError("cannot split the balancer %s" % (spec,))
-        new_paths = set(self.paths)
-        new_paths.remove(path)
-        new_paths.update(child.path for child in spec.children())
-        return Cut(self.tree, new_paths)
+        children = frozenset(child.path for child in spec.children())
+        return Cut._of(self.tree, (self.paths - {path}) | children)
 
     def merge(self, path: Path) -> "Cut":
         """The cut with the children of ``path`` replaced by ``path``."""
         path = tuple(path)
         spec = self.tree.node(path)
-        child_paths = [child.path for child in spec.children()]
-        if not all(p in self.paths for p in child_paths):
+        if spec.is_leaf:
+            raise InvalidCutError("cannot merge the balancer %s: it has no children" % (spec,))
+        children = frozenset(child.path for child in spec.children())
+        if not children <= self.paths:
             raise InvalidCutError(
                 "cannot merge %r: not all children are cut members" % (path,)
             )
-        new_paths = set(self.paths)
-        new_paths.difference_update(child_paths)
-        new_paths.add(path)
-        return Cut(self.tree, new_paths)
+        return Cut._of(self.tree, (self.paths - children) | {path})
 
 
 class CutNetwork:
@@ -187,8 +194,10 @@ class CutNetwork:
     * reconfiguration: :meth:`split_member` / :meth:`merge_member`
       replace members in place with the Section 2.2 state transfer.
 
-    Both token semantics walk one int-indexed hop table (:meth:`_compile`),
-    dropped by whoever changes the member set or swaps a state object:
+    Both token semantics walk one int-indexed hop table (:meth:`_compile`);
+    a batch walks the slot plan compiled from its filled rows
+    (:meth:`_compile_plan`), every member stepped inline in one loop. Both
+    are dropped by whoever changes the member set or swaps a state object:
     write through the reconfiguration methods, never ``states`` itself.
 
     The network tracks cumulative per-output-wire counts so the step
@@ -228,6 +237,7 @@ class CutNetwork:
     def _invalidate(self) -> None:
         self._table: Optional[tuple] = None
         self._topo: Optional[List[int]] = None
+        self._plan: Optional[tuple] = None
 
     def _compile(self) -> tuple:
         """Number the live members ``0..n-1`` in pre-order (O(members), no
@@ -368,21 +378,52 @@ class CutNetwork:
     # ------------------------------------------------------------------
     # batch (quiescent-count) semantics
     # ------------------------------------------------------------------
+    def _compile_plan(self) -> tuple:
+        """The batch walk's slot plan ``(steps, wires, outputs)`` over one
+        flat ``pending`` list: ``steps`` holds every member in
+        :meth:`_order` as ``(state, width, base, dests)``, its input ports
+        being slots ``base .. base + width - 1`` and its output port ``p``
+        feeding slot ``dests[p]`` (``dests`` runs twice round, so a rotation
+        is a slice); the network outputs are the slots from ``outputs`` on,
+        and ``wires[wire]`` is the slot network input ``wire`` feeds."""
+        members, _, rows, inputs, _ = self._table or self._compile()
+        order = self._order()  # fills every row
+        bases = [0] * len(rows)
+        outputs = 0
+        for i in order:
+            bases[i] = outputs
+            outputs += len(rows[i])
+
+        def slot(j: int, port: int) -> int:
+            return (outputs if j < 0 else bases[j]) + port
+
+        steps = []
+        for i in order:
+            dests = [slot(*entry) for entry in rows[i]]
+            steps.append((members[i], len(dests), bases[i], tuple(dests + dests)))
+        wires = [slot(*(inputs[w] or self._resolve_input(w))) for w in range(self.width)]
+        plan = self._plan = (steps, wires, outputs)
+        return plan
+
     def feed_counts(self, input_counts: Sequence[int]) -> List[int]:
         """Inject ``input_counts[i]`` tokens on each input wire ``i``.
 
         Propagates counts through members in topological order and
         returns the per-output-wire counts of this batch. Cumulative
         counts are tracked in :attr:`output_counts`.
+
+        One loop over the slot plan (:meth:`_compile_plan`): a member's
+        share is :func:`~repro.core.components.balanced_counts` from its
+        counter, inline, and moves ``total`` and ``arrivals`` as
+        :meth:`ComponentState.route_counts` does; a member nothing reached
+        is left untouched.
         """
         if len(input_counts) != self.width:
             raise StructureError(
                 "expected %d input counts, got %d" % (self.width, len(input_counts))
             )
-        members, _, rows, inputs, _ = self._table or self._compile()
-        # Tokens waiting per member, dense by input port, allocated when the
-        # member's first token of the batch arrives.
-        pending: List[Optional[List[int]]] = [None] * len(members)
+        steps, wires, outputs = self._plan or self._compile_plan()
+        pending = [0] * (outputs + self.width)
         total = 0
         for wire, count in enumerate(input_counts):
             try:
@@ -391,28 +432,46 @@ class CutNetwork:
                 count = -1
             if count < 0:
                 raise StructureError("token count on wire %d is not an integer >= 0" % wire)
-            if count:
-                i, port = inputs[wire] or self._resolve_input(wire)
-                if pending[i] is None:
-                    pending[i] = [0] * len(rows[i])
-                pending[i][port] += count
-                total += count
-        batch_out = [0] * self.width
-        for i in self._order():
-            arrived = pending[i]
-            if arrived is None:
-                continue
-            row = rows[i]
-            for port, emitted in enumerate(members[i].route_counts(arrived)):
-                if emitted == 0:
+            pending[wires[wire]] += count
+            total += count
+        for state, width, base, dests in steps:
+            if width == 2:  # BalancingNetwork's split: the top takes the odd token on an even counter
+                top = pending[base]
+                bottom = pending[base + 1]
+                n = top + bottom
+                if not n:
                     continue
-                j, dest = row[port] or self._resolve(i, port)
-                if j < 0:
-                    batch_out[dest] += emitted
-                else:
-                    if pending[j] is None:
-                        pending[j] = [0] * len(rows[j])
-                    pending[j][dest] += emitted
+                arrivals = state.arrivals
+                if top:
+                    arrivals[0] = arrivals.get(0, 0) + top
+                if bottom:
+                    arrivals[1] = arrivals.get(1, 0) + bottom
+                start = state.total
+                state.total = start + n
+                up = (n + (~start & 1)) >> 1
+                pending[dests[0]] += up
+                pending[dests[1]] += n - up
+                continue
+            arrived = pending[base:base + width]
+            n = sum(arrived)
+            if not n:
+                continue
+            arrivals = state.arrivals
+            for port, count in enumerate(arrived):
+                if count:
+                    arrivals[port] = arrivals.get(port, 0) + count
+            start = state.total
+            state.total = start + n
+            # The wires from the counter on, once round: the first rem take one more.
+            share, rem = divmod(n, width)
+            x = start % width
+            ring = dests[x:x + width]
+            for slot in ring[:rem]:
+                pending[slot] += share + 1
+            if share:
+                for slot in ring[rem:]:
+                    pending[slot] += share
+        batch_out = pending[outputs:]
         for wire, count in enumerate(batch_out):
             self.output_counts.increment(wire, count)
         self.tokens_in += total

@@ -140,7 +140,8 @@ class BalancingNetwork:
         self.layers = topology.mutable_layers()
         self.output_order = list(topology.output_order)
         self.topology = topology
-        self._position = topology.position()
+        position = topology.position()
+        self._position = [position[wire] for wire in range(topology.width)]
         # One toggle per balancer: tokens seen so far.
         self._toggles = [[0] * len(layer) for layer in self.layers]
         self._hops: Optional[List[List[Hop]]] = None
@@ -234,14 +235,18 @@ class BalancingNetwork:
         One hop row a layer: read the balancer's toggle, step it, and
         leave on ``(top, bottom)[toggle & 1]``.
         """
-        if not 0 <= wire < self.width:
-            raise StructureError("input wire %d out of range" % wire)
-        for row in self._hops or self._compile_hops():
-            toggles, index, pair = row[wire]
-            toggle = toggles[index]
-            toggles[index] = toggle + 1
-            wire = pair[toggle & 1]
-        position = self._position[wire]
+        try:
+            if not 0 <= wire < self.width:
+                raise StructureError("input wire %d out of range" % wire)
+            # A non-integer wire fails its first list index, before any toggle moves.
+            for row in self._hops or self._compile_hops():
+                toggles, index, pair = row[wire]
+                toggle = toggles[index]
+                toggles[index] = toggle + 1
+                wire = pair[toggle & 1]
+            position = self._position[wire]
+        except TypeError:
+            raise StructureError("input wire %r is not an integer" % (wire,)) from None
         self.output_counts.increment(position)
         return position
 

@@ -6,11 +6,14 @@ static oracle), so its cost is calls per batch at ``w`` = 64:
 (its own frame, a list comprehension before 3.12, and one
 ``PerWireCounters.increment`` per output: 66 Python calls where
 ``balanced_counts`` per balancer made 738); ``CutNetwork.feed_counts``
-makes one ``ComponentState.route_counts`` call per touched member and
-nothing else per member (738 through the 672-member leaf cut, 5 434
-when every member got a dict, a ``route_batch`` walking it twice, a
-``_check_port`` per port and ``balanced_counts``). ``sys.setprofile``
-event counts repeat exactly on any runner, as in ``test_cut_hop_cost.py``.
+steps every member inline over its slot plan, so it too is its own frame
+and one ``PerWireCounters.increment`` per output: 65 calls through the
+672-member leaf cut and through the 248-member mixed one. Before the
+plan it was 740 and 316, one ``ComponentState.route_counts`` frame per
+touched member; before that, 5 434 through the leaf cut, when every
+member got a dict, a ``route_batch`` walking it twice, a ``_check_port``
+per port and ``balanced_counts``. ``sys.setprofile`` event counts repeat
+exactly on any runner, as in ``test_cut_hop_cost.py``.
 """
 
 import random
@@ -65,7 +68,7 @@ def test_cut_batch(shape, members):
     network = CutNetwork(shape(DecompositionTree(WIDTH)))
     assert len(network.states) == members
     calls, wiring = calls_per_batch(network)
-    # route_counts a member; feed_counts, _order, and output_counts.increment
-    # an output: 740 through the leaf cut (5 434 before), 316 through the mixed one.
-    assert calls <= members + WIDTH + 4
+    # feed_counts, and output_counts.increment an output; none a member:
+    # 65 on either cut (740 and 316 with a route_counts frame a member).
+    assert calls <= WIDTH + 4
     assert wiring == 0  # a warm edge is never resolved again

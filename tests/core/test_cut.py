@@ -140,3 +140,49 @@ class TestCutReconfiguration:
                     pass
         # still a valid cut (constructor re-validates)
         Cut(tree8, cut.paths)
+
+    def test_merge_leaf_rejected(self, tree8):
+        cut = Cut.leaves(tree8)
+        with pytest.raises(InvalidCutError, match="no children"):
+            cut.merge(next(iter(cut.paths)))
+
+
+@pytest.mark.parametrize("make_tree", [DecompositionTree, periodic_tree], ids=["bitonic", "periodic"])
+@pytest.mark.parametrize("width", [4, 8, 16, 32])
+def test_split_and_merge_results_are_validated_cuts(make_tree, width):
+    """``split`` / ``merge`` skip the whole-cut walk: over a seeded random
+    history, every result is the expected path set and equals a freshly
+    validated ``Cut``, and every refused request raises and changes nothing."""
+    tree = make_tree(width)
+    rng = random.Random(1000 + width)
+    cut = Cut.singleton(tree)
+    seen = set()
+    for _ in range(300):
+        paths = sorted(cut.paths)
+        path = rng.choice(paths)
+        spec = tree.node(path)
+        children = {child.path for child in spec.children()}
+        if rng.random() < 0.5:
+            if spec.is_leaf:
+                with pytest.raises(InvalidCutError):
+                    cut.split(path)
+                seen.add("split refused")
+                continue
+            result = cut.split(path)
+            expected = (set(cut.paths) - {path}) | children
+            seen.add("split")
+        else:
+            target = path[:-1] if path and rng.random() < 0.8 else path
+            siblings = {child.path for child in tree.node(target).children()}
+            if not siblings or not siblings <= cut.paths:
+                with pytest.raises(InvalidCutError):
+                    cut.merge(target)
+                seen.add("merge refused")
+                continue
+            result = cut.merge(target)
+            expected = (set(cut.paths) - siblings) | {target}
+            seen.add("merge")
+        assert result.paths == expected
+        assert result == Cut(tree, result.paths)
+        cut = result
+    assert seen == {"split", "split refused", "merge", "merge refused"}

@@ -29,9 +29,19 @@ from repro.core.decomposition import DecompositionTree
 from repro.core.splitmerge import merge_child_states, split_child_states
 from repro.core.wiring import MergerConvention, Wiring
 from repro.errors import InvalidCutError, ReproError, StructureError
+from repro.ext.periodic_adaptive import PeriodicWiring, periodic_tree
 from tests.core.test_components import loop_balanced_counts
 
 Path = Tuple[int, ...]
+
+#: structure -> (tree of a width, a fresh wiring of that tree): the bitonic
+#: tree under either merger convention, and the periodic one, whose
+#: members are wide at every level (a block's reflection layer spans it).
+STRUCTURES = {
+    "AHS94": (DecompositionTree, lambda tree: Wiring(tree, MergerConvention.AHS94)),
+    "PAPER_PROSE": (DecompositionTree, lambda tree: Wiring(tree, MergerConvention.PAPER_PROSE)),
+    "PERIODIC": (periodic_tree, PeriodicWiring),
+}
 
 
 def loop_route_batch(state: ComponentState, port_counts: Dict[int, int]) -> List[int]:
@@ -273,11 +283,13 @@ def internal_paths_above_members(network) -> List[Path]:
     return sorted({path[:end] for path in network.states for end in range(len(path))})
 
 
-def run_script(width, convention, seed, operations=300):
+def run_script(width, structure, seed, operations=300):
+    make_tree, make_wiring = STRUCTURES[structure]
     rng = random.Random(seed)
-    tree = DecompositionTree(width)
+    tree = make_tree(width)
     cut = Cut.random(tree, rng, 0.5)
-    new, ref = CutNetwork(cut, convention), PathKeyedCutNetwork(cut, convention)
+    new = CutNetwork(cut, wiring=make_wiring(tree))
+    ref = PathKeyedCutNetwork(cut, wiring=make_wiring(tree))
     seen = set()
     for _ in range(operations):
         roll = rng.random()
@@ -336,10 +348,10 @@ def run_script(width, convention, seed, operations=300):
     return seen
 
 
-@pytest.mark.parametrize("convention", list(MergerConvention), ids=lambda c: c.name)
+@pytest.mark.parametrize("structure", list(STRUCTURES))
 @pytest.mark.parametrize("width", [4, 8, 16, 32])
-def test_table_walk_agrees_with_the_path_keyed_walk(width, convention):
-    seen = run_script(width, convention, seed=2005 + width)
+def test_table_walk_agrees_with_the_path_keyed_walk(width, structure):
+    seen = run_script(width, structure, seed=2005 + width)
     expected = {"token", "traced", "split", "merge", "adopt"}
     expected |= {"counts dense", "counts sparse", "counts huge"}
     if width > 4:  # T_4 is one level deep: every internal node is mergeable

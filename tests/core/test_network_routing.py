@@ -251,3 +251,43 @@ class TestFeedCountsValidation:
         net = bitonic_network(4)
         assert net.feed_counts([0, 0, 0, 0]) == [0, 0, 0, 0]
         assert net.output_counts == [0, 0, 0, 0]
+
+
+class TestFeedTokenValidation:
+    """A non-integer wire is refused as ``CutNetwork.feed_token`` refuses
+    it — with ``StructureError``, not the ``TypeError`` of ``row[1.5]`` or
+    ``0 <= "3"`` — before any toggle moves."""
+
+    @pytest.mark.parametrize("wire", [1.5, 3.0, "3", None, [1]], ids=repr)
+    def test_non_integer_wire_rejected(self, wire):
+        net = bitonic_network(8)
+        for token in range(11):
+            net.feed_token(token % 8)
+        toggles = [list(t) for t in net._toggles]
+        counts = list(net.output_counts)
+        with pytest.raises(StructureError, match="is not an integer"):
+            net.feed_token(wire)
+        assert net._toggles == toggles
+        assert net.output_counts == counts
+
+    def test_non_integer_wire_rejected_without_layers(self):
+        """With no layer to index, the output position lookup refuses it."""
+        net = BalancingNetwork(2, [], [1, 0])
+        for wire in (1.0, 0.5):
+            with pytest.raises(StructureError, match="is not an integer"):
+                net.feed_token(wire)
+        assert net.output_counts == [0, 0]
+        assert net.feed_token(1) == 0
+
+    @pytest.mark.parametrize("wire", [-1, 8])
+    def test_out_of_range_wire_rejected(self, wire):
+        net = bitonic_network(8)
+        with pytest.raises(StructureError, match="out of range"):
+            net.feed_token(wire)
+        assert net._toggles == [[0] * len(layer) for layer in net.layers]
+        assert net.output_counts == [0] * 8
+
+    def test_bool_wire_is_the_int_it_is(self):
+        net, twin = bitonic_network(8), bitonic_network(8)
+        assert net.feed_token(True) == twin.feed_token(1)
+        assert net._toggles == twin._toggles
