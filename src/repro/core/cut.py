@@ -524,11 +524,12 @@ class CutNetwork:
     def merge_member_recursive(self, path: Path) -> Path:
         """Merge ``path``'s whole live subtree back into one component."""
         path = tuple(path)
-        spec = self.tree.node(path)
-        for child in spec.children():
-            if child.path not in self.states:
-                covering = self.cut.member_covering(child.path)
-                if covering is None:
+        states = self.states
+        # A member at or above ``path`` covers every child: nothing below
+        # to merge, and merge_member refuses.
+        if not any(path[:end] in states for end in range(len(path) + 1)):
+            for child in self.tree.node(path).children():
+                if child.path not in states:
                     self.merge_member_recursive(child.path)
         return self.merge_member(path)
 

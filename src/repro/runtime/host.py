@@ -156,6 +156,3 @@ class NodeHost(SimulatedProcess):
     # ------------------------------------------------------------------
     def component_count(self) -> int:
         return len(self.components)
-
-    def levels_hosted(self) -> List[int]:
-        return sorted(len(path) for path in self.components)

@@ -29,8 +29,12 @@ legal schedule, reproducible. A simulator built inside
 and the others keep their order. A child scheduled into the current
 instant joins the bucket after its parent has run and can be drawn
 before any sibling still queued, so every legal order of a tie group
-has positive probability. The schedule-perturbation sanitizer
-(``repro check --sanitize``) runs the scenario library this way.
+has positive probability. The message bus runs a zero-service delivery
+inline, straight after its arrival (:meth:`Simulator.claim_inline_slot`),
+so no draw splits the pair; that loses no outcome, because such an
+arrival changes nothing a same-instant event could read. The
+schedule-perturbation sanitizer (``repro check --sanitize``) runs the
+scenario library this way.
 
 Event lifecycle
 ---------------
@@ -45,7 +49,7 @@ traffic. An event cannot be cancelled: every queued entry runs.
 
 The run methods share one dispatch loop that inlines :meth:`step` with
 hoisted lookups and keeps the ``max_events`` bound *exact* through a
-budget that the bus's same-timestamp inline fast path also charges
+budget that the bus's inline deliveries also charge
 (:meth:`Simulator.claim_inline_slot`): every executed event, popped or
 inline, consumes one slot, and the bound raises before the event that
 would exceed it.
@@ -252,24 +256,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def claim_inline_slot(self, time: float) -> bool:
-        """Whether an event at ``time`` may run inline, skipping the queue.
+    def claim_inline_slot(self) -> bool:
+        """Charge one event that runs inline, at ``now``, in its caller's
+        frame instead of through a schedule/pop.
 
-        The message bus's same-timestamp delivery fast path asks this
-        instead of round-tripping a callback through a schedule/pop. It
-        is granted only when that is provably identical: ``time`` is now
-        and every queued event is strictly later, so a scheduled event
-        would open the instant's only bucket and pop next, with no tie
-        to draw — one comparison with the head timestamp. A granted
-        claim is charged like a popped event (``events_run`` and the
-        ``max_events`` budget); with the budget exhausted it is refused,
-        the caller schedules normally and the run loop raises.
+        The message bus delivers a zero-service arrival this way: the
+        delivery is a child of the arrival, at the same instant, so
+        running it straight after its parent is one legal order of the
+        instant's events (see "Same-instant ties" above), whatever else
+        is queued there. The claim is charged like a popped event
+        (``events_run`` and the ``max_events`` budget) and refused only
+        when the budget is spent: the caller then schedules normally and
+        the run loop raises before the event runs.
         """
-        if time != self.now:
-            return False
-        times = self._times
-        if times and times[0] <= time:
-            return False
         budget = self._budget
         if budget is not None:
             if budget <= 0:
@@ -278,7 +277,7 @@ class Simulator:
         self.events_run.value += 1
         obs = _obs.ACTIVE
         if obs.enabled:
-            obs.event_executed(time)
+            obs.event_executed(self.now)
         return True
 
     def step(self) -> bool:

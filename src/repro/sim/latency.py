@@ -57,7 +57,10 @@ class DiscreteLatency(LatencyModel):
     latency does.
 
     ``weights`` (optional) biases the draw; by default all values are
-    equally likely.
+    equally likely. An unweighted draw is ``rng.choice(values)`` restated
+    in this frame: ``getrandbits`` of the value count's bit length,
+    redrawn while out of range, so it consumes the rng exactly as
+    ``Random.choice`` does and the stream is the same.
     """
 
     def __init__(self, values, rng: random.Random, weights=None):
@@ -76,11 +79,19 @@ class DiscreteLatency(LatencyModel):
         self.values = values
         self.weights = weights
         self.rng = rng
+        self._count = len(values)
+        self._bits = self._count.bit_length()
 
     def sample(self) -> float:
-        if self.weights is None:
-            return self.rng.choice(self.values)
-        return self.rng.choices(self.values, weights=self.weights, k=1)[0]
+        if self.weights is not None:
+            return self.rng.choices(self.values, weights=self.weights, k=1)[0]
+        getrandbits = self.rng.getrandbits
+        count = self._count
+        bits = self._bits
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        return self.values[index]
 
 
 class ExponentialLatency(LatencyModel):

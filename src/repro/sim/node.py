@@ -14,15 +14,15 @@ and the time its service queue frees up. Delivery is driven by one
 slotted :class:`Envelope` record per message (it replaced three nested
 per-message closures): ``send`` schedules the envelope's ``arrive``
 trampoline after network transit, and ``arrive`` either queues
-``deliver`` behind the destination's service queue or — when the
-destination is idle, costs no service time, and the delivery would
-provably be the very next event anyway — delivers in the same frame via
-:meth:`Simulator.claim_inline_slot`, skipping the queue round-trip
-without perturbing event order or accounting. Each side of a hop makes
-one mailbox probe. A message whose destination is gone is handed back
-to the sender's ``on_undeliverable`` callback, so one bound method
-serves every send; the bus keeps no per-message count (``in_flight``
-reads the envelopes).
+``deliver`` behind the destination's service queue or — when the service
+slot finishes now (zero service time) — delivers in the same frame,
+charged as an event through :meth:`Simulator.claim_inline_slot`. The
+delivery is the arrival's child at the same instant, so running it at
+once is a legal order of that instant's events whatever else is queued
+there. Each side of a hop makes one mailbox probe. A message whose
+destination is gone is handed back to the sender's ``on_undeliverable``
+callback, so one bound method serves every send; the bus keeps no
+per-message count (``in_flight`` reads the envelopes).
 
 Envelope pooling
 ----------------
@@ -121,11 +121,11 @@ class Envelope:
         """Network transit ended: take a service slot, then deliver.
 
         One frame does the addressee check (one mailbox probe), the slot
-        arithmetic, the envelope's release and — for an idle destination
-        with zero service cost, when the simulator certifies it is
-        order- and accounting-identical — the delivery itself.
-        Otherwise :meth:`deliver` is scheduled for the slot and
-        re-enters here with ``queued`` set."""
+        arithmetic, the envelope's release and — when the slot finishes
+        now — the delivery itself, charged as an event by
+        :meth:`Simulator.claim_inline_slot`. A slot that finishes later,
+        or a spent ``max_events`` budget, schedules :meth:`deliver`,
+        which re-enters here with ``queued`` set."""
         bus = self.bus
         mailbox = bus._mailboxes.get(self.to_address)
         sent_to = self.mailbox
@@ -140,7 +140,7 @@ class Envelope:
             mailbox.busy_until = finish
             if obs.enabled:
                 obs.bus_queued(now, self.kind, finish - now)
-            if finish != now or not simulator.claim_inline_slot(now):
+            if finish != now or not simulator.claim_inline_slot():
                 simulator.schedule_at_pooled(finish, self.deliver)
                 return
         # Extract everything before releasing: the released envelope may

@@ -415,3 +415,39 @@ def test_a_traced_token_is_the_untraced_token(width):
         assert trace.hops == ref_trace.hops
         assert_same_state(traced, plain)
     assert_same_state(traced, ref)
+
+
+@pytest.mark.parametrize(
+    "structure, width", [("AHS94", 64), ("PAPER_PROSE", 64), ("PERIODIC", 32)]
+)
+def test_merging_the_leaf_cut_to_the_root_validates_no_cut(structure, width, monkeypatch):
+    """``merge_member_recursive(())`` from the leaf cut finds what to
+    merge with an ancestor probe in ``states``: no whole-cut
+    ``Cut._validate`` walk (the path-keyed recursion, which asks a fresh
+    ``Cut`` for the member covering each missing child, makes 350 on the
+    bitonic ``T_64``), and the states that recursion reaches. The
+    periodic tree runs at ``w`` = 32: its reference takes seconds at 64."""
+    make_tree, make_wiring = STRUCTURES[structure]
+    tree = make_tree(width)
+    cut = Cut.leaves(tree)
+    new = CutNetwork(cut, wiring=make_wiring(tree))
+    ref = PathKeyedCutNetwork(cut, wiring=make_wiring(tree))
+    rng = random.Random(width)
+    counts = [rng.randrange(4) for _ in range(width)]
+    both(new, ref, lambda net: net.feed_counts(counts))
+    validated = []
+    validate = Cut._validate
+
+    def counting_validate(cut):
+        validated.append(cut)
+        validate(cut)
+
+    monkeypatch.setattr(Cut, "_validate", counting_validate)
+    assert new.merge_member_recursive(()) == ()
+    assert validated == []
+    assert ref.merge_member_recursive(()) == ()
+    assert validated  # the probe is live: the path-keyed recursion trips it
+    assert sorted(new.states) == [()]
+    assert_same_state(new, ref)
+    both(new, ref, lambda net: net.feed_counts(counts))
+    assert_same_state(new, ref)

@@ -45,6 +45,9 @@ class ReferenceSimulator:
         self.rng = rng
         self.now = 0.0
         self.events_run = 0
+        #: Events the running ``run_until_idle`` may still execute,
+        #: popped or inline (None: unbounded).
+        self._left = None
 
     def schedule_at(self, time, callback):
         if time < self.now:
@@ -67,18 +70,33 @@ class ReferenceSimulator:
         self.now = head
         return entry[2]
 
+    def claim_inline_slot(self):
+        """An event run inline by its caller: charged like a pop, and
+        refused only when the run's budget is spent."""
+        if self._left is not None:
+            if self._left <= 0:
+                return False
+            self._left -= 1
+        self.events_run += 1
+        return True
+
     def run_until_idle(self, max_events=None):
-        executed = 0
-        while self._entries:
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(
-                    "simulation did not quiesce within %d events" % max_events
-                )
-            callback = self.pop()
-            executed += 1
-            self.events_run += 1
-            callback()
-        return executed
+        started = self.events_run
+        self._left = max_events
+        try:
+            while self._entries:
+                if self._left is not None:
+                    if self._left <= 0:
+                        raise SimulationError(
+                            "simulation did not quiesce within %d events" % max_events
+                        )
+                    self._left -= 1
+                callback = self.pop()
+                self.events_run += 1
+                callback()
+        finally:
+            self._left = None
+        return self.events_run - started
 
 
 def drive_workload(sim, seed, initial=40, depth_limit=2):
@@ -195,37 +213,47 @@ class TestWheelHeapEquivalence:
         assert run(Simulator()) == run(ReferenceSimulator())
         assert run(shuffled(seed)) == run(ReferenceSimulator(rng=random.Random(seed)))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_inline_claim_agrees_with_reference_head(self, seed):
-        """`claim_inline_slot(now)` may succeed exactly when every
-        queued event is strictly later than ``now`` — the condition the
-        reference can state directly. A granted claim is charged like
-        an executed event. Checked with FIFO and with shuffled ties,
-        whose pops before the claim must match the reference's too."""
-        for tie_seed in (None, seed + 2000):
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("budget", [1, 7, 23])
+    def test_inline_claims_spend_the_budget(self, seed, budget):
+        """`claim_inline_slot()` is granted whatever is queued at the
+        current instant and charged like a popped event; it is refused
+        only when the `max_events` budget is spent. Both engines grant
+        the same claims, fire the same prefix and raise at the same
+        point, FIFO and with shuffled ties."""
+
+        def run(sim):
             rng = random.Random(seed)
-            if tie_seed is None:
-                real, reference = Simulator(), ReferenceSimulator()
-            else:
-                real = shuffled(tie_seed)
-                reference = ReferenceSimulator(rng=random.Random(tie_seed))
-            real_fired, reference_fired = [], []
-            for index in range(rng.randrange(1, 30)):
-                time = rng.choice(GRID)
-                real.schedule_at(time, lambda index=index: real_fired.append(index))
-                reference.schedule_at(
-                    time, lambda index=index: reference_fired.append(index)
-                )
-            horizon = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0))
-            real.run_until(horizon)
-            while reference._entries and min(reference.pending_times()) < horizon:
-                reference.pop()()
-            reference.now = max(reference.now, horizon)
-            assert real_fired == reference_fired
-            expected = all(time > reference.now for time in reference.pending_times())
-            before = real.events_run.get()
-            assert real.claim_inline_slot(real.now) is expected
-            assert real.events_run.get() - before == (1 if expected else 0)
+            fired = []
+
+            def make_event(label):
+                def fire():
+                    claimed = sim.claim_inline_slot() if rng.random() < 0.5 else None
+                    fired.append((label, sim.now, claimed))
+                    if rng.random() < 0.4:
+                        sim.schedule_at(
+                            sim.now + rng.choice((0.0, 1.0)),
+                            make_event((label, "child")),
+                        )
+
+                return fire
+
+            for index in range(20):
+                sim.schedule_at(rng.choice(GRID), make_event(index))
+            try:
+                executed = sim.run_until_idle(max_events=budget)
+            except SimulationError:
+                return fired, "raised", int(sim.events_run)
+            return fired, executed, int(sim.events_run)
+
+        fifo = run(Simulator())
+        assert fifo == run(ReferenceSimulator())
+        assert run(shuffled(seed)) == run(ReferenceSimulator(rng=random.Random(seed)))
+        claims = [entry[-1] for entry in fifo[0] if entry[-1] is not None]
+        if fifo[1] == "raised":
+            assert fifo[2] == budget  # pops and granted claims fill it exactly
+        else:
+            assert all(claims)
 
     @pytest.mark.parametrize("tie_seed", [None, 0, 1, 2])
     @pytest.mark.parametrize("children", [0, 1, 3])
@@ -235,27 +263,20 @@ class TestWheelHeapEquivalence:
         """A bucket retires with its last entry, so a callback that
         schedules back into its own instant opens a fresh bucket there.
         Nothing can tell (`sim.events` docstring): same dispatch order
-        as the reference, FIFO and shuffled, and
-        `claim_inline_slot(now)` granted exactly when the reference
-        holds no event at or before ``now`` — before the callback
-        re-fills the instant and after."""
+        as the reference, FIFO and shuffled, and `claim_inline_slot()`
+        granted and charged alike — before the callback re-fills the
+        instant and after."""
 
-        def reference_claim(reference):
-            if any(time <= reference.now for time in reference.pending_times()):
-                return False
-            reference.events_run += 1  # a granted claim is an executed event
-            return True
-
-        def run(sim, claim):
+        def run(sim):
             fired = []
 
             def make_event(label, depth):
                 def fire():
-                    fired.append((label, sim.now, claim(sim)))
+                    fired.append((label, sim.now, sim.claim_inline_slot()))
                     if depth < 2:
                         for child in range(children):
                             sim.schedule_at(sim.now, make_event((label, child), depth + 1))
-                        fired.append(("refilled", claim(sim)))
+                        fired.append(("refilled", sim.claim_inline_slot()))
 
                 return fire
 
@@ -269,13 +290,13 @@ class TestWheelHeapEquivalence:
         else:
             real_sim = shuffled(tie_seed)
             reference_sim = ReferenceSimulator(rng=random.Random(tie_seed))
-        real = run(real_sim, lambda sim: sim.claim_inline_slot(sim.now))
-        reference = run(reference_sim, reference_claim)
-        assert real[0] == reference[0]
-        granted = sum(1 for entry in real[0] if entry[-1])
-        assert granted >= 3  # the last event of each instant, at least
+        real = run(real_sim)
+        reference = run(reference_sim)
+        assert real == reference
+        assert all(entry[-1] for entry in real[0])  # an unbounded run grants every claim
         # Popped plus inline-claimed events, counted alike on both sides.
-        assert real[2] == reference[2] == reference[1] + granted
+        popped = 6 * (1 + children + children**2)  # depths 0, 1 and 2
+        assert real[1] == real[2] == popped + len(real[0])
 
 
 class TestBareHandles:
@@ -297,15 +318,18 @@ class TestBareHandles:
         assert not sim._buckets and not sim._times
         assert sim._bucket_pool == [bucket]  # only the deque is recycled
 
-    def test_claim_inline_slot_refuses_a_bare_head_at_now(self):
+    def test_claim_inline_slot_leaves_a_bare_head_queued(self):
         sim = Simulator()
-        sim.schedule_at(1.0, lambda: None)
-        assert sim.claim_inline_slot(0.0)  # the head is later
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append("later"))
+        assert sim.claim_inline_slot()  # the head is later
         assert sim.pending == 1 and int(sim.events_run) == 1
-        head = sim.schedule_at(0.0, lambda: None)
-        assert sim._buckets[0.0] is head
-        assert not sim.claim_inline_slot(0.0)  # the bare head is next
-        assert sim.pending == 2 and int(sim.events_run) == 1
+        head = sim.schedule_at(0.0, lambda: fired.append("head"))
+        assert sim.claim_inline_slot()  # a bare head at now does not refuse it
+        assert sim._buckets[0.0] is head and head.callback is not None
+        assert sim.pending == 2 and int(sim.events_run) == 2
+        assert sim.run_until_idle() == 2
+        assert fired == ["head", "later"] and int(sim.events_run) == 4
 
     def test_step_retires_a_bare_head_without_pooling_it(self):
         sim = Simulator()

@@ -67,22 +67,29 @@ class TestScheduling:
 
 
 class TestInlineSlot:
-    def test_claim_refused_at_other_times(self):
-        sim = Simulator()
-        assert sim.claim_inline_slot(1.0) is False
-
-    def test_claim_refused_when_equal_timestamp_event_queued(self):
-        # A queued event at the same instant has an earlier sequence
-        # number and must run first; inline execution would reorder.
+    def test_claim_granted_when_equal_timestamp_event_queued(self):
+        # The inline event is a child of the one now running, at the
+        # same instant: running it before a queued same-instant event
+        # is a legal order, so the queue is not consulted.
         sim = Simulator()
         sim.schedule(0.0, lambda: None)
-        assert sim.claim_inline_slot(0.0) is False
-        sim.run_until_idle()
-        assert sim.claim_inline_slot(sim.now) is True
+        assert sim.claim_inline_slot() is True
+        assert sim.pending == 1 and sim.events_run == 1
+
+    def test_claim_refused_when_the_budget_is_spent(self):
+        sim = Simulator()
+        claims = []
+        for _ in range(3):
+            sim.schedule(0.0, lambda: claims.append(sim.claim_inline_slot()))
+        with pytest.raises(SimulationError):
+            sim.run_until_idle(max_events=3)
+        # pop, claim, pop, refused claim; the third event stays queued
+        assert claims == [True, False]
+        assert sim.events_run == 3 and sim.pending == 1
 
     def test_claim_counts_as_executed_event(self):
         sim = Simulator()
-        assert sim.claim_inline_slot(0.0) is True
+        assert sim.claim_inline_slot() is True
         assert sim.events_run == 1
 
 

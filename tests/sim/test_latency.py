@@ -48,6 +48,19 @@ class TestDiscreteLatency:
         # All three path classes show up in a run this long.
         assert set(samples) == set(values)
 
+    @pytest.mark.parametrize("count", range(1, 10))
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2024])
+    def test_draws_what_random_choice_draws(self, count, seed):
+        """The unweighted draw restates ``Random.choice``: the same
+        value every draw, and the rng left in the same state."""
+        values = [0.25 * (index + 1) for index in range(count)]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        model = DiscreteLatency(values, ours)
+        assert [model.sample() for _ in range(300)] == [
+            theirs.choice(values) for _ in range(300)
+        ]
+        assert ours.getstate() == theirs.getstate()
+
     def test_seeded_reproducible(self):
         a = DiscreteLatency([1.0, 3.0], random.Random(4))
         b = DiscreteLatency([1.0, 3.0], random.Random(4))

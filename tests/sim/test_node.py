@@ -142,6 +142,53 @@ class TestServiceQueue:
         assert b.received[0][1] == 3.0  # not serialised across nodes
 
 
+class TestDeliveryOnArrival:
+    """A zero-service arrival is handled in the pop that brings it; a
+    delivery queues only behind a positive service time or a spent
+    ``max_events`` budget."""
+
+    def test_zero_service_arrival_sharing_its_instant_is_handled_in_its_own_pop(self):
+        sim = Simulator()
+        bus = MessageBus(sim, ConstantLatency(1.0))
+        proc = Recorder(sim)
+        bus.register("a", proc)
+        order = []
+        bus.send("a", "m")
+        sim.schedule_at(1.0, lambda: order.append(("foreign", list(proc.received))))
+        assert sim.step()  # the arrival: the foreign event at 1.0 is still queued
+        assert proc.received == [("m", 1.0)]
+        assert sim.pending == 1 and int(sim.events_run) == 2  # the pop and the inline delivery
+        assert sim.step() and not sim.step()
+        assert order == [("foreign", [("m", 1.0)])]
+        stats = sim.pool_stats()
+        assert stats["created"] + stats["reused"] == 1  # one queued event for the message
+
+    def test_positive_service_time_still_queues(self):
+        sim = Simulator()
+        bus = MessageBus(sim, ConstantLatency(1.0), service_time=0.5)
+        proc = Recorder(sim)
+        bus.register("a", proc)
+        bus.send("a", "m")
+        assert sim.step()  # the arrival takes the slot and queues the delivery
+        assert proc.received == [] and sim.pending == 1
+        assert sim.run_until_idle() == 1
+        assert proc.received == [("m", 1.5)]
+        stats = sim.pool_stats()
+        assert int(sim.events_run) == 2 and stats["created"] + stats["reused"] == 2
+
+    def test_a_spent_budget_queues_the_delivery(self):
+        sim = Simulator()
+        bus = MessageBus(sim, ConstantLatency(1.0))
+        proc = Recorder(sim)
+        bus.register("a", proc)
+        bus.send("a", "m")
+        with pytest.raises(SimulationError):
+            sim.run_until_idle(max_events=1)
+        assert proc.received == [] and sim.pending == 1
+        assert sim.run_until_idle() == 1
+        assert proc.received == [("m", 1.0)]
+
+
 class TestInFlightAccounting:
     def test_kind_counters(self, setup):
         sim, bus = setup
@@ -165,13 +212,16 @@ class TestInFlightAccounting:
 class ClosureMessageBus(MessageBus):
     """The pre-refactor closure-based ``send``, kept as a reference model.
 
-    This reproduces the original delivery pipeline exactly: three nested
+    It keeps the original delivery pipeline's shape: three nested
     per-message closures (``addressee`` / ``arrive`` / ``process_it``),
-    no :class:`Envelope`, no same-timestamp inline fast path — delivery
-    is always a separately scheduled event — and no mailboxes: its own
-    process, registration-epoch and busy-until dicts. The equivalence
-    tests below drive identical seeded workloads through this bus and
-    the mailbox bus and require bit-identical schedules.
+    no :class:`Envelope`, no claim on the simulator and no mailboxes:
+    its own process, registration-epoch and busy-until dicts. Its one
+    rule change is the model's: a message whose service slot finishes
+    the moment it arrives (zero service time) is handled then, in the
+    arrival's event, charged as one more executed event; a later finish
+    is a separately scheduled event. The equivalence tests below drive
+    identical seeded workloads through this bus and the mailbox bus
+    and require bit-identical schedules.
     """
 
     def __init__(self, *args, **kwargs):
@@ -228,7 +278,11 @@ class ClosureMessageBus(MessageBus):
                 self.messages_delivered += 1
                 current.handle_message(message)
 
-            self.simulator.schedule_at(finish, process_it)
+            if finish == self.simulator.now:
+                self.simulator.events_run.value += 1
+                process_it()
+            else:
+                self.simulator.schedule_at(finish, process_it)
 
         self.simulator.schedule(transit, arrive)
 
@@ -285,6 +339,14 @@ def _run_bus_trace(bus_cls, seed):
         elif roll < 0.16:
             if not bus.is_registered(target):
                 spawn(target)
+        elif roll < 0.24:
+            # A foreign event tied with arrivals: it runs after every
+            # zero-service delivery whose arrival is ahead of it.
+            def leave(target=target):
+                log.append(("leave", target, sim.now))
+                bus.unregister(target)
+
+            sim.schedule_at(sim.now + rng.choice((0.0, 1.0, 2.0)), leave)
         else:
             bus.send(
                 target,
@@ -343,9 +405,9 @@ def _run_counting_workload(seed, bus_cls):
 
 
 class TestScheduleEquivalence:
-    """The envelope/inline refactor must be *schedule-equivalent* to the
-    closure pipeline: identical event counts, delivery order and times,
-    drops, and accounting on any seeded workload."""
+    """The envelope bus must be *schedule-equivalent* to the closure
+    pipeline: identical event counts, delivery order and times, drops,
+    and accounting on any seeded workload."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_bus_traces_identical(self, seed):
