@@ -12,53 +12,26 @@ only): the RSC308 lint validates every committed spec file without
 pulling in the runtime, and schema errors never hide behind an import
 failure.
 
-Grammar
--------
-Top-level tables (all optional except ``arrivals``; defaults in
-brackets)::
+Schema
+------
+The dataclasses below are the grammar: each field is one key of the
+document. ``ScenarioSpec``'s fields are the top level (its scalar keys
+sit in the ``[network]`` and ``[system]`` tables their ``table``
+names), and a field holding another spec is a sub-table. A key's
+default is its field's default, and its type is the default's type.
+The field's metadata holds the rest:
 
-    name         = "flash_crowd"        # must match the file stem
-    description  = "..."                # free text
+* ``kinds`` — the values of the table's ``kind`` the key belongs to;
+  setting it under any other kind is a problem;
+* ``lo`` / ``hi`` / ``positive`` — bounds; ``hi="width"`` is the
+  network's width;
+* ``choices`` — the valid strings;
+* ``parse`` — the converter of an array key, raising ``ValueError``
+  with the problem;
+* ``required`` — the problem reported when the key is missing (only
+  ``arrivals`` and its ``tokens``).
 
-    [network]
-    width        = 16                   # power of two [16]
-    convention   = "ahs94"              # "ahs94" | "paper-prose" [ahs94]
-
-    [system]
-    seed            = 0                 # workload seed [0]
-    initial_nodes   = 8                 # [8]
-    min_nodes       = 2                 # churn floor [2]
-    step_multiplier = 4                 # rules threshold [4]
-    hysteresis      = 0                 # [0]
-
-    [latency]
-    kind = "constant"                   # constant|uniform|discrete|exponential
-    value = 1.0                         # constant
-    # low/high (uniform), values/weights (discrete), mean (exponential)
-
-    [arrivals]                          # REQUIRED
-    kind   = "uniform"                  # uniform|poisson|burst|onoff
-    tokens = 600                        # the injection budget (>= 1)
-    # duration (uniform), rate (poisson), bursts/spacing (burst),
-    # phases = [[duration, rate], ...] + cycles (onoff)
-    [arrivals.wires]
-    kind = "round_robin"                # round_robin|uniform|hot
-    # hot_wires / hot_fraction (hot)
-
-    [churn]
-    kind = "none"                       # none|poisson|correlated|partition|oscillation
-    # join_rate/leave_rate/crash_rate/duration    (poisson)
-    # rate/batch/duration                         (correlated)
-    # at/fraction/heal_after                      (partition)
-    # period/count/first                          (oscillation)
-
-    [app]
-    kind = "tokens"                     # tokens|counter|load_balancer|
-                                        # producer_consumer|mixed
-    # servers (load_balancer/mixed)
-
-    record = ["tokens", "latency"]      # statistic groups to record
-
+The rules that relate two keys are :func:`_cross_field_problems`.
 Validation collects *every* problem (not just the first) and reports
 each as ``<table>.<field>: <what is wrong> (<what would be valid>)`` —
 the same strings the RSC308 lint emits, so a bad committed spec fails
@@ -69,8 +42,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import Field, dataclass, field, fields, is_dataclass, replace
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import ReproError
 
@@ -136,375 +111,298 @@ class ScenarioSpecError(ReproError):
         )
 
 
-@dataclass(frozen=True)
-class LatencySpec:
-    kind: str = "constant"
-    value: float = 1.0
-    low: float = 0.5
-    high: float = 2.0
-    values: Tuple[float, ...] = (0.5, 1.0, 2.0)
-    weights: Optional[Tuple[float, ...]] = None
-    mean: float = 1.0
-
-
-@dataclass(frozen=True)
-class WireSpec:
-    kind: str = "round_robin"
-    hot_wires: int = 1
-    hot_fraction: float = 0.9
-
-
-@dataclass(frozen=True)
-class ArrivalSpec:
-    kind: str
-    tokens: int
-    duration: float = 100.0
-    rate: float = 1.0
-    bursts: int = 1
-    spacing: float = 1.0
-    phases: Tuple[Tuple[float, float], ...] = ()
-    cycles: int = 1
-    wires: WireSpec = field(default_factory=WireSpec)
-
-
-@dataclass(frozen=True)
-class ChurnSpec:
-    kind: str = "none"
-    duration: float = 100.0
-    join_rate: float = 0.0
-    leave_rate: float = 0.0
-    crash_rate: float = 0.0
-    rate: float = 0.0
-    batch: int = 2
-    at: float = 50.0
-    fraction: float = 0.5
-    heal_after: float = 25.0
-    period: float = 5.0
-    count: int = 10
-    first: str = "join"
-
-
-@dataclass(frozen=True)
-class AppSpec:
-    kind: str = "tokens"
-    servers: int = 0  # 0 = network width
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One validated scenario, ready for the compiler."""
-
-    name: str
-    description: str
-    width: int
-    convention: str
-    seed: int
-    initial_nodes: int
-    min_nodes: int
-    step_multiplier: int
-    hysteresis: int
-    latency: LatencySpec
-    arrivals: ArrivalSpec
-    churn: ChurnSpec
-    app: AppSpec
-    record: Tuple[str, ...]
-
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        """The same scenario under a different workload seed."""
-        from dataclasses import replace
-
-        return replace(self, seed=seed)
-
-
-class _Checker:
-    """Field extraction with problem accumulation.
-
-    Every getter records a problem (with the valid range spelled out)
-    instead of raising, so one validation pass reports everything wrong
-    with a spec at once.
-    """
-
-    def __init__(self) -> None:
-        self.problems: List[str] = []
-
-    def problem(self, where: str, what: str) -> None:
-        self.problems.append("%s: %s" % (where, what))
-
-    def table(self, data: Mapping[str, Any], key: str) -> Dict[str, Any]:
-        value = data.get(key)
-        if value is None:
-            return {}
-        if not isinstance(value, dict):
-            self.problem(key, "must be a table/object, got %s" % _kind(value))
-            return {}
-        return dict(value)
-
-    def unknown_keys(
-        self, where: str, data: Mapping[str, Any], allowed: Sequence[str]
-    ) -> None:
-        for key in sorted(set(data) - set(allowed)):
-            self.problem(
-                "%s.%s" % (where, key) if where else key,
-                "unknown field (valid: %s)" % ", ".join(sorted(allowed)),
-            )
-
-    def choice(
-        self, where: str, data: Mapping[str, Any], key: str,
-        choices: Sequence[str], default: str,
-    ) -> str:
-        value = data.get(key, default)
-        if not isinstance(value, str) or value not in choices:
-            self.problem(
-                "%s.%s" % (where, key),
-                "got %r, valid choices: %s" % (value, ", ".join(choices)),
-            )
-            return default
-        return value
-
-    def integer(
-        self, where: str, data: Mapping[str, Any], key: str, default: int,
-        minimum: Optional[int] = None, maximum: Optional[int] = None,
-    ) -> int:
-        value = data.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.problem(
-                "%s.%s" % (where, key),
-                "must be an integer, got %s" % _kind(value),
-            )
-            return default
-        if minimum is not None and value < minimum:
-            self.problem(
-                "%s.%s" % (where, key), "must be >= %d, got %d" % (minimum, value)
-            )
-            return default
-        if maximum is not None and value > maximum:
-            self.problem(
-                "%s.%s" % (where, key), "must be <= %d, got %d" % (maximum, value)
-            )
-            return default
-        return value
-
-    def number(
-        self, where: str, data: Mapping[str, Any], key: str, default: float,
-        minimum: Optional[float] = None, positive: bool = False,
-        maximum: Optional[float] = None,
-    ) -> float:
-        value = data.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.problem(
-                "%s.%s" % (where, key),
-                "must be a number, got %s" % _kind(value),
-            )
-            return default
-        value = float(value)
-        if positive and value <= 0:
-            self.problem("%s.%s" % (where, key), "must be > 0, got %r" % value)
-            return default
-        if minimum is not None and value < minimum:
-            self.problem(
-                "%s.%s" % (where, key), "must be >= %r, got %r" % (minimum, value)
-            )
-            return default
-        if maximum is not None and value > maximum:
-            self.problem(
-                "%s.%s" % (where, key), "must be <= %r, got %r" % (maximum, value)
-            )
-            return default
-        return value
-
-    def string(
-        self, where: str, data: Mapping[str, Any], key: str, default: str
-    ) -> str:
-        value = data.get(key, default)
-        if not isinstance(value, str):
-            self.problem(
-                "%s.%s" % (where, key), "must be a string, got %s" % _kind(value)
-            )
-            return default
-        return value
+def _key(default: Any, **rules: Any) -> Any:
+    """One schema row: a key's default plus its rules (see above)."""
+    return field(default=default, metadata=rules)
 
 
 def _kind(value: Any) -> str:
     return type(value).__name__ if value is not None else "nothing"
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_power_of_two(value: int) -> bool:
     return value >= 2 and (value & (value - 1)) == 0
 
 
-def _check_latency(checker: _Checker, data: Mapping[str, Any]) -> LatencySpec:
-    checker.unknown_keys(
-        "latency", data, ("kind", "value", "low", "high", "values", "weights", "mean")
-    )
-    kind = checker.choice("latency", data, "kind", LATENCY_KINDS, "constant")
-    value = checker.number("latency", data, "value", 1.0, minimum=0.0)
-    low = checker.number("latency", data, "low", 0.5, minimum=0.0)
-    high = checker.number("latency", data, "high", 2.0, minimum=0.0)
-    if kind == "uniform" and low > high:
-        checker.problem("latency.low", "must be <= latency.high (%r > %r)" % (low, high))
-    mean = checker.number("latency", data, "mean", 1.0, positive=True)
-    values: Tuple[float, ...] = (0.5, 1.0, 2.0)
-    raw_values = data.get("values")
-    if raw_values is not None:
-        if (
-            not isinstance(raw_values, list)
-            or not raw_values
-            or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
-                for v in raw_values
-            )
+def _numbers(problem: str) -> Callable[[Any], Tuple[float, ...]]:
+    """The parser of a non-empty array of nonnegative numbers."""
+
+    def parse(raw: Any) -> Tuple[float, ...]:
+        if isinstance(raw, list) and raw and all(
+            _is_number(v) and v >= 0 for v in raw
         ):
-            checker.problem(
-                "latency.values",
-                "must be a non-empty array of nonnegative numbers",
+            return tuple(float(v) for v in raw)
+        raise ValueError(problem)
+
+    return parse
+
+
+_WEIGHTS = (
+    "must be an array of nonnegative numbers matching latency.values "
+    "one-to-one, not all zero"
+)
+
+
+def _phases(raw: Any) -> Tuple[Tuple[float, float], ...]:
+    if isinstance(raw, list) and raw and all(
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(_is_number(v) for v in entry)
+        and entry[0] > 0
+        and entry[1] >= 0
+        for entry in raw
+    ):
+        return tuple((float(span), float(rate)) for span, rate in raw)
+    raise ValueError("must be a non-empty array of [duration > 0, rate >= 0] pairs")
+
+
+def _record_groups(raw: Any) -> Tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
+        raise ValueError("must be an array of statistic-group names")
+    bad = sorted(set(raw) - set(RECORD_GROUPS))
+    if bad:
+        raise ValueError(
+            "unknown group(s) %s (valid: %s)"
+            % (", ".join(repr(b) for b in bad), ", ".join(RECORD_GROUPS))
+        )
+    # ``tokens`` (conservation accounting) is always recorded.
+    return tuple(g for g in RECORD_GROUPS if g == "tokens" or g in raw)
+
+
+@dataclass(frozen=True)
+class LatencySpec:
+    kind: str = _key("constant", choices=LATENCY_KINDS)
+    value: float = _key(1.0, kinds=("constant",), lo=0.0)
+    low: float = _key(0.5, kinds=("uniform",), lo=0.0)
+    high: float = _key(2.0, kinds=("uniform",), lo=0.0)
+    values: Tuple[float, ...] = _key(
+        (0.5, 1.0, 2.0), kinds=("discrete",),
+        parse=_numbers("must be a non-empty array of nonnegative numbers"),
+    )
+    weights: Optional[Tuple[float, ...]] = _key(
+        None, kinds=("discrete",), parse=_numbers(_WEIGHTS)
+    )
+    mean: float = _key(1.0, kinds=("exponential",), positive=True)
+
+
+@dataclass(frozen=True)
+class WireSpec:
+    kind: str = _key("round_robin", choices=WIRE_KINDS)
+    hot_wires: int = _key(1, kinds=("hot",), lo=1, hi="width")
+    hot_fraction: float = _key(0.9, kinds=("hot",), lo=0.0, hi=1.0)
+
+
+@dataclass(frozen=True)
+class ArrivalSpec:
+    kind: str = _key("uniform", choices=ARRIVAL_KINDS)
+    tokens: int = _key(
+        100, lo=1, hi=MAX_TOKENS,
+        required="the injection budget is required (1..%d)" % MAX_TOKENS,
+    )
+    duration: float = _key(100.0, kinds=("uniform",), positive=True)
+    rate: float = _key(1.0, kinds=("poisson",), positive=True)
+    bursts: int = _key(1, kinds=("burst",), lo=1)
+    spacing: float = _key(1.0, kinds=("burst",), positive=True)
+    phases: Tuple[Tuple[float, float], ...] = _key(
+        (), kinds=("onoff",), parse=_phases
+    )
+    cycles: int = _key(1, kinds=("onoff",), lo=1)
+    wires: WireSpec = WireSpec()
+
+
+@dataclass(frozen=True)
+class ChurnSpec:
+    kind: str = _key("none", choices=CHURN_KINDS)
+    duration: float = _key(100.0, kinds=("poisson", "correlated"), positive=True)
+    join_rate: float = _key(0.0, kinds=("poisson",), lo=0.0)
+    leave_rate: float = _key(0.0, kinds=("poisson",), lo=0.0)
+    crash_rate: float = _key(0.0, kinds=("poisson",), lo=0.0)
+    rate: float = _key(0.02, kinds=("correlated",), positive=True)
+    batch: int = _key(2, kinds=("correlated",), lo=1)
+    at: float = _key(50.0, kinds=("partition",), positive=True)
+    fraction: float = _key(0.5, kinds=("partition",), lo=0.0, hi=0.9)
+    heal_after: float = _key(25.0, kinds=("partition",), positive=True)
+    period: float = _key(5.0, kinds=("oscillation",), positive=True)
+    count: int = _key(10, kinds=("oscillation",), lo=0)
+    first: str = _key("join", kinds=("oscillation",), choices=("join", "leave"))
+
+
+@dataclass(frozen=True)
+class AppSpec:
+    kind: str = _key("tokens", choices=APP_KINDS)
+    # 0 = network width
+    servers: int = _key(0, kinds=("load_balancer", "mixed"), lo=0, hi="width")
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One validated scenario, ready for the compiler."""
+
+    name: str = ""
+    description: str = ""
+    width: int = _key(16, table="network", lo=2, hi=1024)
+    convention: str = _key("ahs94", table="network", choices=CONVENTIONS)
+    seed: int = _key(0, table="system", lo=0)
+    initial_nodes: int = _key(8, table="system", lo=1, hi=4096)
+    min_nodes: int = _key(2, table="system", lo=1)
+    step_multiplier: int = _key(4, table="system", lo=1)
+    hysteresis: int = _key(0, table="system", lo=0)
+    latency: LatencySpec = LatencySpec()
+    arrivals: ArrivalSpec = _key(
+        ArrivalSpec(),
+        required="table is required (kinds: %s)" % ", ".join(ARRIVAL_KINDS),
+    )
+    churn: ChurnSpec = ChurnSpec()
+    app: AppSpec = AppSpec()
+    record: Tuple[str, ...] = _key(("tokens",), parse=_record_groups)
+
+    def with_seed(self, seed: int) -> "ScenarioSpec":
+        """The same scenario under a different workload seed."""
+        return replace(self, seed=seed)
+
+
+#: A key the document leaves out (JSON's ``null`` is a value, not this).
+_MISSING = object()
+
+
+def _table(data: Mapping[str, Any], key: str, problems: List[str]) -> Dict[str, Any]:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        problems.append("%s: must be a table/object, got %s" % (key, _kind(value)))
+        return {}
+    return value
+
+
+def _unknown_keys(
+    where: str, data: Mapping[str, Any], allowed: Set[str], problems: List[str]
+) -> None:
+    for key in sorted(set(data) - allowed):
+        problems.append(
+            "%s: unknown field (valid: %s)"
+            % ("%s.%s" % (where, key) if where else key, ", ".join(sorted(allowed)))
+        )
+
+
+def _value(row: Field, raw: Any, top: Mapping[str, Any]) -> Any:
+    """``raw`` checked against its row; raises ``ValueError(problem)``."""
+    rules, default = row.metadata, row.default
+    if "parse" in rules:
+        return rules["parse"](raw)
+    if isinstance(default, str):
+        choices = rules.get("choices")
+        if choices is not None and (not isinstance(raw, str) or raw not in choices):
+            raise ValueError("got %r, valid choices: %s" % (raw, ", ".join(choices)))
+        if not isinstance(raw, str):
+            raise ValueError("must be a string, got %s" % _kind(raw))
+        return raw
+    if isinstance(default, float):
+        if not _is_number(raw):
+            raise ValueError("must be a number, got %s" % _kind(raw))
+        raw = float(raw)
+    elif isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValueError("must be an integer, got %s" % _kind(raw))
+    lo, hi = rules.get("lo"), rules.get("hi")
+    if isinstance(hi, str):
+        hi = top[hi]
+    if rules.get("positive") and raw <= 0:
+        raise ValueError("must be > 0, got %r" % raw)
+    if lo is not None and raw < lo:
+        raise ValueError("must be >= %r, got %r" % (lo, raw))
+    if hi is not None and raw > hi:
+        raise ValueError("must be <= %r, got %r" % (hi, raw))
+    return raw
+
+
+def _walk(
+    cls: Any, data: Mapping[str, Any], where: str, problems: List[str],
+    top: Optional[Dict[str, Any]] = None,
+) -> Any:
+    """One table of ``data`` read through the rows of ``cls``.
+
+    Every problem is appended to ``problems``; a key with a problem
+    takes its default, so the walk always returns an instance.
+    """
+    rows = fields(cls)
+    values: Dict[str, Any] = {}
+    top = values if top is None else top
+    sources: Dict[Optional[str], Mapping[str, Any]] = {None: data}
+    _unknown_keys(
+        where, data, {r.metadata.get("table") or r.name for r in rows}, problems
+    )
+    kind: Optional[str] = None  # the table's kind, once read and valid
+    for row in rows:
+        rules, table = row.metadata, row.metadata.get("table")
+        if table not in sources:
+            sources[table] = _table(data, table, problems)
+            _unknown_keys(
+                table, sources[table],
+                {r.name for r in rows if r.metadata.get("table") == table}, problems,
             )
+        prefix = table or where
+        path = "%s.%s" % (prefix, row.name) if prefix else row.name
+        raw = sources[table].get(row.name, _MISSING)
+        value, bad = row.default, False
+        if raw is _MISSING or (raw == {} and "required" in rules):
+            if "required" in rules:
+                problems.append("%s: %s" % (path, rules["required"]))
+        elif "kinds" in rules and kind is not None and kind not in rules["kinds"]:
+            problems.append(
+                "%s: only for kind %s (%s.kind is %r)"
+                % (path, " or ".join(rules["kinds"]), where, kind)
+            )
+        elif is_dataclass(row.default):
+            if isinstance(raw, dict):
+                value = _walk(type(row.default), raw, path, problems, top)
+            else:
+                problems.append(
+                    "%s: must be a table/object, got %s" % (path, _kind(raw))
+                )
         else:
-            values = tuple(float(v) for v in raw_values)
-    weights: Optional[Tuple[float, ...]] = None
-    raw_weights = data.get("weights")
-    if raw_weights is not None:
-        if (
-            not isinstance(raw_weights, list)
-            or len(raw_weights) != len(values)
-            or not all(
-                isinstance(w, (int, float)) and not isinstance(w, bool) and w >= 0
-                for w in raw_weights
-            )
-            or not any(raw_weights)
-        ):
-            checker.problem(
-                "latency.weights",
-                "must be an array of nonnegative numbers matching "
-                "latency.values one-to-one, not all zero",
-            )
-        else:
-            weights = tuple(float(w) for w in raw_weights)
-    return LatencySpec(
-        kind=kind, value=value, low=low, high=high,
-        values=values, weights=weights, mean=mean,
-    )
+            try:
+                value = _value(row, raw, top)
+            except ValueError as exc:
+                problems.append("%s: %s" % (path, exc))
+                bad = True
+        if row.name == "kind" and not bad:
+            kind = value
+        values[row.name] = value
+    return cls(**values)
 
 
-def _check_wires(checker: _Checker, data: Mapping[str, Any], width: int) -> WireSpec:
-    checker.unknown_keys("arrivals.wires", data, ("kind", "hot_wires", "hot_fraction"))
-    kind = checker.choice("arrivals.wires", data, "kind", WIRE_KINDS, "round_robin")
-    hot_wires = checker.integer(
-        "arrivals.wires", data, "hot_wires", 1, minimum=1, maximum=width
-    )
-    hot_fraction = checker.number(
-        "arrivals.wires", data, "hot_fraction", 0.9, minimum=0.0, maximum=1.0
-    )
-    return WireSpec(kind=kind, hot_wires=hot_wires, hot_fraction=hot_fraction)
-
-
-def _check_arrivals(
-    checker: _Checker, data: Mapping[str, Any], width: int
-) -> ArrivalSpec:
-    checker.unknown_keys(
-        "arrivals",
-        data,
-        ("kind", "tokens", "duration", "rate", "bursts", "spacing",
-         "phases", "cycles", "wires"),
-    )
-    if not data:
-        checker.problem(
-            "arrivals",
-            "table is required (kinds: %s)" % ", ".join(ARRIVAL_KINDS),
+def _cross_field_problems(spec: ScenarioSpec) -> Iterator[str]:
+    """The rules that relate two keys; each key's own rules are its row."""
+    if not _is_power_of_two(spec.width):
+        yield "network.width: must be a power of two >= 2, got %d" % spec.width
+    if spec.min_nodes > spec.initial_nodes:
+        yield "system.min_nodes: must be <= system.initial_nodes (%d > %d)" % (
+            spec.min_nodes, spec.initial_nodes,
         )
-    kind = checker.choice("arrivals", data, "kind", ARRIVAL_KINDS, "uniform")
-    tokens = checker.integer(
-        "arrivals", data, "tokens", 100, minimum=1, maximum=MAX_TOKENS
-    )
-    if "tokens" not in data and data:
-        checker.problem(
-            "arrivals.tokens",
-            "the injection budget is required (1..%d)" % MAX_TOKENS,
+    latency = spec.latency
+    if latency.kind == "uniform" and latency.low > latency.high:
+        yield "latency.low: must be <= latency.high (%r > %r)" % (
+            latency.low, latency.high,
         )
-    duration = checker.number("arrivals", data, "duration", 100.0, positive=True)
-    rate = checker.number("arrivals", data, "rate", 1.0, positive=True)
-    bursts = checker.integer("arrivals", data, "bursts", 1, minimum=1)
-    spacing = checker.number("arrivals", data, "spacing", 1.0, positive=True)
-    cycles = checker.integer("arrivals", data, "cycles", 1, minimum=1)
-    phases: Tuple[Tuple[float, float], ...] = ()
-    raw_phases = data.get("phases")
-    if raw_phases is not None:
-        ok = isinstance(raw_phases, list) and raw_phases
-        parsed: List[Tuple[float, float]] = []
-        if ok:
-            for entry in raw_phases:
-                if (
-                    not isinstance(entry, (list, tuple))
-                    or len(entry) != 2
-                    or not all(
-                        isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in entry
-                    )
-                    or entry[0] <= 0
-                    or entry[1] < 0
-                ):
-                    ok = False
-                    break
-                parsed.append((float(entry[0]), float(entry[1])))
-        if not ok:
-            checker.problem(
-                "arrivals.phases",
-                "must be a non-empty array of [duration > 0, rate >= 0] pairs",
-            )
-        else:
-            phases = tuple(parsed)
-    if kind == "onoff" and not phases:
-        checker.problem(
-            "arrivals.phases",
-            "required for kind 'onoff' (array of [duration, rate] pairs)",
+    if latency.weights is not None and (
+        len(latency.weights) != len(latency.values) or not any(latency.weights)
+    ):
+        yield "latency.weights: %s" % _WEIGHTS
+    if spec.arrivals.kind == "onoff" and not spec.arrivals.phases:
+        yield (
+            "arrivals.phases: required for kind 'onoff' "
+            "(array of [duration, rate] pairs)"
         )
-    wires = _check_wires(checker, checker.table(data, "wires"), width)
-    return ArrivalSpec(
-        kind=kind, tokens=tokens, duration=duration, rate=rate,
-        bursts=bursts, spacing=spacing, phases=phases, cycles=cycles,
-        wires=wires,
-    )
-
-
-def _check_churn(checker: _Checker, data: Mapping[str, Any]) -> ChurnSpec:
-    checker.unknown_keys(
-        "churn",
-        data,
-        ("kind", "duration", "join_rate", "leave_rate", "crash_rate",
-         "rate", "batch", "at", "fraction", "heal_after", "period",
-         "count", "first"),
-    )
-    kind = checker.choice("churn", data, "kind", CHURN_KINDS, "none")
-    duration = checker.number("churn", data, "duration", 100.0, positive=True)
-    join_rate = checker.number("churn", data, "join_rate", 0.0, minimum=0.0)
-    leave_rate = checker.number("churn", data, "leave_rate", 0.0, minimum=0.0)
-    crash_rate = checker.number("churn", data, "crash_rate", 0.0, minimum=0.0)
-    rate = checker.number("churn", data, "rate", 0.02, positive=True)
-    batch = checker.integer("churn", data, "batch", 2, minimum=1)
-    at = checker.number("churn", data, "at", 50.0, positive=True)
-    fraction = checker.number("churn", data, "fraction", 0.5, minimum=0.0, maximum=0.9)
-    heal_after = checker.number("churn", data, "heal_after", 25.0, positive=True)
-    period = checker.number("churn", data, "period", 5.0, positive=True)
-    count = checker.integer("churn", data, "count", 10, minimum=0)
-    first = checker.choice("churn", data, "first", ("join", "leave"), "join")
-    if kind == "poisson" and not (join_rate or leave_rate or crash_rate):
-        checker.problem(
-            "churn",
-            "kind 'poisson' needs at least one of join_rate / "
-            "leave_rate / crash_rate > 0",
+    churn = spec.churn
+    if churn.kind == "poisson" and not (
+        churn.join_rate or churn.leave_rate or churn.crash_rate
+    ):
+        yield (
+            "churn: kind 'poisson' needs at least one of join_rate / "
+            "leave_rate / crash_rate > 0"
         )
-    return ChurnSpec(
-        kind=kind, duration=duration, join_rate=join_rate,
-        leave_rate=leave_rate, crash_rate=crash_rate, rate=rate,
-        batch=batch, at=at, fraction=fraction, heal_after=heal_after,
-        period=period, count=count, first=first,
-    )
-
-
-def _check_app(checker: _Checker, data: Mapping[str, Any], width: int) -> AppSpec:
-    checker.unknown_keys("app", data, ("kind", "servers"))
-    kind = checker.choice("app", data, "kind", APP_KINDS, "tokens")
-    servers = checker.integer("app", data, "servers", 0, minimum=0, maximum=width)
-    return AppSpec(kind=kind, servers=servers)
 
 
 def validate_spec_data(
@@ -518,99 +416,20 @@ def validate_spec_data(
     field inside the document must match it, so a copied spec file
     cannot silently shadow another scenario.
     """
-    checker = _Checker()
     if not isinstance(data, Mapping):
         return None, ["spec: top level must be a table/object, got %s" % _kind(data)]
-    checker.unknown_keys(
-        "", data,
-        ("name", "description", "network", "system", "latency",
-         "arrivals", "churn", "app", "record"),
-    )
+    problems: List[str] = []
     declared = data.get("name")
     if declared is not None and declared != name:
-        checker.problem(
-            "name",
-            "declared name %r does not match the registry name %r "
-            "(the file stem)" % (declared, name),
+        problems.append(
+            "name: declared name %r does not match the registry name %r "
+            "(the file stem)" % (declared, name)
         )
-    description = checker.string("spec", data, "description", "")
-
-    network = checker.table(data, "network")
-    checker.unknown_keys("network", network, ("width", "convention"))
-    width = checker.integer("network", network, "width", 16, minimum=2, maximum=1024)
-    if not _is_power_of_two(width):
-        checker.problem("network.width", "must be a power of two >= 2, got %d" % width)
-        width = 16
-    convention = checker.choice("network", network, "convention", CONVENTIONS, "ahs94")
-
-    system = checker.table(data, "system")
-    checker.unknown_keys(
-        "system", system,
-        ("seed", "initial_nodes", "min_nodes", "step_multiplier", "hysteresis"),
-    )
-    seed = checker.integer("system", system, "seed", 0, minimum=0)
-    initial_nodes = checker.integer(
-        "system", system, "initial_nodes", 8, minimum=1, maximum=4096
-    )
-    min_nodes = checker.integer("system", system, "min_nodes", 2, minimum=1)
-    if min_nodes > initial_nodes:
-        checker.problem(
-            "system.min_nodes",
-            "must be <= system.initial_nodes (%d > %d)" % (min_nodes, initial_nodes),
-        )
-        min_nodes = initial_nodes
-    step_multiplier = checker.integer(
-        "system", system, "step_multiplier", 4, minimum=1
-    )
-    hysteresis = checker.integer("system", system, "hysteresis", 0, minimum=0)
-
-    latency = _check_latency(checker, checker.table(data, "latency"))
-    arrivals = _check_arrivals(checker, checker.table(data, "arrivals"), width)
-    churn = _check_churn(checker, checker.table(data, "churn"))
-    app = _check_app(checker, checker.table(data, "app"), width)
-
-    record_raw = data.get("record", ["tokens"])
-    record: Tuple[str, ...] = ("tokens",)
-    if (
-        not isinstance(record_raw, list)
-        or not all(isinstance(item, str) for item in record_raw)
-    ):
-        checker.problem("record", "must be an array of statistic-group names")
-    else:
-        bad = sorted(set(record_raw) - set(RECORD_GROUPS))
-        if bad:
-            checker.problem(
-                "record",
-                "unknown group(s) %s (valid: %s)"
-                % (", ".join(repr(b) for b in bad), ", ".join(RECORD_GROUPS)),
-            )
-        # ``tokens`` (conservation accounting) is always recorded.
-        record = tuple(
-            group for group in RECORD_GROUPS
-            if group == "tokens" or group in record_raw
-        )
-
-    if checker.problems:
-        return None, checker.problems
-    return (
-        ScenarioSpec(
-            name=name,
-            description=description,
-            width=width,
-            convention=convention,
-            seed=seed,
-            initial_nodes=initial_nodes,
-            min_nodes=min_nodes,
-            step_multiplier=step_multiplier,
-            hysteresis=hysteresis,
-            latency=latency,
-            arrivals=arrivals,
-            churn=churn,
-            app=app,
-            record=record,
-        ),
-        [],
-    )
+    spec = _walk(ScenarioSpec, data, "", problems)
+    problems.extend(_cross_field_problems(spec))
+    if problems:
+        return None, problems
+    return replace(spec, name=name), []
 
 
 def parse_spec(data: Mapping[str, Any], name: str) -> ScenarioSpec:

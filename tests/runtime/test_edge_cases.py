@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, StepPropertyViolation
 from repro.runtime.combining import CombiningConfig
 from repro.runtime.reconfig import Reconfigurator
 from repro.runtime.system import MAX_REROUTES, AdaptiveCountingSystem
@@ -366,6 +366,19 @@ class TestSystemValidation:
         system.run_until_quiescent()
         assert list(system.output_counts) == [5] * 8
         system.verify()
+
+    def test_verify_rejects_outputs_without_the_step_property(self):
+        system = AdaptiveCountingSystem(width=8, seed=37)
+        for _ in range(6):
+            system.inject_token()
+        system.run_until_quiescent()
+        counts = list(system.output_counts)
+        assert counts == [1, 1, 1, 1, 1, 1, 0, 0]
+        system.verify()
+        counts[0], counts[7] = counts[7], counts[0]  # every token still retired
+        system.output_counts.reset(counts)
+        with pytest.raises(StepPropertyViolation):
+            system.verify()
 
     def test_verify_rejects_inconsistent_component(self):
         system = AdaptiveCountingSystem(width=8, seed=37)

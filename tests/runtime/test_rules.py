@@ -73,7 +73,7 @@ class TestMergingRule:
             system.converge()
             return system.stats.merges
 
-        assert run(2) <= run(0)
+        assert run(2) < run(0)
 
 
 class TestConvergence:

@@ -136,6 +136,26 @@ class TestValidation:
         _, problems = validate_spec_data(data, "x")
         assert any("latency.weights" in p for p in problems)
 
+    def test_a_key_outside_its_kind_is_one_problem(self):
+        data = {
+            "latency": {"kind": "constant", "mean": 7, "low": 3},
+            "churn": {"kind": "none", "join_rate": 5},
+            "arrivals": dict(MINIMAL["arrivals"]),
+        }
+        _, problems = validate_spec_data(data, "x")
+        assert sorted(problems) == [
+            "churn.join_rate: only for kind poisson (churn.kind is 'none')",
+            "latency.low: only for kind uniform (latency.kind is 'constant')",
+            "latency.mean: only for kind exponential (latency.kind is 'constant')",
+        ]
+        # An invalid kind is reported alone: which keys it takes is unknown.
+        data["latency"]["kind"] = "bogus"
+        _, problems = validate_spec_data(data, "x")
+        assert [p for p in problems if p.startswith("latency")] == [
+            "latency.kind: got 'bogus', valid choices: "
+            "constant, uniform, discrete, exponential"
+        ]
+
     def test_record_groups_validated_and_tokens_always_on(self):
         _, problems = validate_spec_data(
             {"arrivals": dict(MINIMAL["arrivals"]), "record": ["latencies"]}, "x"
